@@ -25,9 +25,9 @@ gates a report against the pinned distribution baseline with drift
 classification, and ``regen-baseline`` re-pins the baseline (see
 ``docs/TESTING.md``, "Fleet tier & distribution digests").
 
-``python -m repro.cli serve-sim`` drives the sharded, multi-tenant serve
-tier (:class:`repro.serve.ShardedServer` behind a
-:class:`repro.serve.FrontDoor`) with deterministic open-loop overload
+``python -m repro.cli serve-sim`` drives a partitioned, multi-tenant
+:class:`repro.serve.BatchServer` (``shards`` plus an
+:class:`repro.serve.Admission` policy) with deterministic open-loop overload
 traffic (:mod:`repro.eval.loadgen`) and gates on the resilience
 invariants: goodput under 2x load, bounded queues, provably
 lowest-value-first shedding, and the accepted-job latency SLO (see
@@ -370,7 +370,7 @@ def main_batch(argv: list[str] | None = None) -> int:
             # Graceful drain on Ctrl-C / kill: the journal stays resumable.
             for signum in (signal.SIGINT, signal.SIGTERM):
                 previous_handlers[signum] = signal.signal(signum, _interrupt)
-        print(f"server           : {server._pool.workers} workers, "
+        print(f"server           : {server.workers} workers, "
               f"queue bound {queue_size}, "
               f"coalescing {'on' if server.coalesce else 'off'}")
         if server.map_store is not None:
@@ -555,7 +555,8 @@ def main_timeline(argv: list[str] | None = None) -> int:
             server_marks.append((t, "r"))
         elif kind == "dead_letter":
             server_marks.append((t, "D"))
-        elif kind == "drain":
+        elif kind in ("drain", "shard_eject"):
+            # A graceful drain, or a partition draining out of rotation.
             server_marks.append((t, "!"))
         elif kind == "dispatch":
             server_marks.append((t, "·"))
@@ -572,7 +573,7 @@ def main_timeline(argv: list[str] | None = None) -> int:
     lines.append(gantt(lanes, t0, t1, width=args.width))
     lines.append(
         "legend: █ ok  ▓ error  ▒ timeout  ░ crashed  ─ open  "
-        "K watchdog kill  r retry  D dead letter  ! drain  · dispatch"
+        "K watchdog kill  r retry  D dead letter  ! drain/eject  · dispatch"
     )
 
     # Critical path: per-span-name self time summed over every job trace
@@ -1048,7 +1049,7 @@ def build_serve_sim_parser() -> argparse.ArgumentParser:
         prog="python -m repro.cli serve-sim",
         description=(
             "Overload-resilience simulation: deterministic open-loop "
-            "multi-tenant traffic against the sharded serve tier "
+            "multi-tenant traffic against a partitioned batch server "
             "(admission quotas, weighted-fair dequeue, value-based "
             "shedding, circuit-breaker brownouts), gated on goodput, "
             "bounded queues, shed ordering, and the latency SLO."
@@ -1092,7 +1093,7 @@ def build_serve_sim_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--backlog-limit", type=int, default=48,
-        help="front-door backlog bound — the shed point (default: 48)",
+        help="admission backlog bound — the shed point (default: 48)",
     )
     parser.add_argument(
         "--no-shed", action="store_true",
@@ -1156,7 +1157,7 @@ def _percentile_s(values: list, q: float) -> float:
 
 
 def main_serve_sim(argv: list[str] | None = None) -> int:
-    """Drive the sharded serve tier with open-loop overload traffic.
+    """Drive a partitioned, admission-controlled server with overload.
 
     Exit codes: 0 every resilience gate held, 1 a gate broke (goodput,
     queue bound, shed ordering, latency SLO, or lost results), 2 bad
@@ -1169,9 +1170,9 @@ def main_serve_sim(argv: list[str] | None = None) -> int:
     from repro.eval.loadgen import DEFAULT_TENANTS, generate_arrivals
     from repro.ioutil import atomic_write_json
     from repro.serve import (
-        FrontDoor,
+        Admission,
+        BatchServer,
         ServeTelemetry,
-        ShardedServer,
         TenantQuota,
         read_events,
         verify_shed_ordering,
@@ -1247,31 +1248,30 @@ def main_serve_sim(argv: list[str] | None = None) -> int:
     # for, keeps full durability.
     telemetry = ServeTelemetry(telemetry_path, fsync=False)
     try:
-        server = ShardedServer(
+        admission = Admission(
+            quotas=quotas,
+            backlog_limit=args.backlog_limit,
+            shed=not args.no_shed,
+        )
+        server = BatchServer(
             workers=args.workers,
             shards=args.shards,
             queue_size=args.queue_size,
             runner=loadgen_runner,
             journal=args.journal,
             telemetry=telemetry,
+            admission=admission,
         )
     except ReproError as error:
         telemetry.close()
         print(f"error: {error}", file=sys.stderr)
         return 2
-    door = FrontDoor(
-        server,
-        quotas=quotas,
-        backlog_limit=args.backlog_limit,
-        shed=not args.no_shed,
-        telemetry=server.telemetry,
-    )
 
     def _interrupt(signum, frame):  # noqa: ARG001 - signal signature
         name = signal.Signals(signum).name
         print(f"\n{name} received: draining — in-flight jobs finish, "
               f"backlog and queues return typed results", file=sys.stderr)
-        door.interrupt()
+        server.interrupt()
 
     previous_handlers = {}
     for signum in (signal.SIGINT, signal.SIGTERM):
@@ -1283,7 +1283,7 @@ def main_serve_sim(argv: list[str] | None = None) -> int:
     )
     started = time.perf_counter()
     try:
-        with server, door:
+        with server:
             for arrival in arrivals:
                 now = time.perf_counter() - started
                 if kill_at is not None and now >= kill_at:
@@ -1295,14 +1295,14 @@ def main_serve_sim(argv: list[str] | None = None) -> int:
                     time.sleep(arrival.at_s - now)
                 # Virtual admission time: quota decisions follow the
                 # schedule clock, so they are machine-independent.
-                door.submit(arrival.job, now=arrival.at_s)
+                server.submit(arrival.job, now=arrival.at_s)
                 if server.interrupted:
                     break
-            door.drain()
+            server.drain()
             server.checkpoint()
             wall = time.perf_counter() - started
-            results = door.results()
-            backlog_peak = door.backlog_peak
+            results = server.results()
+            backlog_peak = admission.peak
             shard_states = server.shard_states()
             interrupted = server.interrupted
     finally:

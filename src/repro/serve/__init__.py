@@ -1,7 +1,7 @@
 """repro.serve — batch personalization as a managed workload.
 
 The production layer over the one-shot pipeline: many users' captures in,
-one managed batch out.  Seven pieces:
+one managed batch out.  The pieces:
 
 - :mod:`repro.serve.job`     — :class:`Job`/:class:`JobResult` dataclasses
   and the JSONL job-spec format;
@@ -19,17 +19,17 @@ one managed batch out.  Seven pieces:
   stream + rollups), :class:`SloTracker`/:class:`SloPolicy`, and
   :class:`ServeTelemetry`, which grafts worker-captured span trees into
   per-job cross-process traces (rendered by ``repro.cli timeline``);
-- :mod:`repro.serve.server`  — :class:`BatchServer`: bounded priority queue,
+- :mod:`repro.serve.server`  — :class:`BatchServer`: bounded priority queues,
   backpressure, per-job timeouts, classified retries, request coalescing,
   journaling/resume, graceful drain, metrics, and the structured
-  :class:`BatchReport`;
-- :mod:`repro.serve.shard`   — :class:`ShardedServer`: hash-partitioned
-  BatchServers with per-shard journals, circuit-breaker brownouts
+  :class:`BatchReport`; optionally hash-partitioned (``shards``) into
+  failure domains with per-partition journals, circuit-breaker brownouts
   (ejection, reroute, probe-back), and journal merging back to a single
   resumable file;
-- :mod:`repro.serve.frontdoor` — :class:`FrontDoor`: per-tenant
-  token-bucket admission quotas, weighted-fair (stride) dequeue, and
-  value-based load shedding with typed rejections;
+- :mod:`repro.serve.admission` — :class:`Admission`, the optional policy
+  a server admits through: per-tenant token-bucket quotas, weighted-fair
+  (stride) release of a bounded backlog, and value-based load shedding
+  with typed rejections;
 - :mod:`repro.serve.shed`    — the shed-value model
   (priority + expected confidence) and the offline
   :func:`verify_shed_ordering` invariant checker.
@@ -51,7 +51,7 @@ Or from the command line (resumable after a crash or Ctrl-C)::
         --journal batch.journal --resume --report batch_report.json
 """
 
-from repro.serve.frontdoor import FrontDoor, TenantQuota, TokenBucket
+from repro.serve.admission import Admission, TenantQuota, TokenBucket
 from repro.serve.job import (
     REJECTION_REASONS,
     STATUSES,
@@ -68,8 +68,13 @@ from repro.serve.journal import (
 )
 from repro.serve.pool import TaskOutcome, WorkerPool
 from repro.serve.retry import RetryPolicy
-from repro.serve.server import DEFAULT_QUEUE_SIZE, BatchReport, BatchServer
-from repro.serve.shard import ShardedServer, shard_journal_path, shard_of
+from repro.serve.server import (
+    DEFAULT_QUEUE_SIZE,
+    BatchReport,
+    BatchServer,
+    shard_journal_path,
+    shard_of,
+)
 from repro.serve.shed import estimate_confidence, job_value, verify_shed_ordering
 from repro.serve.telemetry import (
     FlightRecorder,
@@ -81,11 +86,11 @@ from repro.serve.telemetry import (
 from repro.serve.worker import execute_job, run_with_telemetry
 
 __all__ = [
+    "Admission",
     "BatchReport",
     "BatchServer",
     "DEFAULT_QUEUE_SIZE",
     "FlightRecorder",
-    "FrontDoor",
     "Job",
     "JobResult",
     "Journal",
@@ -94,7 +99,6 @@ __all__ = [
     "RetryPolicy",
     "STATUSES",
     "ServeTelemetry",
-    "ShardedServer",
     "SloPolicy",
     "SloTracker",
     "TaskOutcome",

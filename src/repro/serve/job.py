@@ -87,7 +87,7 @@ class Job:
         without it keep their exact pre-``params`` representation.
     tenant:
         The submitting tenant, for admission control and quota-fair
-        scheduling at the :class:`repro.serve.frontdoor.FrontDoor`.  A
+        scheduling by a :class:`repro.serve.admission.Admission` policy.  A
         service knob like ``priority``: excluded from the spec key (two
         tenants asking for the same computation coalesce) and omitted
         from JSONL at the default, so single-tenant specs keep their

@@ -143,6 +143,27 @@ class JournalState:
             else:
                 self.transient[key] = dict(record)
 
+    def absorb(self, other: "JournalState") -> None:
+        """Fold another journal's state into this one (the merge rule).
+
+        A ``done`` record anywhere wins and an ``ok`` outranks a dead
+        letter; otherwise the first transient failure seen is kept;
+        ``submitted`` job ids and ``started`` flags are unioned.
+        """
+        for key, ids in other.submitted.items():
+            known = self.submitted.setdefault(key, [])
+            known.extend(job_id for job_id in ids if job_id not in known)
+        self.started |= other.started
+        for key, record in other.transient.items():
+            self.transient.setdefault(key, dict(record))
+        for key, record in other.done.items():
+            current = self.done.get(key)
+            if current is None or (
+                current.get("status") != "ok" and record.get("status") == "ok"
+            ):
+                self.done[key] = dict(record)
+        self.corrupt.extend(other.corrupt)
+
 
 def replay_journal(path: str | os.PathLike) -> JournalState:
     """Replay a journal file into a :class:`JournalState`.
@@ -192,9 +213,10 @@ def merge_journals(
 ) -> JournalState:
     """Merge several shard journals into one compacted journal at ``output``.
 
-    The inverse of sharding: a :class:`repro.serve.shard.ShardedServer`
-    writes one journal per shard (and may finish a spec on a *different*
-    shard than the one that first accepted it, after a brownout reroute);
+    The inverse of sharding: a :class:`repro.serve.server.BatchServer`
+    with ``shards > 1`` writes one journal per partition (and may finish a
+    spec on a *different* partition than the one that first accepted it,
+    after a brownout reroute);
     this folds them back into a single journal in the exact checkpoint
     format :meth:`Journal.checkpoint` writes, so a plain single-server
     ``--resume`` can replay a sharded run — and, by the determinism
@@ -215,22 +237,7 @@ def merge_journals(
     """
     merged = JournalState()
     for path in paths:
-        state = replay_journal(path)
-        for key, ids in state.submitted.items():
-            known = merged.submitted.setdefault(key, [])
-            for job_id in ids:
-                if job_id not in known:
-                    known.append(job_id)
-        merged.started |= state.started
-        for key, record in state.transient.items():
-            merged.transient.setdefault(key, dict(record))
-        for key, record in state.done.items():
-            current = merged.done.get(key)
-            if current is None or (
-                current.get("status") != "ok" and record.get("status") == "ok"
-            ):
-                merged.done[key] = dict(record)
-        merged.corrupt.extend(state.corrupt)
+        merged.absorb(replay_journal(path))
     for key in merged.done:
         merged.transient.pop(key, None)
 

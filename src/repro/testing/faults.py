@@ -397,8 +397,8 @@ def shard_down(session: SessionData, marker: str | None = None) -> SessionData:
     separately because the *intent* differs: a run seeded with several
     markerless ``shard_down`` jobs routed to one shard produces the
     consecutive transient failures that trip that shard's circuit breaker
-    (:class:`repro.serve.shard.ShardedServer`), exercising ejection,
-    queued-job reroute, and probe-back recovery.  With a ``marker`` the
+    (a :class:`repro.serve.server.BatchServer` partition), exercising
+    ejection, queued-job reroute, and probe-back recovery.  With a ``marker`` the
     fault fires once, so the retried/rerouted execution completes — the
     full brownout round trip.
     """

@@ -592,22 +592,25 @@ class TestKillResume:
 
 
 # ---------------------------------------------------------------------------
-# Sharded tier: SIGTERM drain under saturation with an ejected shard
+# Partitioned server: SIGTERM drain under saturation with an ejected shard
 # ---------------------------------------------------------------------------
 
 
 class TestShardedDrain:
-    def test_sigterm_drains_saturated_tier_with_ejected_shard(self, tmp_path):
+    def test_sigterm_drains_saturated_tier_with_ejected_shard(
+        self, tmp_path, monkeypatch
+    ):
         """The worst-case graceful drain: a SIGTERM lands while the
-        front-door backlog and both shard queues are saturated AND one
-        shard is breaker-ejected mid-reroute.  Every job must resolve to a
-        typed outcome, every shard journal must reach its final
+        admission backlog and both partition queues are saturated AND one
+        partition is breaker-ejected mid-reroute.  Every job must resolve
+        to a typed outcome, every partition journal must reach its final
         checkpoint, and a resume from the merged journal must complete the
         batch bit-identically with zero done work re-executed."""
         import signal
         import threading
 
-        from repro.serve import FrontDoor, ShardedServer
+        from repro.serve import Admission
+        from repro.serve import server as server_module
         from repro.serve.job import REJECTION_REASONS
 
         jobs = [
@@ -627,29 +630,30 @@ class TestShardedDrain:
 
         base = tmp_path / "sharded.journal"
         received = threading.Event()
-        server = ShardedServer(
+        monkeypatch.setattr(server_module, "PROBE_BACKOFF_S", 3600.0)
+        server = BatchServer(
             workers=1, shards=2, queue_size=4, runner=sleepy_runner,
-            coalesce=False, journal=base, probe_backoff_s=3600.0,
+            coalesce=False, journal=base,
+            admission=Admission(backlog_limit=8, shed=True),
         )
-        door = FrontDoor(server, backlog_limit=8, shed=True)
 
         def _on_sigterm(signum, frame):  # noqa: ARG001 - signal signature
             received.set()
-            door.interrupt()
+            server.interrupt()
 
         previous = signal.signal(signal.SIGTERM, _on_sigterm)
         try:
-            with server, door:
+            with server:
                 for job in jobs:
-                    door.submit(job, now=0.0)
-                # One shard dies while its queue is full; its jobs reroute
-                # into the other shard's already-full queue.
+                    server.submit(job, now=0.0)
+                # One partition dies while its queue is full; its jobs
+                # reroute into the other partition's already-full queue.
                 server.inject_shard_failure(0)
                 os.kill(os.getpid(), signal.SIGTERM)
                 assert received.wait(5.0)
-                door.drain()
+                server.drain()
                 server.checkpoint()
-                results = {r.job_id: r for r in door.results()}
+                results = {r.job_id: r for r in server.results()}
         finally:
             signal.signal(signal.SIGTERM, previous)
 
@@ -675,7 +679,7 @@ class TestShardedDrain:
         # Resume from the merged journal: the batch completes, done work
         # replays rather than re-executing, and the deterministic fields
         # match the uninterrupted reference bit for bit.
-        with ShardedServer(
+        with BatchServer(
             workers=1, shards=2, runner=sleepy_runner, coalesce=False,
             journal=base, resume=True,
         ) as resumed_server:

@@ -1,10 +1,11 @@
 """Admission-control tests: quotas, fair dequeue, value-based shedding.
 
-The :class:`~repro.serve.frontdoor.FrontDoor` makes its decisions against
-injectable time and a pluggable sink, so everything here is deterministic:
-token buckets replay byte-identically, the stride dequeue order is pinned,
-and the shed property tests prove lowest-value-first against the same
-offline verifier CI's overload gate uses.
+A :class:`~repro.serve.server.BatchServer` with an
+:class:`~repro.serve.admission.Admission` policy makes its decisions
+against explicit admission time, so everything here is deterministic:
+token buckets replay byte-identically, the stride release order is
+pinned, and the shed property tests prove lowest-value-first against the
+same offline verifier CI's overload gate uses.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ import pytest
 
 from repro.errors import ReproError
 from repro.serve import (
+    Admission,
     BatchServer,
-    FrontDoor,
     Job,
     TenantQuota,
     TokenBucket,
@@ -27,6 +28,7 @@ from repro.serve import (
     read_events,
     verify_shed_ordering,
 )
+from repro.serve import admission as admission_module
 from repro.serve.telemetry import ServeTelemetry
 from repro.testing.workloads import digest_runner
 
@@ -35,40 +37,42 @@ def _job(job_id: str, seed: int = 1, **kw) -> Job:
     return Job(job_id=job_id, subject_seed=seed, **kw)
 
 
-def _wait_backlog_empty(door: FrontDoor, timeout_s: float = 5.0) -> None:
-    """Wait for the dispatcher to pop what it is going to pop.
+def _server(
+    gate: threading.Semaphore | None = None,
+    telemetry: ServeTelemetry | None = None,
+    **admission,
+) -> BatchServer:
+    """An admission-fronted server whose backlog releases are observable.
 
-    The shed tests gate the sink so the dispatcher blocks inside its first
-    handoff; once the backlog is empty the set of waiting jobs is exactly
-    what the test submits next — no races.
+    Every job the feeder releases from the backlog is appended to
+    ``server.released``; with a ``gate``, each release first waits on it,
+    so the feeder blocks inside its first handoff and the backlog holds
+    exactly what a test submits next — no races.
     """
+    server = BatchServer(
+        workers=1, runner=digest_runner, telemetry=telemetry,
+        admission=Admission(**admission),
+    )
+    server.released = []
+    handoff = server._enqueue
+
+    def gated(job: Job, block: bool) -> bool:
+        if gate is not None:
+            gate.acquire()
+        server.released.append(job.job_id)
+        return handoff(job, block)
+
+    server._enqueue = gated
+    return server
+
+
+def _wait_backlog_empty(server: BatchServer, timeout_s: float = 5.0) -> None:
+    """Wait for the feeder to pop what it is going to pop."""
     deadline = time.monotonic() + timeout_s
-    while door.backlog_depth > 0:
+    while server.admission.depth > 0:
         if time.monotonic() > deadline:
-            raise AssertionError("dispatcher never picked up the lead job")
+            raise AssertionError("feeder never picked up the lead job")
         time.sleep(0.002)
-
-
-class _SinkStub:
-    """A sink that records handoffs; optionally gated by a semaphore."""
-
-    def __init__(self, gate: threading.Semaphore | None = None):
-        self.gate = gate
-        self.order: list[str] = []
-        self._lock = threading.Lock()
-
-    def submit(self, job: Job, block: bool = True) -> bool:
-        if self.gate is not None:
-            self.gate.acquire()
-        with self._lock:
-            self.order.append(job.job_id)
-        return True
-
-    def drain(self) -> None:
-        pass
-
-    def results(self):
-        return ()
 
 
 class TestTokenBucket:
@@ -119,10 +123,14 @@ class TestTenantQuota:
 
 class TestPassthrough:
     def test_unconfigured_door_is_transparent(self):
-        door = FrontDoor(_SinkStub())
-        assert door.passthrough
-        assert door._dispatcher is None
-        door.close()
+        # No admission policy: submissions queue directly and no feeder
+        # thread runs beside the scheduler.
+        with BatchServer(workers=1, runner=digest_runner) as server:
+            assert server.admission is None
+            assert server._feeder is None
+            assert server.submit(_job("a"))
+            server.drain()
+            assert server.results()[0].ok
 
     def test_passthrough_results_bit_identical_to_bare_server(self):
         jobs = [_job(f"j{i}", seed=10 + i) for i in range(6)]
@@ -130,93 +138,94 @@ class TestPassthrough:
             report = server.run_batch(jobs)
         bare = [r.deterministic() for r in report.results]
 
-        with BatchServer(workers=2, runner=digest_runner) as server:
-            with FrontDoor(server) as door:
-                for job in jobs:
-                    door.submit(job)
-                door.drain()
-                fronted = [r.deterministic() for r in door.results()]
+        with BatchServer(
+            workers=2, runner=digest_runner, admission=Admission()
+        ) as server:
+            for job in jobs:
+                server.submit(job)
+            server.drain()
+            fronted = [r.deterministic() for r in server.results()]
         assert fronted == bare
 
 
 class TestQuotas:
     def test_over_quota_is_a_typed_rejection(self):
-        sink = _SinkStub()
         quota = TenantQuota(rate_per_s=1.0, burst=2.0)
-        with FrontDoor(sink, quotas={"acme": quota}) as door:
+        with _server(quotas={"acme": quota}) as server:
             outcomes = [
-                door.submit(_job(f"a{i}", seed=i + 1, tenant="acme"), now=0.0)
+                server.submit(_job(f"a{i}", seed=i + 1, tenant="acme"), now=0.0)
                 for i in range(4)
             ]
-            door.drain()
-            results = {r.job_id: r for r in door.results()}
+            server.drain()
+            results = {r.job_id: r for r in server.results()}
         assert outcomes == [True, True, False, False]
-        assert door.n_over_quota == 2
+        assert server.admission.n_over_quota == 2
         for job_id in ("a2", "a3"):
             result = results[job_id]
             assert result.status == "rejected"
             assert result.reason == "over_quota"
             assert result.attempts == 0
-        assert sorted(sink.order) == ["a0", "a1"]
+        assert sorted(server.released) == ["a0", "a1"]
+        assert results["a0"].ok and results["a1"].ok
 
     def test_bucket_refills_between_arrivals(self):
         quota = TenantQuota(rate_per_s=2.0, burst=1.0)
-        with FrontDoor(_SinkStub(), quotas={"acme": quota}) as door:
-            assert door.submit(_job("a", tenant="acme"), now=0.0)
-            assert not door.submit(_job("b", seed=2, tenant="acme"), now=0.0)
-            assert door.submit(_job("c", seed=3, tenant="acme"), now=0.5)
-            door.drain()
+        with _server(quotas={"acme": quota}) as server:
+            assert server.submit(_job("a", tenant="acme"), now=0.0)
+            assert not server.submit(_job("b", seed=2, tenant="acme"), now=0.0)
+            assert server.submit(_job("c", seed=3, tenant="acme"), now=0.5)
+            server.drain()
 
-    def test_default_quota_covers_unlisted_tenants(self):
+    def test_default_quota_covers_unlisted_tenants(self, monkeypatch):
         default = TenantQuota(rate_per_s=1.0, burst=1.0)
-        with FrontDoor(_SinkStub(), default_quota=default) as door:
-            assert door.submit(_job("a", tenant="x"), now=0.0)
-            assert not door.submit(_job("b", seed=2, tenant="x"), now=0.0)
+        monkeypatch.setattr(admission_module, "DEFAULT_QUOTA", default)
+        with _server() as server:
+            assert server.submit(_job("a", tenant="x"), now=0.0)
+            assert not server.submit(_job("b", seed=2, tenant="x"), now=0.0)
             # A fresh tenant gets its own bucket, not x's empty one.
-            assert door.submit(_job("c", seed=3, tenant="y"), now=0.0)
-            door.drain()
+            assert server.submit(_job("c", seed=3, tenant="y"), now=0.0)
+            server.drain()
 
     def test_one_tenants_burst_cannot_starve_another(self):
         quotas = {
             "greedy": TenantQuota(rate_per_s=100.0, burst=100.0),
             "modest": TenantQuota(rate_per_s=1.0, burst=2.0),
         }
-        with FrontDoor(_SinkStub(), quotas=quotas) as door:
+        with _server(quotas=quotas) as server:
             for i in range(50):
-                assert door.submit(
+                assert server.submit(
                     _job(f"g{i}", seed=i + 1, tenant="greedy"), now=0.0
                 )
-            assert door.submit(_job("m0", seed=200, tenant="modest"), now=0.0)
-            assert door.submit(_job("m1", seed=201, tenant="modest"), now=0.0)
-            door.drain()
+            assert server.submit(_job("m0", seed=200, tenant="modest"), now=0.0)
+            assert server.submit(_job("m1", seed=201, tenant="modest"), now=0.0)
+            server.drain()
 
     def test_unmetered_tenant_when_no_quota_matches(self):
         quotas = {"acme": TenantQuota(rate_per_s=1.0, burst=1.0)}
-        with FrontDoor(_SinkStub(), quotas=quotas) as door:
+        with _server(quotas=quotas) as server:
             for i in range(20):
-                assert door.submit(
+                assert server.submit(
                     _job(f"f{i}", seed=i + 1, tenant="free"), now=0.0
                 )
-            door.drain()
+            server.drain()
 
 
 class TestWeightedFairDequeue:
     def test_stride_order_converges_to_weight_ratio(self):
-        # Gate the sink so the dispatcher blocks after its first pop; the
+        # Gate the handoff so the feeder blocks after its first pop; the
         # full two-tenant backlog then drains in pure stride order.
         gate = threading.Semaphore(0)
-        sink = _SinkStub(gate)
         quotas = {
             "a": TenantQuota(rate_per_s=1e9, burst=1e9, weight=1.0),
             "b": TenantQuota(rate_per_s=1e9, burst=1e9, weight=3.0),
         }
-        with FrontDoor(sink, quotas=quotas) as door:
+        with _server(gate, quotas=quotas) as server:
             for i in range(12):
-                door.submit(_job(f"a{i}", seed=i + 1, tenant="a"), now=0.0)
-                door.submit(_job(f"b{i}", seed=100 + i, tenant="b"), now=0.0)
+                server.submit(_job(f"a{i}", seed=i + 1, tenant="a"), now=0.0)
+                server.submit(_job(f"b{i}", seed=100 + i, tenant="b"), now=0.0)
             gate.release(100)
-            door.drain()
-        tenants = [job_id[0] for job_id in sink.order]
+            server.drain()
+        tenants = [job_id[0] for job_id in server.released]
         # The first pop is 'a' (pass tie breaks on name); thereafter the
         # stride keeps every prefix within a constant of the 3:1 weight
         # ratio while both backlogs are non-empty (bounded unfairness —
@@ -232,18 +241,17 @@ class TestWeightedFairDequeue:
 
     def test_equal_weights_alternate(self):
         gate = threading.Semaphore(0)
-        sink = _SinkStub(gate)
         quotas = {
             "a": TenantQuota(rate_per_s=1e9, burst=1e9),
             "b": TenantQuota(rate_per_s=1e9, burst=1e9),
         }
-        with FrontDoor(sink, quotas=quotas) as door:
+        with _server(gate, quotas=quotas) as server:
             for i in range(8):
-                door.submit(_job(f"a{i}", seed=i + 1, tenant="a"), now=0.0)
-                door.submit(_job(f"b{i}", seed=100 + i, tenant="b"), now=0.0)
+                server.submit(_job(f"a{i}", seed=i + 1, tenant="a"), now=0.0)
+                server.submit(_job(f"b{i}", seed=100 + i, tenant="b"), now=0.0)
             gate.release(100)
-            door.drain()
-        tenants = [job_id[0] for job_id in sink.order]
+            server.drain()
+        tenants = [job_id[0] for job_id in server.released]
         assert tenants[:8] == ["a", "b"] * 4
 
 
@@ -251,42 +259,42 @@ class TestShedding:
     def _door(self, tmp_path, limit: int, shed: bool = True):
         telemetry = ServeTelemetry(tmp_path / "events.jsonl", fsync=False)
         gate = threading.Semaphore(0)
-        sink = _SinkStub(gate)
-        door = FrontDoor(
-            sink, backlog_limit=limit, shed=shed, telemetry=telemetry
+        server = _server(
+            gate, telemetry, backlog_limit=limit, shed=shed,
         )
-        return door, sink, gate, telemetry
+        return server, gate, telemetry
 
     def test_queue_full_without_shedding(self, tmp_path):
-        door, _, gate, telemetry = self._door(tmp_path, limit=2, shed=False)
-        with door:
-            # The dispatcher pops the first job and blocks in the gated
-            # sink; the next two fill the backlog; the rest find it full.
-            assert door.submit(_job("a", seed=1), now=0.0)
-            _wait_backlog_empty(door)
-            assert door.submit(_job("b", seed=2), now=0.0)
-            assert door.submit(_job("c", seed=3), now=0.0)
+        server, gate, telemetry = self._door(tmp_path, limit=2, shed=False)
+        with server:
+            # The feeder pops the first job and blocks at the gate; the
+            # next two fill the backlog; the rest find it full.
+            assert server.submit(_job("a", seed=1), now=0.0)
+            _wait_backlog_empty(server)
+            assert server.submit(_job("b", seed=2), now=0.0)
+            assert server.submit(_job("c", seed=3), now=0.0)
             accepted = [
-                door.submit(_job(f"d{i}", seed=10 + i), now=0.0)
+                server.submit(_job(f"d{i}", seed=10 + i), now=0.0)
                 for i in range(3)
             ]
             gate.release(100)
-            door.drain()
-            results = {r.job_id: r for r in door.results()}
+            server.drain()
+            results = {r.job_id: r for r in server.results()}
         telemetry.close()
         assert not any(accepted)
         for i in range(3):
             assert results[f"d{i}"].reason == "queue_full"
+        assert all(results[j].ok for j in ("a", "b", "c"))
 
     def test_sheds_exactly_the_lowest_values(self, tmp_path):
-        door, sink, gate, telemetry = self._door(tmp_path, limit=8)
+        server, gate, telemetry = self._door(tmp_path, limit=8)
         values = {}
-        with door:
-            # Highest-value job first: the dispatcher pops it and blocks,
-            # so the backlog contents are exactly what we submit next.
+        with server:
+            # Highest-value job first: the feeder pops it and blocks, so
+            # the backlog contents are exactly what we submit next.
             lead = _job("lead", seed=99, priority=10)
-            assert door.submit(lead, now=0.0)
-            _wait_backlog_empty(door)
+            assert server.submit(lead, now=0.0)
+            _wait_backlog_empty(server)
             jobs = []
             for i in range(20):
                 job = _job(
@@ -295,10 +303,10 @@ class TestShedding:
                 )
                 jobs.append(job)
                 values[job.job_id] = job_value(job)
-                door.submit(job, now=0.0)
+                server.submit(job, now=0.0)
             gate.release(100)
-            door.drain()
-            results = {r.job_id: r for r in door.results()}
+            server.drain()
+            results = {r.job_id: r for r in server.results()}
         telemetry.close()
 
         shed = {j for j, r in results.items() if r.status == "rejected"}
@@ -312,35 +320,35 @@ class TestShedding:
         assert verify_shed_ordering(events) == []
 
     def test_incoming_job_can_be_the_victim(self, tmp_path):
-        door, _, gate, telemetry = self._door(tmp_path, limit=2)
-        with door:
-            assert door.submit(_job("lead", seed=1, priority=9), now=0.0)
-            _wait_backlog_empty(door)
-            assert door.submit(_job("keep0", seed=2, priority=5), now=0.0)
-            assert door.submit(_job("keep1", seed=3, priority=5), now=0.0)
-            assert not door.submit(_job("low", seed=4, priority=-1), now=0.0)
+        server, gate, telemetry = self._door(tmp_path, limit=2)
+        with server:
+            assert server.submit(_job("lead", seed=1, priority=9), now=0.0)
+            _wait_backlog_empty(server)
+            assert server.submit(_job("keep0", seed=2, priority=5), now=0.0)
+            assert server.submit(_job("keep1", seed=3, priority=5), now=0.0)
+            assert not server.submit(_job("low", seed=4, priority=-1), now=0.0)
             gate.release(100)
-            door.drain()
-            results = {r.job_id: r for r in door.results()}
+            server.drain()
+            results = {r.job_id: r for r in server.results()}
         telemetry.close()
         assert results["low"].reason == "shed_overload"
-        assert "keep0" not in results and "keep1" not in results
+        assert results["keep0"].ok and results["keep1"].ok
 
     def test_ties_evict_the_newest_admission(self, tmp_path):
-        door, sink, gate, telemetry = self._door(tmp_path, limit=2)
-        with door:
-            assert door.submit(_job("lead", seed=1, priority=9), now=0.0)
-            _wait_backlog_empty(door)
-            assert door.submit(_job("old", seed=2), now=0.0)
-            assert door.submit(_job("mid", seed=3), now=0.0)
+        server, gate, telemetry = self._door(tmp_path, limit=2)
+        with server:
+            assert server.submit(_job("lead", seed=1, priority=9), now=0.0)
+            _wait_backlog_empty(server)
+            assert server.submit(_job("old", seed=2), now=0.0)
+            assert server.submit(_job("mid", seed=3), now=0.0)
             # Same value as the waiting jobs: the newcomer is the victim.
-            assert not door.submit(_job("new", seed=4), now=0.0)
+            assert not server.submit(_job("new", seed=4), now=0.0)
             gate.release(100)
-            door.drain()
-            results = {r.job_id: r for r in door.results()}
+            server.drain()
+            results = {r.job_id: r for r in server.results()}
         telemetry.close()
         assert results["new"].reason == "shed_overload"
-        assert "old" in sink.order and "mid" in sink.order
+        assert "old" in server.released and "mid" in server.released
 
     def test_random_workloads_shed_lowest_value_first(self, tmp_path):
         rng = random.Random(7)
@@ -349,15 +357,12 @@ class TestShedding:
                 tmp_path / f"events{round_no}.jsonl", fsync=False
             )
             gate = threading.Semaphore(0)
-            sink = _SinkStub(gate)
-            door = FrontDoor(
-                sink, backlog_limit=6, shed=True, telemetry=telemetry
-            )
-            with door:
-                door.submit(_job("lead", seed=999, priority=10), now=0.0)
-                _wait_backlog_empty(door)
+            server = _server(gate, telemetry, backlog_limit=6, shed=True)
+            with server:
+                server.submit(_job("lead", seed=999, priority=10), now=0.0)
+                _wait_backlog_empty(server)
                 for i in range(25):
-                    door.submit(
+                    server.submit(
                         _job(
                             f"j{round_no}-{i:02d}", seed=i + 1,
                             priority=rng.randint(-2, 2),
@@ -368,7 +373,7 @@ class TestShedding:
                         now=0.0,
                     )
                 gate.release(200)
-                door.drain()
+                server.drain()
             telemetry.close()
             events = read_events(telemetry.path)
             assert verify_shed_ordering(events) == [], (
@@ -423,48 +428,46 @@ class TestConfidenceModel:
 class TestLifecycle:
     def test_interrupt_resolves_backlog_as_interrupted(self):
         gate = threading.Semaphore(0)
-        sink = _SinkStub(gate)
-        with FrontDoor(sink, backlog_limit=10) as door:
-            door.submit(_job("j0", seed=1), now=0.0)
-            _wait_backlog_empty(door)
+        with _server(gate, backlog_limit=10) as server:
+            server.submit(_job("j0", seed=1), now=0.0)
+            _wait_backlog_empty(server)
             for i in range(1, 4):
-                door.submit(_job(f"j{i}", seed=i + 1), now=0.0)
-            door.interrupt()
+                server.submit(_job(f"j{i}", seed=i + 1), now=0.0)
+            server.interrupt()
             gate.release(10)
-            door.drain()
-            results = door.results()
-        # j0 is in the (result-less) stub sink; the three waiting jobs
-        # resolve interrupted rather than vanishing.
-        assert sink.order == ["j0"]
-        assert [r.job_id for r in results] == ["j1", "j2", "j3"]
+            server.drain()
+            results = server.results()
+        # j0 was mid-handoff and reaches a draining partition; the three
+        # waiting jobs resolve interrupted rather than vanishing.
+        assert server.released == ["j0"]
+        assert [r.job_id for r in results] == ["j0", "j1", "j2", "j3"]
         assert {r.status for r in results} == {"interrupted"}
 
     def test_submit_after_interrupt_is_interrupted_not_lost(self):
-        with FrontDoor(_SinkStub(), backlog_limit=4) as door:
-            door.interrupt()
-            assert not door.submit(_job("late"), now=0.0)
-            results = {r.job_id: r for r in door.results()}
+        with _server(backlog_limit=4) as server:
+            server.interrupt()
+            assert not server.submit(_job("late"), now=0.0)
+            results = {r.job_id: r for r in server.results()}
         assert results["late"].status == "interrupted"
 
     def test_duplicate_and_closed_submissions_raise(self):
-        door = FrontDoor(_SinkStub(), backlog_limit=4)
-        door.submit(_job("a"), now=0.0)
+        server = _server(backlog_limit=4)
+        server.submit(_job("a"), now=0.0)
         with pytest.raises(ReproError, match="duplicate"):
-            door.submit(_job("a", seed=2), now=0.0)
-        door.drain()
-        door.close()
+            server.submit(_job("a", seed=2), now=0.0)
+        server.drain()
+        server.close()
         with pytest.raises(ReproError, match="closed"):
-            door.submit(_job("b"), now=0.0)
+            server.submit(_job("b"), now=0.0)
 
     def test_stats_surface(self):
-        with FrontDoor(
-            _SinkStub(),
+        with _server(
             quotas={"acme": TenantQuota(rate_per_s=1.0, burst=1.0)},
-        ) as door:
-            door.submit(_job("a", tenant="acme"), now=0.0)
-            door.submit(_job("b", seed=2, tenant="acme"), now=0.0)
-            door.drain()
-            stats = door.stats()
-        assert stats["passthrough"] is False
+        ) as server:
+            server.submit(_job("a", tenant="acme"), now=0.0)
+            server.submit(_job("b", seed=2, tenant="acme"), now=0.0)
+            server.drain()
+            stats = server.admission.stats()
+        assert stats["backlog_limit"] is None
         assert stats["n_over_quota"] == 1
         assert stats["tenants"] == ["acme"]

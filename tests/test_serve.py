@@ -16,6 +16,7 @@ import os
 import pytest
 
 from repro.errors import ReproError, SignalError
+from repro.obs import metrics as obs_metrics
 from repro.serve import (
     BatchServer,
     Job,
@@ -190,6 +191,24 @@ class TestBatchServerSemantics:
         assert len(coalesced) == 5 - len(executed)
         digests = {r.payload["digest"] for r in report.results}
         assert len(digests) == 1
+
+    def test_coalesced_counter_counts_each_follower_once(self):
+        counter = obs_metrics.counter("serve.jobs_coalesced")
+        before = counter.value
+        # One worker busy for 0.3 s: the four twins join the running
+        # leader (in-flight followers) ...
+        twins = [_job(f"t{i}", seed=5, fault_args={"sleep_s": 0.3})
+                 for i in range(5)]
+        with BatchServer(workers=1, runner=sleepy_runner) as server:
+            first = server.run_batch(twins)
+            # ... and a later twin reuses the finished result (done cache).
+            late = server.run_batch(
+                [_job("late", seed=5, fault_args={"sleep_s": 0.3})]
+            )
+        results = first.results + late.results
+        assert sum(r.coalesced for r in first.results) == 4
+        assert late.results[0].coalesced
+        assert counter.value - before == sum(r.coalesced for r in results)
 
     def test_coalescing_shares_failures_too(self):
         jobs = [_job(f"j{i}", seed=7, fault=FAILING_FAULT) for i in range(3)]

@@ -1,15 +1,18 @@
-"""Sharded serve-tier tests: routing, brownouts, and journal merging.
+"""Partitioned-server tests: routing, brownouts, and journal merging.
 
-The contract under test: sharding is an *operational* choice — any shard
-count produces the same deterministic results as a bare
-:class:`~repro.serve.server.BatchServer` — and a shard is a *failure
-domain* — ejecting one reroutes its work, probing brings it back, and the
-per-shard journals always fold into one resumable artifact.
+The contract under test: partitioning is an *operational* choice — any
+``shards`` count of :class:`~repro.serve.server.BatchServer` produces the
+same deterministic results as one partition — and a partition is a
+*failure domain* — ejecting one reroutes its work, probing brings it
+back, and the per-partition journals always fold into one resumable
+artifact.
 """
 
 from __future__ import annotations
 
 import json
+import sys
+import threading
 import zlib
 
 import pytest
@@ -19,13 +22,14 @@ from repro.serve import (
     BatchServer,
     Job,
     RetryPolicy,
-    ShardedServer,
     merge_journals,
     replay_journal,
     shard_journal_path,
     shard_of,
 )
-from repro.serve.shard import _namespaced_policy
+from repro.serve import server as server_module
+from repro.serve.journal import Journal
+from repro.serve.server import _namespaced_policy
 from repro.testing.workloads import digest_runner
 
 #: Retry knobs that keep crash-path tests fast.
@@ -80,17 +84,22 @@ class TestRouting:
 
 class TestDeterminism:
     def test_single_shard_is_bit_identical_to_bare_server(self, tmp_path):
+        # One partition adds nothing to the computation: every result is
+        # exactly the runner applied to the spec in this process.
         jobs = [_job(f"j{i}", seed=20 + i) for i in range(8)]
-        with BatchServer(workers=2, runner=digest_runner) as server:
-            bare = _det(server.run_batch(jobs).results)
-        with ShardedServer(workers=2, runner=digest_runner) as server:
+        bare = [
+            {"job_id": job.job_id, "status": "ok",
+             "payload": digest_runner(job.to_dict()), "error": None}
+            for job in jobs
+        ]
+        with BatchServer(workers=2, shards=1, runner=digest_runner) as server:
             sharded = _det(server.run_batch(jobs).results)
         assert sharded == bare
 
     def test_single_shard_journals_at_the_plain_base_path(self, tmp_path):
         base = tmp_path / "one.journal"
         jobs = [_job(f"j{i}", seed=i + 1) for i in range(4)]
-        with ShardedServer(
+        with BatchServer(
             workers=1, runner=digest_runner, journal=base
         ) as server:
             server.run_batch(jobs)
@@ -101,7 +110,7 @@ class TestDeterminism:
         jobs = [_job(f"j{i}", seed=40 + i) for i in range(9)]
         outcomes = []
         for shards in (1, 2, 3):
-            with ShardedServer(
+            with BatchServer(
                 workers=1, shards=shards, runner=digest_runner
             ) as server:
                 outcomes.append(_det(server.run_batch(jobs).results))
@@ -112,7 +121,7 @@ class TestDeterminism:
             _job("first", seed=77, tenant="acme"),
             _job("second", seed=77, tenant="globex"),
         ]
-        with ShardedServer(
+        with BatchServer(
             workers=1, shards=3, runner=digest_runner
         ) as server:
             report = server.run_batch(twins)
@@ -125,7 +134,7 @@ class TestDeterminism:
         )
 
     def test_report_counts_all_shards(self):
-        with ShardedServer(
+        with BatchServer(
             workers=2, shards=2, runner=digest_runner
         ) as server:
             report = server.run_batch([_job("a", seed=1)])
@@ -136,7 +145,7 @@ class TestJournalMerge:
     def test_merged_journal_resumes_on_a_bare_server(self, tmp_path):
         base = tmp_path / "b.journal"
         jobs = [_job(f"j{i}", seed=60 + i) for i in range(9)]
-        with ShardedServer(
+        with BatchServer(
             workers=1, shards=3, runner=digest_runner, journal=base
         ) as server:
             first = _det(server.run_batch(jobs).results)
@@ -154,11 +163,11 @@ class TestJournalMerge:
     def test_sharded_resume_replays_done_work(self, tmp_path):
         base = tmp_path / "b.journal"
         jobs = [_job(f"j{i}", seed=80 + i) for i in range(6)]
-        with ShardedServer(
+        with BatchServer(
             workers=1, shards=2, runner=digest_runner, journal=base
         ) as server:
             first = _det(server.run_batch(jobs).results)
-        with ShardedServer(
+        with BatchServer(
             workers=1, shards=2, runner=digest_runner, journal=base,
             resume=True,
         ) as server:
@@ -171,11 +180,11 @@ class TestJournalMerge:
         # resume of a 2-shard run still replays every done record.
         base = tmp_path / "b.journal"
         jobs = [_job(f"j{i}", seed=90 + i) for i in range(6)]
-        with ShardedServer(
+        with BatchServer(
             workers=1, shards=2, runner=digest_runner, journal=base
         ) as server:
             first = _det(server.run_batch(jobs).results)
-        with ShardedServer(
+        with BatchServer(
             workers=1, shards=3, runner=digest_runner, journal=base,
             resume=True,
         ) as server:
@@ -240,7 +249,7 @@ class TestJournalMerge:
 
 
 class TestBrownout:
-    def test_consecutive_transients_eject_and_reroute(self):
+    def test_consecutive_transients_eject_and_reroute(self, monkeypatch):
         # Markerless worker_kill poison: every attempt dies, the result is
         # transient "crashed", and two of them trip the shard-0 breaker.
         poison = []
@@ -251,10 +260,11 @@ class TestBrownout:
             if shard_of(job.spec_key(), 2) == 0:
                 poison.append(job)
         clean = _jobs_homed_on(0, 2, 4)
-        with ShardedServer(
+        monkeypatch.setattr(server_module, "BREAKER_THRESHOLD", 2)
+        monkeypatch.setattr(server_module, "PROBE_BACKOFF_S", 60.0)
+        with BatchServer(
             workers=1, shards=2, runner=digest_runner,
             retry_policy=RetryPolicy(**QUICK_RETRY),
-            breaker_threshold=2, probe_backoff_s=60.0,
         ) as server:
             for job in poison:
                 server.submit(job)
@@ -272,13 +282,14 @@ class TestBrownout:
         for job in clean:
             assert results[job.job_id].ok
 
-    def test_forced_eject_probes_back_and_recovers(self):
+    def test_forced_eject_probes_back_and_recovers(self, monkeypatch):
         clock_now = [0.0]
         clean = _jobs_homed_on(0, 2, 2)
-        with ShardedServer(
+        monkeypatch.setattr(server_module, "BREAKER_THRESHOLD", 2)
+        monkeypatch.setattr(server_module, "PROBE_BACKOFF_S", 0.5)
+        monkeypatch.setattr(server_module, "clock", lambda: clock_now[0])
+        with BatchServer(
             workers=1, shards=2, runner=digest_runner,
-            breaker_threshold=2, probe_backoff_s=0.5,
-            clock=lambda: clock_now[0],
         ) as server:
             server.inject_shard_failure(0)
             states = {s["shard"]: s for s in server.shard_states()}
@@ -298,10 +309,10 @@ class TestBrownout:
         assert states[0]["ejections"] == 0
         assert all(r.ok for r in results.values())
 
-    def test_every_shard_down_is_a_typed_rejection(self):
-        with ShardedServer(
+    def test_every_shard_down_is_a_typed_rejection(self, monkeypatch):
+        monkeypatch.setattr(server_module, "PROBE_BACKOFF_S", 3600.0)
+        with BatchServer(
             workers=1, shards=2, runner=digest_runner,
-            probe_backoff_s=3600.0,
         ) as server:
             server.inject_shard_failure(0)
             server.inject_shard_failure(1)
@@ -313,36 +324,52 @@ class TestBrownout:
         assert stranded.reason == "shard_down"
 
     def test_inject_shard_failure_validation(self):
-        with ShardedServer(workers=1, runner=digest_runner) as server:
+        with BatchServer(workers=1, runner=digest_runner) as server:
             with pytest.raises(ReproError, match="only shard"):
                 server.inject_shard_failure(0)
-        with ShardedServer(
+        with BatchServer(
             workers=1, shards=2, runner=digest_runner
         ) as server:
             with pytest.raises(ReproError, match="no shard"):
                 server.inject_shard_failure(9)
 
-    def test_single_shard_never_arms_the_breaker(self):
-        with ShardedServer(
-            workers=1, runner=digest_runner, breaker_threshold=1
+    def test_single_shard_never_arms_the_breaker(self, monkeypatch):
+        # Even a hair-trigger threshold cannot eject the only partition:
+        # a transient failure stays that job's outcome, the next job runs.
+        monkeypatch.setattr(server_module, "BREAKER_THRESHOLD", 1)
+        with BatchServer(
+            workers=1, runner=digest_runner,
+            retry_policy=RetryPolicy(**QUICK_RETRY),
         ) as server:
-            assert server._breaker_threshold is None
+            server.submit(_job("poison", seed=3, fault="worker_kill"))
+            server.drain()
+            server.submit(_job("clean", seed=4))
+            server.drain()
+            states = server.shard_states()
+            results = {r.job_id: r for r in server.results()}
+        assert results["poison"].status == "crashed"
+        assert results["clean"].ok
+        assert states == [{"shard": 0, "state": "closed", "ejections": 0,
+                           "consecutive_transients": 0}]
 
 
 class TestValidation:
-    def test_rejects_bad_configuration(self):
+    def test_rejects_bad_configuration(self, tmp_path):
         with pytest.raises(ReproError, match="shards"):
-            ShardedServer(workers=1, shards=0, runner=digest_runner)
+            BatchServer(workers=1, shards=0, runner=digest_runner)
         with pytest.raises(ReproError, match="resume"):
-            ShardedServer(workers=1, resume=True, runner=digest_runner)
-        with pytest.raises(ReproError, match="probe_backoff_s"):
-            ShardedServer(
-                workers=1, shards=2, runner=digest_runner,
-                probe_backoff_s=0.0,
+            BatchServer(workers=1, resume=True, runner=digest_runner)
+        with pytest.raises(ReproError, match="queue_size"):
+            BatchServer(workers=1, queue_size=0, runner=digest_runner)
+        journal = Journal(tmp_path / "one.journal", fsync=False)
+        with pytest.raises(ReproError, match="base path"):
+            BatchServer(
+                workers=1, shards=2, runner=digest_runner, journal=journal,
             )
+        journal.close()
 
     def test_duplicate_and_closed_submissions_raise(self):
-        server = ShardedServer(workers=1, shards=2, runner=digest_runner)
+        server = BatchServer(workers=1, shards=2, runner=digest_runner)
         with server:
             server.submit(_job("a", seed=1))
             with pytest.raises(ReproError, match="duplicate"):
@@ -350,3 +377,48 @@ class TestValidation:
             server.drain()
         with pytest.raises(ReproError, match="closed"):
             server.submit(_job("b", seed=3))
+
+
+class TestConcurrency:
+    def test_concurrent_submitters_account_exactly(self):
+        # More submitting threads than cores, a shortened switch interval,
+        # two partitions and a shedding backlog: every job must land in the
+        # one ledger exactly once, executed, coalesced or shed.
+        from repro.serve import Admission
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with BatchServer(
+                workers=1, shards=2, runner=digest_runner,
+                admission=Admission(backlog_limit=16, shed=True),
+            ) as server:
+
+                def submit_all(t: int) -> None:
+                    for i in range(50):
+                        server.submit(
+                            _job(f"t{t}-{i}", seed=i % 7 + 1, tenant=f"x{t}"),
+                            now=0.0,
+                        )
+
+                threads = [
+                    threading.Thread(target=submit_all, args=(t,))
+                    for t in range(4)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30.0)
+                assert not any(thread.is_alive() for thread in threads)
+                drained = threading.Event()
+                waiter = threading.Thread(
+                    target=lambda: (server.drain(), drained.set())
+                )
+                waiter.start()
+                assert drained.wait(30.0)
+                results = server.results()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == 200
+        assert len({r.job_id for r in results}) == 200
+        assert all(r.ok or r.reason == "shed_overload" for r in results)
