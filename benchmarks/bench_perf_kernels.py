@@ -117,7 +117,7 @@ def test_perf_personalize_end_to_end(benchmark, subject):
 
 
 def test_perf_channel_estimation(benchmark, subject):
-    """Deconvolving one probe recording (twice per probe)."""
+    """Deconvolving one probe recording (once per probe/ear and rung)."""
     chirp = probe_chirp(FS)
     left, _ = record_near_field(
         subject, polar_to_cartesian(0.45, 50.0), chirp, FS,

@@ -223,8 +223,13 @@ class Uniq:
                 with obs_trace.span("uniq.compensate", n_probes=session.n_probes):
                     session = self._compensated(session, system_response)
 
+            # One deconvolution cache for the whole run, built after
+            # compensation so cached impulses reflect the equalized
+            # recordings: the preflight sentinels, fusion's delay extraction
+            # and the interpolator's HRIR extraction all read through it.
+            bank = ProbeChannelBank(session.probe_signal)
             health = preflight(
-                session, self.config.preflight_thresholds, collector
+                session, self.config.preflight_thresholds, collector, bank
             )
             if health.n_usable == 0:
                 raise SignalError(
@@ -237,12 +242,7 @@ class Uniq:
                     f"only {health.n_usable} of {session.n_probes} probes "
                     "survived the capture preflight (need >= 5); redo the sweep"
                 )
-
-            # One deconvolution cache for the whole run: fusion's delay
-            # extraction and the interpolator's HRIR extraction share the
-            # per-probe channel estimates (created after compensation so
-            # cached impulses reflect the equalized recordings).
-            bank = self._probe_bank(session, health)
+            self._start_rung(bank, session, health)
             weights = health.weights
             # All-healthy captures must stay bit-identical to pre-quality
             # runs, so the weighted solve only activates on degraded input.
@@ -317,42 +317,32 @@ class Uniq:
             quality=report,
         )
 
-    def _probe_bank(
-        self, session: SessionData, health: CaptureHealth
-    ) -> ProbeChannelBank:
-        """The deconvolution cache, configured for the starting rung.
+    def _start_rung(
+        self, bank: ProbeChannelBank, session: SessionData, health: CaptureHealth
+    ) -> None:
+        """Move the bank from rung 0, where preflight read, to the starting rung.
 
         Clean captures in ``auto`` mode (and the pinned ``"inverse"``
-        strategy) construct the bank exactly as every pre-ladder caller
-        did, so their channel estimates stay bit-identical.  When the
+        strategy) stay on rung 0, so their channel estimates stay
+        bit-identical and fusion reuses the preflight reads.  When the
         preflight noise sentinel fired, the regularizer is matched to the
         measured noise floor instead of the fixed clean-room default.
         """
-        source = session.probe_signal
-        if self.config.deconv != "auto":
-            rung_of(self.config.deconv)  # validate the pinned name early
-            if self.config.deconv == "inverse":
-                return ProbeChannelBank(source)
-            return ProbeChannelBank(
-                source,
-                method=self.config.deconv,
-                noise_floor=health.noise_floor or None,
-            )
-        method = health.recommended_method
+        auto = self.config.deconv == "auto"
+        method = health.recommended_method if auto else self.config.deconv
         if method == "inverse":
-            return ProbeChannelBank(source)
-        if health.components.get("preflight.noise", 1.0) < 1.0:
+            return
+        regularization = None
+        if auto and health.components.get("preflight.noise", 1.0) < 1.0:
             regularization = noise_regularization(
-                source, session.probes[0].left.shape[0], health.noise_floor
+                session.probe_signal,
+                session.probes[0].left.shape[0],
+                health.noise_floor,
             )
-            return ProbeChannelBank(
-                source,
-                regularization=regularization,
-                method=method,
-                noise_floor=health.noise_floor,
-            )
-        return ProbeChannelBank(
-            source, method=method, noise_floor=health.noise_floor or None
+        bank.set_method(
+            method,
+            regularization=regularization,
+            noise_floor=health.noise_floor or None,
         )
 
     def _solve_with_ladder(
@@ -447,10 +437,7 @@ class Uniq:
                 reason=reason,
             )
         )
-        bank.set_method(
-            next_method,
-            noise_floor=health.noise_floor if health.noise_floor > 0 else None,
-        )
+        bank.set_method(next_method, noise_floor=health.noise_floor or None)
 
     def _solve(
         self,

@@ -37,7 +37,10 @@ from repro.errors import SignalError
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.quality.flags import QualityCollector
-from repro.signals.channel import estimate_channel, find_taps, first_tap_index
+from repro.signals.channel import ProbeChannelBank, find_taps, first_tap_index
+# Unused: traced perfbench runs wrap it here to count one-shot deconvolutions.
+from repro.signals.channel import estimate_channel  # noqa: F401
+from repro.signals.deconvolve import _MAD_SIGMA, estimate_noise_floor
 from repro.signals.spectrum import band_energy_ratio
 from repro.quality.report import (
     combine_components,
@@ -48,9 +51,6 @@ from repro.simulation.imu import integrate_gyro
 from repro.simulation.session import SessionData
 
 __all__ = ["CaptureHealth", "PreflightThresholds", "ProbeHealth", "preflight"]
-
-#: Robust sigma from the median absolute deviation of a zero-mean signal.
-_MAD_SIGMA = 1.4826
 
 
 @dataclass(frozen=True)
@@ -213,23 +213,45 @@ def _ear_stats(signal: np.ndarray, thresholds: PreflightThresholds):
     if peak == 0.0 or rms <= thresholds.dead_rms:
         return float("-inf"), 0.0, True, 0.0
     clip_ratio = float(np.mean(magnitude >= 0.985 * peak))
-    # Robust noise floor: MAD of the half of the recording with the least
-    # energy (the probe chirp occupies a contiguous region; the quietest
-    # half is dominated by mic noise).
-    half = signal.size // 2
-    tail = signal[half:] if np.sum(magnitude[half:]) < np.sum(magnitude[:half]) else signal[:half]
-    noise = _MAD_SIGMA * float(np.median(np.abs(tail - np.median(tail))))
-    noise = max(noise, 1e-12)
+    noise = max(estimate_noise_floor(signal), 1e-12)
     snr_db = float(20.0 * np.log10(peak / noise))
     return snr_db, clip_ratio, False, noise
+
+
+def _grade(
+    quality: QualityCollector,
+    code: str,
+    value: float,
+    good: float,
+    bad: float,
+    message: str,
+) -> float:
+    """Degradation score of ``value``; flags it past ``good`` (``warn``,
+    or ``error`` from ``bad`` on) as ``preflight.<code>``."""
+    if value > good:
+        quality.flag(
+            "preflight",
+            code,
+            "warn" if value < bad else "error",
+            message,
+            value=value,
+            threshold=good,
+        )
+    return degradation_score(value, good, bad)
 
 
 def preflight(
     session: SessionData,
     thresholds: PreflightThresholds | None = None,
     collector: QualityCollector | None = None,
+    bank: ProbeChannelBank | None = None,
 ) -> CaptureHealth:
     """Grade a capture before any solve; see module docstring.
+
+    The reverberation sentinel reads its sampled channels through ``bank``
+    — the pipeline passes the session bank, still on rung 0, so fusion
+    later reuses those deconvolutions; standalone calls build a private
+    bank.
 
     Raises
     ------
@@ -319,7 +341,9 @@ def preflight(
 
         _coverage_checks(session, probes, t, quality)
         _gyro_checks(session, t, quality)
-        reverb_ratio, oob_noise = _adverse_checks(session, probes, t, quality)
+        reverb_ratio, oob_noise = _adverse_checks(
+            session, probes, t, quality, bank
+        )
 
         components = {
             name: score
@@ -376,20 +400,12 @@ def _coverage_checks(
     )
     gaps = np.diff(probe_angles)
     max_gap = float(gaps.max()) if gaps.size else 180.0
-    quality.component(
-        "preflight.coverage",
-        degradation_score(max_gap, t.max_gap_good_deg, t.max_gap_bad_deg),
+    coverage_score = _grade(
+        quality, "coverage_gap", max_gap, t.max_gap_good_deg, t.max_gap_bad_deg,
+        f"largest angular gap between usable probes is {max_gap:.1f} deg "
+        f"(IMU estimate; tolerated {t.max_gap_good_deg:.0f})",
     )
-    if max_gap > t.max_gap_good_deg:
-        quality.flag(
-            "preflight",
-            "coverage_gap",
-            "warn" if max_gap < t.max_gap_bad_deg else "error",
-            f"largest angular gap between usable probes is {max_gap:.1f} deg "
-            f"(IMU estimate; tolerated {t.max_gap_good_deg:.0f})",
-            value=max_gap,
-            threshold=t.max_gap_good_deg,
-        )
+    quality.component("preflight.coverage", coverage_score)
 
 
 def _gyro_checks(
@@ -415,36 +431,21 @@ def _gyro_checks(
     pinned = (
         float(np.mean(np.abs(rate) >= 0.999 * extreme)) if extreme > 0 else 1.0
     )
-    saturation_score = degradation_score(
-        pinned, t.saturation_good, t.saturation_bad
+    saturation_score = _grade(
+        quality, "gyro_saturation", pinned, t.saturation_good, t.saturation_bad,
+        f"{pinned:.1%} of gyro samples pinned at ±{extreme:.1f} deg/s",
     )
-    if pinned > t.saturation_good:
-        quality.flag(
-            "preflight",
-            "gyro_saturation",
-            "warn" if pinned < t.saturation_bad else "error",
-            f"{pinned:.1%} of gyro samples pinned at ±{extreme:.1f} deg/s",
-            value=pinned,
-            threshold=t.saturation_good,
-        )
 
     # Sample dropout: timestamp gaps far beyond the median sample interval.
     dts = np.diff(times)
     median_dt = float(np.median(dts))
     gap_ratio = float(dts.max() / median_dt) if median_dt > 0 else float("inf")
-    dropout_score = degradation_score(
-        gap_ratio, t.dropout_ratio_good, t.dropout_ratio_bad
+    dropout_score = _grade(
+        quality, "gyro_dropout", gap_ratio,
+        t.dropout_ratio_good, t.dropout_ratio_bad,
+        f"largest IMU timestamp gap is {gap_ratio:.1f}x the median "
+        f"sample interval",
     )
-    if gap_ratio > t.dropout_ratio_good:
-        quality.flag(
-            "preflight",
-            "gyro_dropout",
-            "warn" if gap_ratio < t.dropout_ratio_bad else "error",
-            f"largest IMU timestamp gap is {gap_ratio:.1f}x the median "
-            f"sample interval",
-            value=gap_ratio,
-            threshold=t.dropout_ratio_good,
-        )
 
     # Bias jump / drift: windowed median rates should agree to within the
     # sweep's own dynamics; a drifting or stepping bias spreads them out.
@@ -456,19 +457,12 @@ def _gyro_checks(
         if hi > lo
     ]
     bias_spread = float(np.max(medians) - np.min(medians)) if medians else 0.0
-    bias_score = degradation_score(
-        bias_spread, t.bias_jump_good_dps, t.bias_jump_bad_dps
+    bias_score = _grade(
+        quality, "gyro_bias_jump", bias_spread,
+        t.bias_jump_good_dps, t.bias_jump_bad_dps,
+        f"windowed gyro medians spread over {bias_spread:.1f} deg/s "
+        f"(bias drift/jump)",
     )
-    if bias_spread > t.bias_jump_good_dps:
-        quality.flag(
-            "preflight",
-            "gyro_bias_jump",
-            "warn" if bias_spread < t.bias_jump_bad_dps else "error",
-            f"windowed gyro medians spread over {bias_spread:.1f} deg/s "
-            f"(bias drift/jump)",
-            value=bias_spread,
-            threshold=t.bias_jump_good_dps,
-        )
 
     # Clock skew: the IMU trace and the probe emissions ride the same sweep,
     # so their spans must agree to within one probe interval of slack.
@@ -481,19 +475,12 @@ def _gyro_checks(
             interval = float(np.median(np.diff(probe_times)))
             slack = interval / probe_span
             deviation = max(0.0, abs(imu_span / probe_span - 1.0) - slack)
-            clock_score = degradation_score(
-                deviation, t.clock_skew_good, t.clock_skew_bad
+            clock_score = _grade(
+                quality, "clock_skew", deviation,
+                t.clock_skew_good, t.clock_skew_bad,
+                f"IMU span deviates from probe span by {deviation:.1%} "
+                f"beyond slack (mic/IMU clock skew)",
             )
-            if deviation > t.clock_skew_good:
-                quality.flag(
-                    "preflight",
-                    "clock_skew",
-                    "warn" if deviation < t.clock_skew_bad else "error",
-                    f"IMU span deviates from probe span by {deviation:.1%} "
-                    f"beyond slack (mic/IMU clock skew)",
-                    value=deviation,
-                    threshold=t.clock_skew_good,
-                )
 
     quality.component(
         "preflight.gyro",
@@ -532,11 +519,13 @@ def _adverse_checks(
     probes: list[ProbeHealth],
     t: PreflightThresholds,
     quality: QualityCollector,
+    bank: ProbeChannelBank | None,
 ) -> tuple[float, float]:
     """Reverberation and broadband-noise sentinels over sampled probes.
 
-    Deconvolves a 50 ms channel window for (up to) three alive probes —
-    first, middle, last of the sweep — and grades the worst case of:
+    Reads a 50 ms channel window from ``bank`` (a private one when
+    ``None``) for (up to) three alive probes — first, middle, last of the
+    sweep — and grades the worst case of:
 
     - the late-to-early energy ratio (energy beyond the 2.5 ms room window
       after the first tap vs energy within it) — reverberant rooms smear
@@ -564,8 +553,8 @@ def _adverse_checks(
     graded = False
     for index in sample:
         probe = session.probes[index]
-        for recording in (probe.left, probe.right):
-            recording = np.asarray(recording, dtype=float)
+        for ear in ("left", "right"):
+            recording = np.asarray(getattr(probe, ear), dtype=float)
             # Out-of-band noise first: it needs no channel estimate, so a
             # capture too noisy to even locate the first tap still gets a
             # (maximally damning) noise reading.
@@ -577,8 +566,10 @@ def _adverse_checks(
                 except SignalError:
                     pass
             try:
-                impulse = estimate_channel(
-                    recording, source, min(n_window, recording.shape[0])
+                if bank is None:  # a degenerate source raises here, too
+                    bank = ProbeChannelBank(source)
+                impulse = bank.channel(
+                    (index, ear), recording, min(n_window, recording.shape[0])
                 )
                 first = first_tap_index(impulse)
             except SignalError:
@@ -619,35 +610,20 @@ def _adverse_checks(
     if not graded:
         return 0.0, 0.0
 
-    quality.component(
-        "preflight.reverb",
-        degradation_score(reverb_ratio, t.reverb_ratio_good, t.reverb_ratio_bad),
+    reverb_score = _grade(
+        quality, "reverberation", reverb_ratio,
+        t.reverb_ratio_good, t.reverb_ratio_bad,
+        f"late/early channel energy ratio {reverb_ratio:.2f} "
+        f"({n_late_taps} significant taps beyond the "
+        f"{1e3 * ROOM_REFLECTION_CUTOFF_S:.1f} ms room window)",
     )
-    if reverb_ratio > t.reverb_ratio_good:
-        quality.flag(
-            "preflight",
-            "reverberation",
-            "warn" if reverb_ratio < t.reverb_ratio_bad else "error",
-            f"late/early channel energy ratio {reverb_ratio:.2f} "
-            f"({n_late_taps} significant taps beyond the "
-            f"{1e3 * ROOM_REFLECTION_CUTOFF_S:.1f} ms room window)",
-            value=reverb_ratio,
-            threshold=t.reverb_ratio_good,
-        )
-    quality.component(
-        "preflight.noise",
-        degradation_score(oob_noise, t.oob_noise_good, t.oob_noise_bad),
+    quality.component("preflight.reverb", reverb_score)
+    noise_score = _grade(
+        quality, "broadband_noise", oob_noise, t.oob_noise_good, t.oob_noise_bad,
+        f"{oob_noise:.1%} of recording energy lies outside the probe "
+        f"band — additive broadband noise",
     )
-    if oob_noise > t.oob_noise_good:
-        quality.flag(
-            "preflight",
-            "broadband_noise",
-            "warn" if oob_noise < t.oob_noise_bad else "error",
-            f"{oob_noise:.1%} of recording energy lies outside the probe "
-            f"band — additive broadband noise",
-            value=oob_noise,
-            threshold=t.oob_noise_good,
-        )
+    quality.component("preflight.noise", noise_score)
     return reverb_ratio, oob_noise
 
 

@@ -33,7 +33,6 @@ from repro.signals.deconvolve import (
     DECONVOLVERS,
     LADDER,
     estimate_noise_floor,
-    inverse_deconvolve,
     ladder_next,
     noise_regularization,
     rung_of,
@@ -66,7 +65,6 @@ __all__ = [
     "DECONVOLVERS",
     "LADDER",
     "estimate_noise_floor",
-    "inverse_deconvolve",
     "ladder_next",
     "noise_regularization",
     "rung_of",

@@ -3,7 +3,9 @@
 The earbud records ``y = h * s + noise`` where ``s`` is the known probe the
 phone played and ``h`` is the acoustic channel (the near-field HRIR plus
 room effects).  The paper recovers ``h`` by deconvolving the recording with
-the source (Section 4.1, Figure 9) and then works with the channel's *taps*:
+the source (Section 4.1, Figure 9; the estimators live in
+:mod:`repro.signals.deconvolve`, the per-session cache here) and then works
+with the channel's *taps*:
 
 - the **first tap** is the diffraction path and anchors localization;
 - later taps are pinna/face multipath (kept — they are the personal HRIR);
@@ -19,133 +21,54 @@ import numpy as np
 
 from repro.errors import SignalError
 from repro.obs import metrics as obs_metrics
-
-
-def _validate_deconvolution_inputs(
-    recording: np.ndarray, source: np.ndarray
-) -> None:
-    if recording.ndim != 1 or source.ndim != 1:
-        raise SignalError("estimate_channel expects 1D arrays")
-    if source.shape[0] < 8:
-        raise SignalError("source too short to deconvolve")
-    if recording.shape[0] < source.shape[0]:
-        raise SignalError(
-            f"recording ({recording.shape[0]}) shorter than source "
-            f"({source.shape[0]})"
-        )
-
-
-def _window_impulse(impulse: np.ndarray, length: int) -> np.ndarray:
-    if length < 1:
-        raise SignalError(f"length must be >= 1, got {length}")
-    if length > impulse.shape[0]:
-        padded = np.zeros(length)
-        padded[: impulse.shape[0]] = impulse
-        return padded
-    return impulse[:length].copy()
-
-
-def estimate_channel(
-    recording: np.ndarray,
-    source: np.ndarray,
-    length: int,
-    regularization: float = 1e-3,
-) -> np.ndarray:
-    """Estimate the impulse response mapping ``source`` to ``recording``.
-
-    Regularized frequency-domain deconvolution (Wiener-style):
-    ``H = Y * conj(S) / (|S|^2 + reg * max|S|^2)``.  The returned impulse
-    response contains the first ``length`` samples of the estimate.
-
-    Parameters
-    ----------
-    recording, source:
-        1D arrays at the same sample rate; the recording must be at least as
-        long as the source.
-    length:
-        Number of impulse-response samples to return.
-    regularization:
-        Relative Tikhonov floor applied to the source spectrum; guards the
-        bands where the probe carries no energy.
-    """
-    recording = np.asarray(recording, dtype=float)
-    source = np.asarray(source, dtype=float)
-    _validate_deconvolution_inputs(recording, source)
-    if length < 1:
-        raise SignalError(f"length must be >= 1, got {length}")
-
-    n_fft = int(2 ** np.ceil(np.log2(recording.shape[0] + source.shape[0])))
-    spectrum_y = np.fft.rfft(recording, n_fft)
-    spectrum_s = np.fft.rfft(source, n_fft)
-    power = np.abs(spectrum_s) ** 2
-    floor = regularization * power.max()
-    if floor == 0.0:
-        raise SignalError("source signal is all zeros")
-    impulse = np.fft.irfft(
-        spectrum_y * np.conj(spectrum_s) / (power + floor), n_fft
-    )
-    return _window_impulse(impulse, length)
+from repro.signals.deconvolve import (
+    _as_inputs,
+    _as_source,
+    _spectral_deconvolve,
+    _window_impulse,
+    estimate_channel,  # noqa: F401  (re-exported: callers import it from here)
+    rung_of,
+    tdls_deconvolve,
+)
 
 
 class ProbeChannelBank:
     """Session-scoped deconvolution cache: each probe/ear estimated once.
 
-    One personalization deconvolves the *same* probe recordings in two
-    stages — sensor fusion (first-tap delays) and near-field interpolation
-    (HRIR windows) — and every deconvolution re-transforms the *same* played
-    source.  The bank removes both redundancies while staying bit-identical
-    to :func:`estimate_channel`:
+    One personalization deconvolves the *same* probe recordings in three
+    stages — the preflight sentinels (sampled probes), sensor fusion
+    (first-tap delays) and near-field interpolation (HRIR windows) — and
+    every deconvolution re-transforms the *same* played source.  The bank
+    removes both redundancies while staying bit-identical to the one-shot
+    estimators in :data:`repro.signals.deconvolve.DECONVOLVERS`:
 
-    - ``rfft(source)`` (and the regularized denominator) is computed once
-      per FFT size and shared by every probe and ear;
+    - ``rfft(source)`` is computed once per FFT size and shared by every
+      probe, ear and spectral rung;
     - the full-length impulse estimate is computed once per cache ``key``
       and served as a window of any requested ``length`` afterwards.
 
     The cache key is caller-chosen (the pipeline uses ``(probe_index,
     "left"|"right")``) so the bank never needs to hash recording arrays.
-    Internally every cache entry is additionally keyed by the active
-    deconvolution *method* and regularizer (see
-    :mod:`repro.signals.deconvolve`): when the pipeline escalates the
-    deconvolution ladder mid-run via :meth:`set_method`, a retried probe is
+    A new bank starts on rung 0 (``inverse``, regularization ``1e-3``);
+    :meth:`set_method` is the one way to move it to another rung.  Every
+    cache entry is additionally keyed by the active method and regularizer
+    (see :mod:`repro.signals.deconvolve`): when the pipeline moves to its
+    starting rung after preflight, or climbs the ladder mid-run, a probe is
     re-deconvolved under the new method instead of silently reusing the
     rung-0 estimate.  A bank belongs to one session's ``probe_signal``;
     build a new bank per session.  Instances are not thread-safe; share
     per-thread or guard externally.
     """
 
-    def __init__(
-        self,
-        source: np.ndarray,
-        regularization: float = 1e-3,
-        method: str = "inverse",
-        noise_floor: float | None = None,
-    ) -> None:
-        self._source = np.asarray(source, dtype=float)
-        if self._source.ndim != 1:
-            raise SignalError("estimate_channel expects 1D arrays")
-        if self._source.shape[0] < 8:
-            raise SignalError("source too short to deconvolve")
-        self._regularization = float(regularization)
-        self._method = str(method)
-        self._noise_floor = None if noise_floor is None else float(noise_floor)
-        if self._method != "inverse":
-            self._check_method(self._method)
-        #: (n_fft, regularization) -> (conj(rfft(source)), |S|^2 + floor)
-        self._source_spectra: dict[
-            tuple[int, float], tuple[np.ndarray, np.ndarray]
-        ] = {}
+    def __init__(self, source: np.ndarray) -> None:
+        self._source = _as_source(source)
+        self._method = "inverse"
+        self._regularization = 1e-3
+        self._noise_floor: float | None = None
+        #: n_fft -> (conj(rfft(source)), |S|^2)
+        self._source_spectra: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         #: (method, regularization, key) -> full-length impulse estimate
         self._impulses: dict[Hashable, np.ndarray] = {}
-
-    @staticmethod
-    def _check_method(method: str) -> None:
-        from repro.signals.deconvolve import DECONVOLVERS
-
-        if method not in DECONVOLVERS:
-            raise SignalError(
-                f"unknown deconvolution method {method!r}; "
-                f"known: {sorted(DECONVOLVERS)}"
-            )
 
     @property
     def method(self) -> str:
@@ -163,14 +86,14 @@ class ProbeChannelBank:
         regularization: float | None = None,
         noise_floor: float | None = None,
     ) -> None:
-        """Switch the active deconvolution method (a ladder climb).
+        """Switch the active deconvolution method (starting rung or climb).
 
         Cached impulses from other methods are kept but never served while
         this method is active — the cache key includes the method and
         regularizer, so climbing back down (or re-requesting an old key)
         stays correct.
         """
-        self._check_method(method)
+        rung_of(method)
         self._method = str(method)
         if regularization is not None:
             self._regularization = float(regularization)
@@ -182,19 +105,6 @@ class ProbeChannelBank:
         """Number of distinct (method, probe/ear) impulse responses held."""
         return len(self._impulses)
 
-    def _source_spectrum(self, n_fft: int) -> tuple[np.ndarray, np.ndarray]:
-        cache_key = (n_fft, self._regularization)
-        cached = self._source_spectra.get(cache_key)
-        if cached is None:
-            spectrum_s = np.fft.rfft(self._source, n_fft)
-            power = np.abs(spectrum_s) ** 2
-            floor = self._regularization * power.max()
-            if floor == 0.0:
-                raise SignalError("source signal is all zeros")
-            cached = (np.conj(spectrum_s), power + floor)
-            self._source_spectra[cache_key] = cached
-        return cached
-
     def channel(
         self, key: Hashable, recording: np.ndarray, length: int
     ) -> np.ndarray:
@@ -203,34 +113,30 @@ class ProbeChannelBank:
         The first call for a ``key`` (under the active method) deconvolves
         ``recording``; later calls ignore ``recording`` and reslice the
         stored full-length estimate, so differing window lengths across
-        pipeline stages still share one deconvolution.  Under the default
-        ``inverse`` method, results are bit-identical to
-        :func:`estimate_channel` with the same inputs.
+        pipeline stages still share one deconvolution.  Results are
+        bit-identical to ``DECONVOLVERS[method]`` with the same inputs,
+        regularization and noise floor.
         """
         full_key = (self._method, self._regularization, key)
         impulse = self._impulses.get(full_key)
         if impulse is None:
-            recording = np.asarray(recording, dtype=float)
-            _validate_deconvolution_inputs(recording, self._source)
-            if self._method == "inverse":
-                n_fft = int(
-                    2
-                    ** np.ceil(
-                        np.log2(recording.shape[0] + self._source.shape[0])
-                    )
-                )
-                conj_s, denominator = self._source_spectrum(n_fft)
-                spectrum_y = np.fft.rfft(recording, n_fft)
-                impulse = np.fft.irfft(spectrum_y * conj_s / denominator, n_fft)
-            else:
-                from repro.signals.deconvolve import DECONVOLVERS
-
-                impulse = DECONVOLVERS[self._method](
+            recording, source = _as_inputs(recording, self._source)
+            if self._method == "tdls":
+                impulse = tdls_deconvolve(
                     recording,
-                    self._source,
+                    source,
                     length=recording.shape[0],
                     regularization=self._regularization,
                     noise_floor=self._noise_floor,
+                )
+            else:
+                impulse = _spectral_deconvolve(
+                    recording,
+                    source,
+                    self._method,
+                    self._regularization,
+                    self._noise_floor,
+                    self._source_spectra,
                 )
             self._impulses[full_key] = impulse
             obs_metrics.counter("channel.bank_deconvolutions").inc()

@@ -11,15 +11,15 @@ most robust:
 ===== ========= ===================================================
 rung  method    estimator
 ===== ========= ===================================================
-0     inverse   regularized inverse filter
+0     inverse   regularized inverse filter :func:`estimate_channel`
                 ``H = Y conj(S) / (|S|^2 + reg * max|S|^2)`` —
-                bit-identical to :func:`repro.signals.channel.
-                estimate_channel`, the clean-capture default.
-1     wiener    Wiener deconvolution ``H = Syx / (Sxx + floor)``
-                with the floor matched to the *measured* noise
-                level of the recording instead of a fixed fraction
-                of the source peak, so noise-dominated bins are
-                suppressed instead of amplified.
+                the clean-capture default.
+1     wiener    Wiener deconvolution ``H = Syx / (Sxx + floor)``:
+                the same spectral division with the floor matched
+                to the *measured* noise level of the recording
+                instead of a fixed fraction of the source peak, so
+                noise-dominated bins are suppressed instead of
+                amplified.
 2     tdls      windowed time-domain least squares: solve the
                 Toeplitz normal equations for the first
                 ``n_taps`` taps only.  Energy arriving later than
@@ -27,6 +27,12 @@ rung  method    estimator
                 outside the cross-correlation lags used, so the
                 early-tap estimate is shielded from it.
 ===== ========= ===================================================
+
+Rungs 0 and 1 differ only in the denominator floor, so both run through
+one spectral-division kernel; the session cache
+:class:`repro.signals.channel.ProbeChannelBank` serves every rung through
+the same code, bit-identical to the one-shot estimators registered in
+:data:`DECONVOLVERS`.
 
 The ``wiener``/``tdls`` estimators follow the classic dereverberation
 toolkit shapes (cross-/auto-spectral division and Toeplitz LS channel
@@ -39,18 +45,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import SignalError
-from repro.signals.channel import (
-    _validate_deconvolution_inputs,
-    _window_impulse,
-    estimate_channel,
-)
 
 __all__ = [
     "DECONVOLVERS",
     "LADDER",
+    "estimate_channel",
     "estimate_noise_floor",
     "fft_size",
-    "inverse_deconvolve",
     "ladder_next",
     "noise_regularization",
     "rung_of",
@@ -96,12 +97,48 @@ def fft_size(recording_length: int, source_length: int) -> int:
     return int(2 ** np.ceil(np.log2(recording_length + source_length)))
 
 
+def _as_source(source: np.ndarray) -> np.ndarray:
+    """``source`` as a float array, checked to be a deconvolvable probe."""
+    source = np.asarray(source, dtype=float)
+    if source.ndim != 1:
+        raise SignalError("estimate_channel expects 1D arrays")
+    if source.shape[0] < 8:
+        raise SignalError("source too short to deconvolve")
+    return source
+
+
+def _as_inputs(
+    recording: np.ndarray, source: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(recording, source)`` as float arrays, checked for deconvolution."""
+    recording = np.asarray(recording, dtype=float)
+    source = _as_source(source)
+    if recording.ndim != 1:
+        raise SignalError("estimate_channel expects 1D arrays")
+    if recording.shape[0] < source.shape[0]:
+        raise SignalError(
+            f"recording ({recording.shape[0]}) shorter than source "
+            f"({source.shape[0]})"
+        )
+    return recording, source
+
+
+def _window_impulse(impulse: np.ndarray, length: int) -> np.ndarray:
+    if length < 1:
+        raise SignalError(f"length must be >= 1, got {length}")
+    if length > impulse.shape[0]:
+        padded = np.zeros(length)
+        padded[: impulse.shape[0]] = impulse
+        return padded
+    return impulse[:length].copy()
+
+
 def estimate_noise_floor(recording: np.ndarray) -> float:
     """Robust noise amplitude (sigma) of a probe recording.
 
     MAD of the quieter half of the recording — the probe chirp occupies a
     contiguous region, so the half with the least energy is dominated by
-    mic/ambient noise.  Mirrors the preflight SNR estimator.
+    mic/ambient noise.  The preflight SNR estimate uses it too.
     """
     recording = np.asarray(recording, dtype=float)
     if recording.size < 2:
@@ -140,22 +177,74 @@ def noise_regularization(
     return float(np.clip(relative, floor, ceiling))
 
 
-def inverse_deconvolve(
+def _spectral_deconvolve(
+    recording: np.ndarray,
+    source: np.ndarray,
+    method: str,
+    regularization: float,
+    noise_floor: float | None,
+    spectra: dict[int, tuple[np.ndarray, np.ndarray]] | None = None,
+) -> np.ndarray:
+    """Rungs 0 and 1: the full-length ``Y conj(S) / (|S|^2 + floor)``.
+
+    Rung 0 (``inverse``) floors the denominator at ``reg * max|S|^2``.
+    Rung 1 (``wiener``) raises it to the measured white-noise power per
+    bin, ``max(n_fft * sigma^2, reg * max|S|^2)``, with ``sigma``
+    estimated from the recording when not supplied.  ``spectra`` caches
+    ``(conj(S), |S|^2)`` per FFT size across calls (the session bank's).
+    """
+    n_fft = fft_size(recording.shape[0], source.shape[0])
+    spectra = {} if spectra is None else spectra
+    if n_fft not in spectra:
+        spectrum_s = np.fft.rfft(source, n_fft)
+        spectra[n_fft] = (np.conj(spectrum_s), np.abs(spectrum_s) ** 2)
+    conj_s, power = spectra[n_fft]
+    power_max = float(power.max())
+    if power_max == 0.0:
+        raise SignalError("source signal is all zeros")
+    floor = regularization * power_max
+    if method == "wiener":
+        if noise_floor is None:
+            noise_floor = estimate_noise_floor(recording)
+        # Kept at or above the rung-0 safety floor so a quiet capture
+        # degenerates to the inverse filter rather than below it.
+        floor = max(n_fft * float(noise_floor) ** 2, floor)
+    spectrum_y = np.fft.rfft(recording, n_fft)
+    return np.fft.irfft(spectrum_y * conj_s / (power + floor), n_fft)
+
+
+def estimate_channel(
     recording: np.ndarray,
     source: np.ndarray,
     length: int,
     regularization: float = 1e-3,
     noise_floor: float | None = None,
 ) -> np.ndarray:
-    """Rung 0: the regularized inverse filter (the clean-capture default).
+    """Rung 0: the impulse response mapping ``source`` to ``recording``.
 
-    Delegates to :func:`repro.signals.channel.estimate_channel`, so results
-    are bit-identical to every pre-ladder caller.  ``noise_floor`` is
-    accepted (and ignored) so all registry entries share one signature.
+    Regularized frequency-domain deconvolution (Wiener-style):
+    ``H = Y * conj(S) / (|S|^2 + reg * max|S|^2)``.  The returned impulse
+    response contains the first ``length`` samples of the estimate.
+
+    Parameters
+    ----------
+    recording, source:
+        1D arrays at the same sample rate; the recording must be at least as
+        long as the source.
+    length:
+        Number of impulse-response samples to return.
+    regularization:
+        Relative Tikhonov floor applied to the source spectrum; guards the
+        bands where the probe carries no energy.
+    noise_floor:
+        Accepted and ignored, so every :data:`DECONVOLVERS` entry shares
+        one signature.
     """
-    return estimate_channel(
-        recording, source, length, regularization=regularization
+    recording, source = _as_inputs(recording, source)
+    impulse = _spectral_deconvolve(
+        recording, source, "inverse", regularization, noise_floor
     )
+    return _window_impulse(impulse, length)
 
 
 def wiener_deconvolve(
@@ -175,26 +264,10 @@ def wiener_deconvolve(
     zero instead of amplified — which is exactly the failure mode of the
     fixed-floor inverse filter on noisy captures.
     """
-    recording = np.asarray(recording, dtype=float)
-    source = np.asarray(source, dtype=float)
-    _validate_deconvolution_inputs(recording, source)
-    if length < 1:
-        raise SignalError(f"length must be >= 1, got {length}")
-    if noise_floor is None:
-        noise_floor = estimate_noise_floor(recording)
-    n_fft = fft_size(recording.shape[0], source.shape[0])
-    spectrum_y = np.fft.rfft(recording, n_fft)
-    spectrum_s = np.fft.rfft(source, n_fft)
-    power = np.abs(spectrum_s) ** 2
-    power_max = float(power.max())
-    if power_max == 0.0:
-        raise SignalError("source signal is all zeros")
-    # The noise-matched floor, kept at or above the rung-0 safety floor so
-    # a quiet capture degenerates to the inverse filter rather than below it.
-    floor = max(
-        n_fft * float(noise_floor) ** 2, regularization * power_max
+    recording, source = _as_inputs(recording, source)
+    impulse = _spectral_deconvolve(
+        recording, source, "wiener", regularization, noise_floor
     )
-    impulse = np.fft.irfft(spectrum_y * np.conj(spectrum_s) / (power + floor), n_fft)
     return _window_impulse(impulse, length)
 
 
@@ -217,9 +290,7 @@ def tdls_deconvolve(
     biases the early-tap estimate the way it does through a full-band
     spectral division.
     """
-    recording = np.asarray(recording, dtype=float)
-    source = np.asarray(source, dtype=float)
-    _validate_deconvolution_inputs(recording, source)
+    recording, source = _as_inputs(recording, source)
     if length < 1:
         raise SignalError(f"length must be >= 1, got {length}")
     if n_taps is None:
@@ -274,7 +345,7 @@ def _toeplitz_dense(column: np.ndarray) -> np.ndarray:
 #: Method name -> deconvolver registry.  All entries share the signature
 #: ``(recording, source, length, regularization=..., noise_floor=...)``.
 DECONVOLVERS = {
-    "inverse": inverse_deconvolve,
+    "inverse": estimate_channel,
     "wiener": wiener_deconvolve,
     "tdls": tdls_deconvolve,
 }

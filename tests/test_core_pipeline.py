@@ -51,8 +51,9 @@ class TestPipelineOutput:
 
 class TestSessionChannelBank:
     def test_deconvolution_happens_once_per_probe_ear(self, small_session):
-        """Fusion and interpolation share the bank: 2*n_probes deconvolutions
-        per run, and the interpolation pass is all cache hits."""
+        """Preflight, fusion and interpolation share the bank: 2*n_probes
+        deconvolutions per run; fusion hits the six preflight sentinel reads
+        (first, middle, last probe x 2 ears) and interpolation is all hits."""
         from repro.obs import metrics as obs_metrics
 
         deconv = obs_metrics.counter("channel.bank_deconvolutions")
@@ -60,7 +61,7 @@ class TestSessionChannelBank:
         d0, h0 = deconv.value, hits.value
         Uniq(UniqConfig(angle_grid_deg=GRID)).personalize(small_session)
         assert deconv.value - d0 == 2 * small_session.n_probes
-        assert hits.value - h0 == 2 * small_session.n_probes
+        assert hits.value - h0 == 2 * small_session.n_probes + 6
 
     def test_cached_run_numerically_identical(self, small_session):
         """Cold (empty DelayMap cache) and warm runs agree bit-for-bit."""

@@ -30,7 +30,6 @@ from repro.signals.deconvolve import (
     DECONVOLVERS,
     LADDER,
     estimate_noise_floor,
-    inverse_deconvolve,
     ladder_next,
     noise_regularization,
     rung_of,
@@ -95,7 +94,9 @@ class TestStrategies:
     def test_inverse_is_bit_identical_to_estimate_channel(self, synthetic_capture):
         recording = synthetic_capture["clean"]
         source = synthetic_capture["source"]
-        via_ladder = inverse_deconvolve(recording, source, 256)
+        via_ladder = DECONVOLVERS["inverse"](
+            recording, source, 256, regularization=1e-3, noise_floor=0.5
+        )
         direct = estimate_channel(recording, source, 256)
         assert np.array_equal(via_ladder, direct)
 
@@ -134,12 +135,23 @@ class TestStrategies:
 
 
 class TestProbeChannelBank:
-    def test_bank_inverse_matches_estimate_channel(self, synthetic_capture):
+    @pytest.mark.parametrize("noise", ["measured", None])
+    @pytest.mark.parametrize("capture", ["clean", "noisy", "reverberant"])
+    @pytest.mark.parametrize("method", LADDER)
+    def test_bank_matches_the_one_shot_estimator(
+        self, synthetic_capture, method, capture, noise
+    ):
+        """Every rung served by the bank equals its registry estimator."""
         source = synthetic_capture["source"]
-        recording = synthetic_capture["clean"]
+        recording = synthetic_capture[capture]
+        sigma = estimate_noise_floor(recording) if noise else None
         bank = ProbeChannelBank(source)
+        bank.set_method(method, regularization=5e-3, noise_floor=sigma)
         got = bank.channel((0, "left"), recording, 256)
-        assert np.array_equal(got, estimate_channel(recording, source, 256))
+        one_shot = DECONVOLVERS[method](
+            recording, source, 256, regularization=5e-3, noise_floor=sigma
+        )
+        assert np.array_equal(got, one_shot)
 
     def test_cache_keys_are_per_method(self, synthetic_capture):
         source = synthetic_capture["source"]
@@ -161,7 +173,8 @@ class TestProbeChannelBank:
         with pytest.raises(SignalError):
             bank.set_method("matched_filter")
         with pytest.raises(SignalError):
-            ProbeChannelBank(synthetic_capture["source"], method="matched_filter")
+            bank.set_method("matched_filter", regularization=0.1, noise_floor=1.0)
+        assert (bank.method, bank.regularization) == ("inverse", 1e-3)
 
 
 class TestSentinels:
@@ -249,3 +262,57 @@ class TestCleanBitIdentity:
         assert salvage["deconv_method"] == "inverse"
         assert salvage["deconv_rung"] == 0
         assert salvage["deconv_path"] == ["inverse"]
+
+
+class TestDeconvolveOnce:
+    """Every deconvolution in ``personalize`` goes through the session bank.
+
+    The reverb sentinel reads first, middle and last probe (both ears)
+    through the bank on rung 0, so no one-shot deconvolution happens and
+    each probe/ear is deconvolved once per rung actually used.
+    """
+
+    SENTINEL_READS = 6
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        import importlib
+
+        from repro.obs import metrics as obs_metrics
+
+        # The package re-exports preflight() under the module's name.
+        preflight_module = importlib.import_module("repro.quality.preflight")
+
+        one_shot = []
+        original = preflight_module.estimate_channel
+
+        def counting(*args, **kwargs):
+            one_shot.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(preflight_module, "estimate_channel", counting)
+        deconv = obs_metrics.counter("channel.bank_deconvolutions")
+        hits = obs_metrics.counter("channel.bank_hits")
+        d0, h0 = deconv.value, hits.value
+        return lambda: (len(one_shot), deconv.value - d0, hits.value - h0)
+
+    def test_clean_capture_reuses_the_sentinel_reads(self, counted):
+        session, result = personalize_capture(
+            subject_seed=1, session_seed=0, **CASE_CONFIG
+        )
+        assert result.quality.salvage["deconv_path"] == ["inverse"]
+        n = session.n_probes
+        assert counted() == (0, 2 * n, 2 * n + self.SENTINEL_READS)
+
+    def test_rescue_capture_deconvolves_once_per_rung_used(
+        self, counted, rescue_session
+    ):
+        _, result = personalize_capture(
+            subject_seed=1,
+            session=rescue_session,
+            angle_step_deg=CASE_CONFIG["angle_step_deg"],
+        )
+        assert result.quality.salvage["deconv_path"] == ["wiener"]
+        one_shot, deconvolutions, _ = counted()
+        n = rescue_session.n_probes
+        assert (one_shot, deconvolutions) == (0, 2 * n + self.SENTINEL_READS)
