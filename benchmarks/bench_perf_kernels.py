@@ -11,8 +11,9 @@ HRTF ... in a couple of minutes" — which these budgets add up to.
 import numpy as np
 import pytest
 
+from repro.datasets import load_session, save_session
 from repro.geometry.batch import binaural_delays_batch
-from repro.geometry.head import HeadGeometry
+from repro.geometry.head import DEFAULT_BOUNDARY_SAMPLES, HeadGeometry
 from repro.geometry.vec import polar_to_cartesian
 from repro.hrtf.reference import ground_truth_table
 from repro.simulation.person import VirtualSubject
@@ -24,6 +25,7 @@ from repro.signals.channel import ProbeChannelBank
 from repro.core.aoa import KnownSourceAoAEstimator, UnknownSourceAoAEstimator
 from repro.core.localize import DelayMap, cached_delay_map, clear_delay_map_cache
 from repro.core.pipeline import Uniq, UniqConfig
+from repro.core.fusion import DiffractionAwareSensorFusion
 
 FS = 48_000
 
@@ -62,6 +64,28 @@ def test_perf_delay_map_build(benchmark, head):
         DelayMap, small_head, (0.16, 1.2, 24), (-40.0, 220.0, 88)
     )
     assert result.t_left.shape == (24, 88)
+
+
+def test_perf_delay_map_build_final(benchmark, head):
+    """The fusion's final full-resolution DelayMap (once per personalization)."""
+    fusion = DiffractionAwareSensorFusion()
+    final_head = HeadGeometry(
+        a=head.a, b=head.b, c=head.c, n_boundary=DEFAULT_BOUNDARY_SAMPLES
+    )
+    result = benchmark(
+        DelayMap, final_head, fusion.final_map_radii, fusion.final_map_thetas
+    )
+    assert result.t_left.shape == (48, 261)
+
+
+def test_perf_load_session(benchmark, subject, tmp_path_factory):
+    """Reading a saved 34-probe capture (once per served job)."""
+    session = MeasurementSession(subject, seed=3, probe_interval_s=0.6).run()
+    assert session.n_probes == 34
+    path = tmp_path_factory.mktemp("capture") / "session.npz"
+    save_session(session, path)
+    loaded = benchmark(load_session, path)
+    assert loaded.n_probes == 34
 
 
 def test_perf_delay_map_invert(benchmark, head):

@@ -110,12 +110,15 @@ def load_session(path: str | os.PathLike) -> SessionData:
             if version != _FORMAT_VERSION:
                 raise TableError(f"unsupported session format version {version}")
             fs = int(data["fs"][0])
+            # Every NpzFile access decompresses the whole member: read each
+            # once, then slice the probes out of the arrays.
             lengths = data["probe_lengths"]
+            left, right = data["probes_left"], data["probes_right"]
             probes = tuple(
                 ProbeMeasurement(
                     time=float(t),
-                    left=data["probes_left"][i, : lengths[i]].copy(),
-                    right=data["probes_right"][i, : lengths[i]].copy(),
+                    left=left[i, : lengths[i]].copy(),
+                    right=right[i, : lengths[i]].copy(),
                 )
                 for i, t in enumerate(data["probe_times"])
             )

@@ -58,6 +58,17 @@ def _spec_digest(spec: Mapping[str, Any]) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+def _fail_if_requested(spec: Mapping[str, Any]) -> None:
+    """Raise the job failure :data:`FAILING_FAULT` asks for.
+
+    The message names the spec digest, never the ``job_id``: a coalesced
+    follower inherits its leader's error, so the error must be a pure
+    function of the spec like the rest of the deterministic result.
+    """
+    if spec.get("fault") == FAILING_FAULT:
+        raise ReproError(f"synthetic failure for spec {_spec_digest(spec)[:12]}")
+
+
 def digest_runner(spec: Mapping[str, Any]) -> dict[str, Any]:
     """Hash the spec — the fastest possible deterministic "payload".
 
@@ -67,8 +78,7 @@ def digest_runner(spec: Mapping[str, Any]) -> dict[str, Any]:
     """
     maybe_crash(spec)
     apply_process_fault(spec)
-    if spec.get("fault") == FAILING_FAULT:
-        raise ReproError(f"synthetic failure for job {spec.get('job_id')}")
+    _fail_if_requested(spec)
     # Worker-side instrumentation: lets the serve tests observe the
     # cross-process metrics export (the delta rides home with the payload).
     obs_metrics.counter("workload.digest_jobs").inc()
@@ -89,8 +99,7 @@ def fleet_runner(spec: Mapping[str, Any]) -> dict[str, Any]:
     """
     maybe_crash(spec)
     apply_process_fault(spec)
-    if spec.get("fault") == FAILING_FAULT:
-        raise ReproError(f"synthetic failure for job {spec.get('job_id')}")
+    _fail_if_requested(spec)
     from repro.eval.fleet import subject_metrics
 
     obs_metrics.counter("fleet.subject_jobs").inc()
@@ -110,8 +119,7 @@ def loadgen_runner(spec: Mapping[str, Any]) -> dict[str, Any]:
     """
     maybe_crash(spec)
     apply_process_fault(spec)
-    if spec.get("fault") == FAILING_FAULT:
-        raise ReproError(f"synthetic failure for job {spec.get('job_id')}")
+    _fail_if_requested(spec)
     params = spec.get("params") or {}
     service_s = float(params.get("service_s", 0.0))
     if service_s > 0.0:

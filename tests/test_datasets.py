@@ -1,6 +1,7 @@
 """Tests for session serialization and cohort dataset generation."""
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -50,6 +51,28 @@ class TestSessionRoundtrip:
         t_load = fusion.extract_probe_delays(loaded)
         np.testing.assert_allclose(t_load[0], t_orig[0])
         np.testing.assert_allclose(t_load[1], t_orig[1])
+
+    def test_reads_each_member_once(self, small_session, tmp_path, monkeypatch):
+        """Every NpzFile access decompresses the whole member: at most one each."""
+        assert len({p.left.shape[0] for p in small_session.probes}) > 1
+        path = tmp_path / "session.npz"
+        save_session(small_session, path)
+        reads = Counter()
+        read_member = np.lib.npyio.NpzFile.__getitem__
+
+        def counting(self, key):
+            reads[key] += 1
+            return read_member(self, key)
+
+        monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__", counting)
+        loaded = load_session(path)
+        assert reads["probes_left"] == reads["probes_right"] == 1
+        assert max(reads.values()) == 1, reads
+        assert loaded.n_probes == small_session.n_probes
+        for got, want in zip(loaded.probes, small_session.probes):
+            assert got.time == want.time
+            assert np.array_equal(got.left, want.left)
+            assert np.array_equal(got.right, want.right)
 
     def test_missing_field_raises(self, tmp_path):
         path = tmp_path / "bad.npz"

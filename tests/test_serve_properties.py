@@ -13,7 +13,7 @@ keeps each example in the milliseconds; profiles are pinned in
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.serve import BatchServer, Job
@@ -33,6 +33,19 @@ _specs = st.fixed_dictionaries(
     }
 )
 _job_lists = st.lists(_specs, min_size=1, max_size=8)
+
+
+@st.composite
+def _job_lists_and_orders(draw):
+    raw = draw(_job_lists)
+    order = draw(st.permutations(range(len(raw))), label="submission order")
+    return raw, order
+
+
+_FAILING_SPEC = {
+    "subject_seed": 0, "angle_step_deg": 5.0, "priority": 0,
+    "fault": FAILING_FAULT,
+}
 
 
 def _jobs(raw: list[dict]) -> list[Job]:
@@ -56,11 +69,15 @@ def test_results_invariant_to_worker_count(raw):
         assert _run(jobs, workers=workers) == baseline
 
 
-@given(raw=_job_lists, data=st.data())
+# Two identical failing specs submitted in reverse: the second coalesces
+# onto the first and inherits its error, which must not name the leader.
+@example(case=([_FAILING_SPEC, _FAILING_SPEC], [1, 0]))
+@given(case=_job_lists_and_orders())
 @settings(max_examples=8)
-def test_results_invariant_to_submission_order(raw, data):
+def test_results_invariant_to_submission_order(case):
+    raw, order = case
     jobs = _jobs(raw)
-    shuffled = data.draw(st.permutations(jobs), label="submission order")
+    shuffled = [jobs[i] for i in order]
     by_id = {
         result["job_id"]: result for result in _run(shuffled, workers=2)
     }
