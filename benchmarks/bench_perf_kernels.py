@@ -25,7 +25,7 @@ from repro.signals.channel import ProbeChannelBank
 from repro.core.aoa import KnownSourceAoAEstimator, UnknownSourceAoAEstimator
 from repro.core.localize import DelayMap, cached_delay_map, clear_delay_map_cache
 from repro.core.pipeline import Uniq, UniqConfig
-from repro.core.fusion import DiffractionAwareSensorFusion
+from repro.core.fusion import DiffractionAwareSensorFusion, clear_search_memo
 
 FS = 48_000
 
@@ -111,6 +111,21 @@ def test_perf_delay_map_cached(benchmark, head):
     assert result.t_left.shape == (24, 88)
 
 
+def test_perf_fusion_search_memo_hit(benchmark, subject):
+    """fusion.run on an already-solved capture: what a re-render pays.
+
+    The head search replays from the memo, so this is delay extraction out
+    of the session bank, the final localization and the sentinels.
+    """
+    session = MeasurementSession(subject, seed=3, probe_interval_s=0.8).run()
+    fusion = DiffractionAwareSensorFusion()
+    bank = ProbeChannelBank(session.probe_signal)
+    clear_search_memo()
+    solved = fusion.run(session, bank)
+    result = benchmark(fusion.run, session, bank)
+    assert result.head.parameters == solved.head.parameters
+
+
 def test_perf_channel_bank_hit(benchmark, subject):
     """Serving an already-deconvolved channel out of the session bank."""
     chirp = probe_chirp(FS)
@@ -127,12 +142,14 @@ def test_perf_channel_bank_hit(benchmark, subject):
 def test_perf_personalize_end_to_end(benchmark, subject):
     """The whole pipeline on a short capture, min-of-N over warm repeats.
 
-    The first (cold) round pays the DelayMap builds; later rounds measure
-    the cached steady state the acceptance budget tracks.
+    The first (cold) round pays the DelayMap builds and the head search;
+    later rounds measure the cached steady state the acceptance budget
+    tracks, in which the head search replays from its memo.
     """
     session = MeasurementSession(subject, seed=3, probe_interval_s=0.8).run()
     uniq = Uniq(UniqConfig(angle_grid_deg=tuple(np.arange(0.0, 181.0, 20.0))))
     clear_delay_map_cache()
+    clear_search_memo()
     result = benchmark.pedantic(
         uniq.personalize, args=(session,), rounds=3, iterations=1,
         warmup_rounds=0,

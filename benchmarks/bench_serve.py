@@ -55,6 +55,7 @@ import tempfile
 import time
 
 from repro import __version__, obs
+from repro.core.fusion import clear_search_memo
 from repro.serve import BatchServer, Job
 
 #: The golden-case pipeline configuration (small grid, sparse probes).
@@ -79,6 +80,10 @@ def make_jobs(n_jobs: int, n_specs: int) -> list[Job]:
 
 
 def run_service(jobs: list[Job], workers: int) -> dict:
+    # The serial (inline) phase solves in this process; forked workers of
+    # later phases must not inherit its head searches, so every phase times
+    # warm solves, not replays.
+    clear_search_memo()
     with BatchServer(workers=workers) as server:
         report = server.run_batch(jobs)
     if report.n_ok != len(jobs):
@@ -150,6 +155,7 @@ def run_telemetry_phase(
     for round_index in range(2):
         with tempfile.TemporaryDirectory() as tmp:
             stream = os.path.join(tmp, "telemetry.jsonl")
+            clear_search_memo()  # time solves, as the telemetry-off side does
             with BatchServer(workers=workers, telemetry=stream) as server:
                 report = server.run_batch(jobs)
             if report.n_ok != len(jobs):
@@ -219,8 +225,11 @@ def run_cold_start_phase(
             )
     # Warm single-process reference: the same unit of work with every
     # process-wide cache hot (first run warms, best of the rest counts).
+    # Each run forgets its head search, so the reference stays a solve
+    # rather than a replay.
     walls = []
     for _ in range(3):
+        clear_search_memo()
         started = time.perf_counter()
         personalize_capture(subject_seed=distinct[0].subject_seed, **SPEC)
         walls.append(time.perf_counter() - started)
@@ -232,6 +241,7 @@ def run_cold_start_phase(
         store = os.path.join(tmp, "maps")
         for label in ("empty_store", "prebaked_store"):
             clear_delay_map_cache()  # workers must fork cold in memory
+            clear_search_memo()
             with BatchServer(workers=1, map_store=store) as server:
                 report = server.run_batch(distinct)
             if report.n_ok != len(distinct):
@@ -335,11 +345,13 @@ def run_adverse_phase(workers: int, budget_frac: float = 0.02) -> dict:
 
     # Warm every process-wide cache, then alternate pinned/auto so both
     # sides see the same machine state; best-of-three per side before the
-    # budget is enforced (walls are noisy on shared CI boxes).
+    # budget is enforced (walls are noisy on shared CI boxes).  Each timed
+    # run forgets its head search, so both sides time a warm solve.
     personalize_capture(subject_seed=1, deconv="inverse", **SPEC)
     walls = {"inverse": [], "auto": []}
     for _ in range(3):
         for mode in ("inverse", "auto"):
+            clear_search_memo()
             started = time.perf_counter()
             personalize_capture(subject_seed=1, deconv=mode, **SPEC)
             walls[mode].append(time.perf_counter() - started)

@@ -30,6 +30,7 @@ from repro import __version__, obs
 from repro.obs.report import span_to_dict, stage_durations
 from repro.simulation.person import VirtualSubject
 from repro.simulation.session import MeasurementSession
+from repro.core.fusion import clear_search_memo
 from repro.core.localize import clear_delay_map_cache
 from repro.core.pipeline import Uniq, UniqConfig
 
@@ -49,9 +50,11 @@ def run_benchmark(
     grid = tuple(np.arange(0.0, 180.0 + 1e-9, angle_step_deg))
 
     obs.registry().reset()
-    # Start from an empty DelayMap store so the first iteration measures a
-    # genuine cold run; later iterations measure the cached steady state.
+    # Start from an empty DelayMap store and head-search memo so the first
+    # iteration measures a genuine cold run; later iterations measure the
+    # cached steady state.
     clear_delay_map_cache()
+    clear_search_memo()
     best_stages: dict[str, float] = {}
     best_wall = float("inf")
     wall_cold = None

@@ -112,8 +112,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="N",
         help="run the personalization N times on the same capture and "
-        "report the cold and fastest wall times (the repeats exercise the "
-        "session caches; outputs are identical across runs)",
+        "report the cold and fastest wall times (the repeats replay the "
+        "head search and reuse the cached DelayMaps; outputs are identical "
+        "across runs)",
     )
     parser.add_argument(
         "--min-confidence",

@@ -16,6 +16,8 @@ if* the head parameters ``E = (a, b, c)`` are known.  The fusion algorithm:
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,7 +62,82 @@ _SOLVED_BAD = 0.35
 _BIAS_GOOD_DPS = 1.5
 _BIAS_BAD_DPS = 4.5
 
+#: Nelder-Mead convergence tolerances of the head search.
+_SEARCH_TOLERANCES = {"xatol": 2e-4, "fatol": 0.05}
+
+#: Fields of :class:`DiffractionAwareSensorFusion` the head search reads;
+#: each one keys the search memo.
+_SEARCH_FIELDS = (
+    "fusion_boundary_samples",
+    "map_radii",
+    "map_thetas",
+    "max_iterations",
+    "delay_model",
+    "speed_of_sound",
+    "estimate_gyro_bias",
+)
+
+#: Fields the search does not read.  The first two shape the delays and the
+#: IMU angles, which key the memo by value; the final grid is read only
+#: after the search.
+_UNKEYED_FIELDS = (
+    "channel_window_s",
+    "initial_angle_deg",
+    "final_map_radii",
+    "final_map_thetas",
+)
+
 _log = get_logger("core.fusion")
+
+
+@dataclass(frozen=True)
+class _SearchOutcome:
+    """What one Nelder-Mead head search returned; all the memo keeps."""
+
+    x: np.ndarray
+    nit: int
+    fun: float
+    success: bool
+
+
+#: LRU of head-search outcomes keyed on the exact bytes of everything the
+#: search reads.  A re-render of a capture at another angle grid feeds the
+#: search identical inputs, so it replays ``E_opt`` instead of re-running
+#: ~180 cost evaluations.  Entries are a few KB (the key holds the per-probe
+#: arrays), so the capacity costs well under a megabyte.
+_SEARCH_MEMO: OrderedDict[tuple, _SearchOutcome] = OrderedDict()
+_SEARCH_MEMO_MAX = 128
+_SEARCH_MEMO_LOCK = threading.Lock()
+
+
+def _exact(value) -> tuple | str:
+    """A hashable form of one search input that is equal only bit for bit."""
+    if isinstance(value, np.ndarray):
+        return (value.dtype.str, value.shape, value.tobytes())
+    # repr round-trips floats exactly (and tells 0.0 from -0.0).
+    return repr(value)
+
+
+def _recall_search(key: tuple) -> _SearchOutcome | None:
+    with _SEARCH_MEMO_LOCK:
+        outcome = _SEARCH_MEMO.get(key)
+        if outcome is not None:
+            _SEARCH_MEMO.move_to_end(key)
+        return outcome
+
+
+def _remember_search(key: tuple, outcome: _SearchOutcome) -> None:
+    with _SEARCH_MEMO_LOCK:
+        _SEARCH_MEMO[key] = outcome
+        _SEARCH_MEMO.move_to_end(key)
+        while len(_SEARCH_MEMO) > _SEARCH_MEMO_MAX:
+            _SEARCH_MEMO.popitem(last=False)
+
+
+def clear_search_memo() -> None:
+    """Forget every memoized head search (the hit/miss counters are kept)."""
+    with _SEARCH_MEMO_LOCK:
+        _SEARCH_MEMO.clear()
 
 
 @dataclass(frozen=True)
@@ -253,6 +330,30 @@ class DiffractionAwareSensorFusion:
             np.sum(weights[keep] * deltas[keep] ** 2) / np.sum(weights[keep])
         )
 
+    def _search_key(
+        self, search_args: tuple, x0: np.ndarray, simplex: np.ndarray
+    ) -> tuple:
+        """Memo key of one head search: the exact bytes of all it reads.
+
+        That is the class (a subclass may override the cost), the cost
+        arguments (delays, IMU angles, probe times and weights), the start
+        simplex, the keyed fields, the module constants the cost function
+        reads and the optimizer tolerances.  Anything else (job ids, paths,
+        the requested angle grid) cannot change the search, so it does not
+        key it.
+        """
+        return (
+            type(self),
+            tuple(_exact(arg) for arg in search_args),
+            _exact(x0),
+            _exact(simplex),
+            tuple(_exact(getattr(self, name)) for name in _SEARCH_FIELDS),
+            _exact(_BOUNDS),
+            _exact(MAX_GYRO_BIAS_DPS),
+            _exact(_UNSOLVED_PENALTY_DEG),
+            _exact(_SEARCH_TOLERANCES),
+        )
+
     def run(
         self,
         session: SessionData,
@@ -313,31 +414,50 @@ class DiffractionAwareSensorFusion:
                 simplex_step = np.zeros((4, 4))
                 simplex_step[:3, :3] = np.eye(3) * 0.008
                 simplex_step[3, 3] = 0.5
+            simplex = x0 + np.vstack([np.zeros(x0.shape[0]), simplex_step])
+            search_args = (t_left, t_right, alphas, elapsed, weights)
             with obs_trace.span("fusion.optimize") as opt_span:
-                evals_before = obs_metrics.counter("fusion.cost_evaluations").value
-                result = optimize.minimize(
-                    self._cost,
-                    x0,
-                    args=(t_left, t_right, alphas, elapsed, weights),
-                    method="Nelder-Mead",
-                    options={
-                        "maxiter": self.max_iterations,
-                        "xatol": 2e-4,
-                        "fatol": 0.05,
-                        "initial_simplex": x0
-                        + np.vstack([np.zeros(x0.shape[0]), simplex_step]),
-                    },
-                )
-                iterations = int(getattr(result, "nit", 0))
-                obs_metrics.counter("fusion.iterations").inc(iterations)
+                key = self._search_key(search_args, x0, simplex)
+                result = _recall_search(key)
+                memo_hit = result is not None
+                if memo_hit:
+                    # Replayed work is not counted as work: fusion.iterations
+                    # and fusion.cost_evaluations stay put.
+                    obs_metrics.counter("fusion.search_memo_hits").inc()
+                    cost_evaluations = 0
+                else:
+                    obs_metrics.counter("fusion.search_memo_misses").inc()
+                    evals = obs_metrics.counter("fusion.cost_evaluations")
+                    evals_before = evals.value
+                    raw = optimize.minimize(
+                        self._cost,
+                        x0,
+                        args=search_args,
+                        method="Nelder-Mead",
+                        options={
+                            "maxiter": self.max_iterations,
+                            **_SEARCH_TOLERANCES,
+                            "initial_simplex": simplex,
+                        },
+                    )
+                    x = np.array(raw.x, dtype=float)
+                    x.flags.writeable = False
+                    result = _SearchOutcome(
+                        x=x,
+                        nit=int(getattr(raw, "nit", 0)),
+                        fun=float(raw.fun),
+                        success=bool(raw.success),
+                    )
+                    _remember_search(key, result)
+                    obs_metrics.counter("fusion.iterations").inc(result.nit)
+                    cost_evaluations = int(evals.value - evals_before)
+                iterations = result.nit
                 opt_span.update(
+                    memo_hit=memo_hit,
                     iterations=iterations,
-                    cost_evaluations=int(
-                        obs_metrics.counter("fusion.cost_evaluations").value
-                        - evals_before
-                    ),
-                    final_cost=float(result.fun),
-                    converged=bool(result.success),
+                    cost_evaluations=cost_evaluations,
+                    final_cost=result.fun,
+                    converged=result.success,
                 )
             if not np.all(np.isfinite(result.x)):
                 raise ConvergenceError(f"head parameter search diverged: {result}")

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from repro.core.fusion import clear_search_memo
 from repro.geometry.head import HeadGeometry
 from repro.geometry.trajectory import circular_trajectory
 from repro.simulation.person import VirtualSubject
@@ -38,6 +39,21 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+
+
+@pytest.fixture(autouse=True)
+def _fresh_search_memo():
+    """An empty head-search memo for every test and the fixtures built for it.
+
+    Captures are session-scoped fixtures, so without this a search solved
+    (or faked through a monkeypatched ``optimize.minimize``) in one test
+    would be replayed in the next.  Clearing after the test as well keeps
+    class- and module-scoped fixtures, which are built before this one
+    runs, from replaying the previous test's searches.
+    """
+    clear_search_memo()
+    yield
+    clear_search_memo()
 
 
 @pytest.fixture(scope="session")
