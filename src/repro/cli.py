@@ -25,14 +25,6 @@ gates a report against the pinned distribution baseline with drift
 classification, and ``regen-baseline`` re-pins the baseline (see
 ``docs/TESTING.md``, "Fleet tier & distribution digests").
 
-``python -m repro.cli serve-sim`` drives a partitioned, multi-tenant
-:class:`repro.serve.BatchServer` (``shards`` plus an
-:class:`repro.serve.Admission` policy) with deterministic open-loop overload
-traffic (:mod:`repro.eval.loadgen`) and gates on the resilience
-invariants: goodput under 2x load, bounded queues, provably
-lowest-value-first shedding, and the accepted-job latency SLO (see
-``docs/ROBUSTNESS.md``, "Overload & multi-tenancy").
-
 Examples::
 
     uniq-personalize --subject-seed 7 --output my_hrtf.npz --evaluate
@@ -44,9 +36,6 @@ Examples::
     python -m repro.cli fleet run --subjects 1000 --seed 7 \
         --output fleet_report.json
     python -m repro.cli fleet compare --report fleet_report.json
-    python -m repro.cli serve-sim --duration 6 --overload 2.0 --shards 2 \
-        --kill-shard-at 0.4 --telemetry overload.jsonl \
-        --report overload_report.json
 """
 
 from __future__ import annotations
@@ -556,8 +545,7 @@ def main_timeline(argv: list[str] | None = None) -> int:
             server_marks.append((t, "r"))
         elif kind == "dead_letter":
             server_marks.append((t, "D"))
-        elif kind in ("drain", "shard_eject"):
-            # A graceful drain, or a partition draining out of rotation.
+        elif kind == "drain":
             server_marks.append((t, "!"))
         elif kind == "dispatch":
             server_marks.append((t, "·"))
@@ -574,7 +562,7 @@ def main_timeline(argv: list[str] | None = None) -> int:
     lines.append(gantt(lanes, t0, t1, width=args.width))
     lines.append(
         "legend: █ ok  ▓ error  ▒ timeout  ░ crashed  ─ open  "
-        "K watchdog kill  r retry  D dead letter  ! drain/eject  · dispatch"
+        "K watchdog kill  r retry  D dead letter  ! drain  · dispatch"
     )
 
     # Critical path: per-span-name self time summed over every job trace
@@ -1045,409 +1033,6 @@ def main_fleet(argv: list[str] | None = None) -> int:
     return 1
 
 
-def build_serve_sim_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.cli serve-sim",
-        description=(
-            "Overload-resilience simulation: deterministic open-loop "
-            "multi-tenant traffic against a partitioned batch server "
-            "(admission quotas, weighted-fair dequeue, value-based "
-            "shedding, circuit-breaker brownouts), gated on goodput, "
-            "bounded queues, shed ordering, and the latency SLO."
-        ),
-    )
-    parser.add_argument(
-        "--duration", type=float, default=6.0, metavar="S",
-        help="arrival-schedule length in seconds (default: 6)",
-    )
-    parser.add_argument(
-        "--overload", type=float, default=2.0, metavar="X",
-        help="offered load as a multiple of capacity (default: 2.0)",
-    )
-    parser.add_argument(
-        "--capacity", type=float, default=None, metavar="JOBS_PER_S",
-        help="serving capacity in jobs/s; default: computed analytically "
-        "as total workers / --service-mean",
-    )
-    parser.add_argument(
-        "--service-mean", type=float, default=0.2, metavar="S",
-        help="mean simulated per-job execution cost in seconds; keep it "
-        "large relative to per-job bookkeeping (~10-20 ms with a "
-        "journal) or the analytic capacity overstates what the tier "
-        "can serve (default: 0.2)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=0,
-        help="load-generator seed: same seed, same schedule (default: 0)",
-    )
-    parser.add_argument(
-        "--shards", type=int, default=2,
-        help="independent server shards (default: 2)",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=2,
-        help="worker processes per shard (default: 2)",
-    )
-    parser.add_argument(
-        "--queue-size", type=int, default=16,
-        help="per-shard pending-queue bound (default: 16)",
-    )
-    parser.add_argument(
-        "--backlog-limit", type=int, default=48,
-        help="admission backlog bound — the shed point (default: 48)",
-    )
-    parser.add_argument(
-        "--no-shed", action="store_true",
-        help="disable value-based shedding (full backlog rejects newest)",
-    )
-    parser.add_argument(
-        "--no-quotas", action="store_true",
-        help="disable per-tenant admission quotas",
-    )
-    parser.add_argument(
-        "--pool-subjects", type=int, default=32, metavar="N",
-        help="fleet-population pool the arrivals draw from (default: 32)",
-    )
-    parser.add_argument(
-        "--kill-shard-at", type=float, default=None, metavar="FRAC",
-        help="inject a shard-0 failure after FRAC of the schedule has "
-        "been offered (0..1); exercises ejection, reroute, and probe-back",
-    )
-    parser.add_argument(
-        "--goodput-floor", type=float, default=0.9, metavar="FRAC",
-        help="gate: completed-ok jobs/s must stay >= FRAC * capacity "
-        "(default: 0.9)",
-    )
-    parser.add_argument(
-        "--slo-p99", type=float, default=None, metavar="S",
-        help="gate: p99 of queue wait + run time over accepted jobs from "
-        "SLO-bearing tenants (priority >= 0); negative-priority traffic "
-        "is best-effort by contract and excluded (default: "
-        "max(1.0, 30 * --service-mean))",
-    )
-    parser.add_argument(
-        "--journal", metavar="PATH", default=None,
-        help="base journal path; shard k journals at PATH.shard<k> and "
-        "the set is merged back into PATH after the run",
-    )
-    parser.add_argument(
-        "--telemetry", metavar="PATH", default=None,
-        help="record the flight-recorder stream (JSONL) at PATH; the "
-        "shed-ordering gate replays it (a temp stream is used when "
-        "omitted, so the gate always runs)",
-    )
-    parser.add_argument(
-        "--report", metavar="PATH", default=None,
-        help="write the structured simulation report as JSON to PATH",
-    )
-    parser.add_argument(
-        "--metrics-json", metavar="PATH", default=None,
-        help="write the serve metrics registry as JSON to PATH",
-    )
-    parser.add_argument(
-        "-v", "--verbose", action="count", default=0,
-        help="enable structured serve logging (-v info, -vv debug)",
-    )
-    return parser
-
-
-def _percentile_s(values: list, q: float) -> float:
-    from repro.serve.server import _percentile
-
-    return _percentile(values, q)
-
-
-def main_serve_sim(argv: list[str] | None = None) -> int:
-    """Drive a partitioned, admission-controlled server with overload.
-
-    Exit codes: 0 every resilience gate held, 1 a gate broke (goodput,
-    queue bound, shed ordering, latency SLO, or lost results), 2 bad
-    configuration, 4 interrupted (SIGINT/SIGTERM graceful drain).
-    """
-    import os
-    import signal
-    import tempfile
-
-    from repro.eval.loadgen import DEFAULT_TENANTS, generate_arrivals
-    from repro.ioutil import atomic_write_json
-    from repro.serve import (
-        Admission,
-        BatchServer,
-        ServeTelemetry,
-        TenantQuota,
-        read_events,
-        verify_shed_ordering,
-    )
-    from repro.testing.workloads import loadgen_runner
-
-    args = build_serve_sim_parser().parse_args(argv)
-    if args.verbose:
-        obs.configure_logging(verbosity=args.verbose)
-    if args.duration <= 0 or args.overload <= 0 or args.service_mean <= 0:
-        print("error: --duration, --overload, and --service-mean must be "
-              "positive", file=sys.stderr)
-        return 2
-    if args.kill_shard_at is not None and not 0.0 <= args.kill_shard_at <= 1.0:
-        print("error: --kill-shard-at must be in [0, 1]", file=sys.stderr)
-        return 2
-    if args.kill_shard_at is not None and args.shards < 2:
-        print("error: --kill-shard-at needs --shards >= 2", file=sys.stderr)
-        return 2
-
-    total_workers = args.shards * args.workers
-    capacity = (
-        args.capacity
-        if args.capacity is not None
-        else total_workers / args.service_mean
-    )
-    offered = capacity * args.overload
-    slo_p99 = (
-        args.slo_p99
-        if args.slo_p99 is not None
-        else max(1.0, 30.0 * args.service_mean)
-    )
-    arrivals = generate_arrivals(
-        offered,
-        args.duration,
-        seed=args.seed,
-        pool_subjects=args.pool_subjects,
-        service_mean_s=args.service_mean,
-    )
-    print(f"capacity         : {capacity:.1f} jobs/s "
-          f"({total_workers} workers x 1/{args.service_mean:g}s)")
-    print(f"offered          : {offered:.1f} jobs/s "
-          f"({args.overload:g}x) — {len(arrivals)} arrivals over "
-          f"{args.duration:g} s")
-
-    quotas = None
-    if not args.no_quotas:
-        # Each tenant's bucket admits its sustained offered share with a
-        # second's worth of burst headroom: only multi-second bursts
-        # (interactive's 3x windows) clip as over_quota; the bounded
-        # backlog + shedding absorb the sustained overload that gets
-        # past the buckets.
-        quotas = {
-            t.name: TenantQuota(
-                rate_per_s=max(offered * t.share, 1.0),
-                burst=max(8.0, offered * t.share),
-                weight=t.weight,
-            )
-            for t in DEFAULT_TENANTS
-        }
-
-    telemetry_path = args.telemetry
-    scratch = None
-    if telemetry_path is None:
-        # The shed-ordering gate replays the recorded stream, so one is
-        # always recorded, caller-visible or not.
-        scratch = tempfile.mkdtemp(prefix="repro-serve-sim-")
-        telemetry_path = os.path.join(scratch, "telemetry.jsonl")
-
-    # The stream is a simulation artifact, not a durability record: skip
-    # the per-event fsync (several ms each) so telemetry cost does not
-    # distort the measured serving capacity.  The journal, when asked
-    # for, keeps full durability.
-    telemetry = ServeTelemetry(telemetry_path, fsync=False)
-    try:
-        admission = Admission(
-            quotas=quotas,
-            backlog_limit=args.backlog_limit,
-            shed=not args.no_shed,
-        )
-        server = BatchServer(
-            workers=args.workers,
-            shards=args.shards,
-            queue_size=args.queue_size,
-            runner=loadgen_runner,
-            journal=args.journal,
-            telemetry=telemetry,
-            admission=admission,
-        )
-    except ReproError as error:
-        telemetry.close()
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-
-    def _interrupt(signum, frame):  # noqa: ARG001 - signal signature
-        name = signal.Signals(signum).name
-        print(f"\n{name} received: draining — in-flight jobs finish, "
-              f"backlog and queues return typed results", file=sys.stderr)
-        server.interrupt()
-
-    previous_handlers = {}
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        previous_handlers[signum] = signal.signal(signum, _interrupt)
-    kill_at = (
-        args.kill_shard_at * args.duration
-        if args.kill_shard_at is not None
-        else None
-    )
-    started = time.perf_counter()
-    try:
-        with server:
-            for arrival in arrivals:
-                now = time.perf_counter() - started
-                if kill_at is not None and now >= kill_at:
-                    print(f"shard failure    : ejecting shard 0 at "
-                          f"t={now:.2f} s")
-                    server.inject_shard_failure(0)
-                    kill_at = None
-                if arrival.at_s > now:
-                    time.sleep(arrival.at_s - now)
-                # Virtual admission time: quota decisions follow the
-                # schedule clock, so they are machine-independent.
-                server.submit(arrival.job, now=arrival.at_s)
-                if server.interrupted:
-                    break
-            server.drain()
-            server.checkpoint()
-            wall = time.perf_counter() - started
-            results = server.results()
-            backlog_peak = admission.peak
-            shard_states = server.shard_states()
-            interrupted = server.interrupted
-    finally:
-        for signum, handler in previous_handlers.items():
-            signal.signal(signum, handler)
-        telemetry.close()
-
-    n_ok = sum(1 for r in results if r.ok)
-    counts: dict[str, int] = {}
-    reasons: dict[str, int] = {}
-    for result in results:
-        counts[result.status] = counts.get(result.status, 0) + 1
-        if result.status == "rejected":
-            key = result.reason or ""
-            reasons[key] = reasons.get(key, 0) + 1
-    goodput = n_ok / wall if wall > 0 else 0.0
-    # The latency SLO covers SLO-bearing tenants only: negative-priority
-    # traffic (the scavenger class) is best-effort by contract, and under
-    # overload the priority queue rightly starves it.
-    priority_of = {a.job.job_id: a.job.priority for a in arrivals}
-    accepted_latency = sorted(
-        r.queue_wait_s + r.run_s
-        for r in results
-        if r.ok and not r.coalesced and not r.replayed
-        and priority_of.get(r.job_id, 0) >= 0
-    )
-    p99 = _percentile_s(accepted_latency, 0.99) if accepted_latency else 0.0
-    events = read_events(telemetry_path)
-    violations = verify_shed_ordering(events)
-    tenant_of = {a.job.job_id: a.job.tenant for a in arrivals}
-    ok_by_tenant: dict[str, int] = {}
-    latency_by_tenant: dict[str, list] = {}
-    for result in results:
-        if result.ok:
-            tenant = tenant_of.get(result.job_id, "default")
-            ok_by_tenant[tenant] = ok_by_tenant.get(tenant, 0) + 1
-            if not result.coalesced and not result.replayed:
-                latency_by_tenant.setdefault(tenant, []).append(
-                    result.queue_wait_s + result.run_s
-                )
-    ok_by_tenant = dict(sorted(ok_by_tenant.items()))
-    tenant_p99 = {
-        tenant: _percentile_s(sorted(vals), 0.99)
-        for tenant, vals in sorted(latency_by_tenant.items())
-    }
-
-    gates = {
-        "goodput": goodput >= args.goodput_floor * capacity,
-        "bounded_backlog": backlog_peak <= args.backlog_limit,
-        "shed_ordering": not violations,
-        "latency_p99": p99 <= slo_p99,
-        "no_lost_jobs": len(results) == len(arrivals),
-    }
-    print(f"run done         : " + ", ".join(
-        f"{status} {count}" for status, count in sorted(counts.items())
-    ))
-    if reasons:
-        print(f"rejections       : " + ", ".join(
-            f"{reason or 'untyped'} {count}"
-            for reason, count in sorted(reasons.items())
-        ))
-    print(f"goodput          : {goodput:.1f} ok jobs/s over {wall:.2f} s "
-          f"(floor {args.goodput_floor:g} x {capacity:.1f} = "
-          f"{args.goodput_floor * capacity:.1f}) "
-          f"[{'pass' if gates['goodput'] else 'FAIL'}]")
-    print(f"backlog peak     : {backlog_peak} (limit {args.backlog_limit}) "
-          f"[{'pass' if gates['bounded_backlog'] else 'FAIL'}]")
-    print(f"shed ordering    : {len(violations)} violations "
-          f"[{'pass' if gates['shed_ordering'] else 'FAIL'}]")
-    print(f"latency p99      : {p99:.3f} s over SLO-bearing tenants "
-          f"(SLO {slo_p99:g}) "
-          f"[{'pass' if gates['latency_p99'] else 'FAIL'}]")
-    print(f"accounting       : {len(results)}/{len(arrivals)} jobs resolved "
-          f"[{'pass' if gates['no_lost_jobs'] else 'FAIL'}]")
-    print(f"tenant goodput   : " + ", ".join(
-        f"{tenant} {count}" for tenant, count in ok_by_tenant.items()
-    ))
-    print(f"tenant p99       : " + ", ".join(
-        f"{tenant} {value:.2f}s" for tenant, value in tenant_p99.items()
-    ))
-    for state in shard_states:
-        if state["ejections"]:
-            print(f"shard {state['shard']}          : {state['state']} "
-                  f"after {state['ejections']} ejection(s)")
-
-    if args.report is not None:
-        record = {
-            "config": {
-                "duration_s": args.duration,
-                "overload": args.overload,
-                "capacity_jobs_per_s": capacity,
-                "offered_jobs_per_s": offered,
-                "service_mean_s": args.service_mean,
-                "seed": args.seed,
-                "shards": args.shards,
-                "workers_per_shard": args.workers,
-                "queue_size": args.queue_size,
-                "backlog_limit": args.backlog_limit,
-                "shed": not args.no_shed,
-                "quotas": {
-                    name: quota.to_dict()
-                    for name, quota in (quotas or {}).items()
-                },
-                "kill_shard_at": args.kill_shard_at,
-            },
-            "arrivals": len(arrivals),
-            "counts": counts,
-            "rejection_reasons": reasons,
-            "wall_s": wall,
-            "goodput_jobs_per_s": goodput,
-            "goodput_floor_jobs_per_s": args.goodput_floor * capacity,
-            "latency_p99_s": p99,
-            "slo_p99_s": slo_p99,
-            "backlog_peak": backlog_peak,
-            "shed_violations": violations,
-            "tenant_goodput": ok_by_tenant,
-            "tenant_latency_p99_s": tenant_p99,
-            "shard_states": shard_states,
-            "interrupted": interrupted,
-            "gates": gates,
-        }
-        try:
-            atomic_write_json(record, args.report)
-        except OSError as error:
-            print(f"error: cannot write report: {error}", file=sys.stderr)
-            return 1
-        print(f"report saved     : {args.report}")
-    if args.telemetry is not None:
-        print(f"telemetry        : {args.telemetry} "
-              f"(render with `python -m repro.cli timeline "
-              f"{args.telemetry}`)")
-    _write_metrics(args.metrics_json)
-    if interrupted:
-        print("interrupted      : run drained early; gates not judged",
-              file=sys.stderr)
-        return 4
-    failed = [name for name, passed in gates.items() if not passed]
-    if failed:
-        print(f"gates FAILED     : {', '.join(failed)}", file=sys.stderr)
-        return 1
-    print("gates            : all pass")
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -1459,8 +1044,6 @@ def main(argv: list[str] | None = None) -> int:
         return main_warmup(argv[1:])
     if argv and argv[0] == "fleet":
         return main_fleet(argv[1:])
-    if argv and argv[0] == "serve-sim":
-        return main_serve_sim(argv[1:])
     args = build_parser().parse_args(argv)
     if args.angle_step <= 0 or args.angle_step > 60:
         print(f"error: --angle-step must be in (0, 60], got {args.angle_step}",

@@ -19,20 +19,10 @@ one managed batch out.  The pieces:
   stream + rollups), :class:`SloTracker`/:class:`SloPolicy`, and
   :class:`ServeTelemetry`, which grafts worker-captured span trees into
   per-job cross-process traces (rendered by ``repro.cli timeline``);
-- :mod:`repro.serve.server`  — :class:`BatchServer`: bounded priority queues,
-  backpressure, per-job timeouts, classified retries, request coalescing,
-  journaling/resume, graceful drain, metrics, and the structured
-  :class:`BatchReport`; optionally hash-partitioned (``shards``) into
-  failure domains with per-partition journals, circuit-breaker brownouts
-  (ejection, reroute, probe-back), and journal merging back to a single
-  resumable file;
-- :mod:`repro.serve.admission` — :class:`Admission`, the optional policy
-  a server admits through: per-tenant token-bucket quotas, weighted-fair
-  (stride) release of a bounded backlog, and value-based load shedding
-  with typed rejections;
-- :mod:`repro.serve.shed`    — the shed-value model
-  (priority + expected confidence) and the offline
-  :func:`verify_shed_ordering` invariant checker.
+- :mod:`repro.serve.server`  — :class:`BatchServer`: one bounded priority
+  queue with backpressure, one worker pool, per-job timeouts, classified
+  retries, request coalescing, journaling/resume, graceful drain,
+  metrics, and the structured :class:`BatchReport`.
 
 Quickstart::
 
@@ -51,7 +41,6 @@ Or from the command line (resumable after a crash or Ctrl-C)::
         --journal batch.journal --resume --report batch_report.json
 """
 
-from repro.serve.admission import Admission, TenantQuota, TokenBucket
 from repro.serve.job import (
     REJECTION_REASONS,
     STATUSES,
@@ -60,22 +49,10 @@ from repro.serve.job import (
     dump_jobs,
     load_jobs,
 )
-from repro.serve.journal import (
-    Journal,
-    JournalState,
-    merge_journals,
-    replay_journal,
-)
+from repro.serve.journal import Journal, JournalState, replay_journal
 from repro.serve.pool import TaskOutcome, WorkerPool
 from repro.serve.retry import RetryPolicy
-from repro.serve.server import (
-    DEFAULT_QUEUE_SIZE,
-    BatchReport,
-    BatchServer,
-    shard_journal_path,
-    shard_of,
-)
-from repro.serve.shed import estimate_confidence, job_value, verify_shed_ordering
+from repro.serve.server import DEFAULT_QUEUE_SIZE, BatchReport, BatchServer
 from repro.serve.telemetry import (
     FlightRecorder,
     ServeTelemetry,
@@ -86,7 +63,6 @@ from repro.serve.telemetry import (
 from repro.serve.worker import execute_job, run_with_telemetry
 
 __all__ = [
-    "Admission",
     "BatchReport",
     "BatchServer",
     "DEFAULT_QUEUE_SIZE",
@@ -102,19 +78,11 @@ __all__ = [
     "SloPolicy",
     "SloTracker",
     "TaskOutcome",
-    "TenantQuota",
-    "TokenBucket",
     "WorkerPool",
     "dump_jobs",
-    "estimate_confidence",
     "execute_job",
-    "job_value",
     "load_jobs",
-    "merge_journals",
     "read_events",
     "replay_journal",
     "run_with_telemetry",
-    "shard_journal_path",
-    "shard_of",
-    "verify_shed_ordering",
 ]

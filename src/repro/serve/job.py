@@ -39,9 +39,9 @@ __all__ = [
 #: picks it up.
 STATUSES = ("ok", "failed", "timeout", "crashed", "rejected", "interrupted")
 
-#: Typed reasons a ``rejected`` result may carry (:attr:`JobResult.reason`)
-#: — the admission-control taxonomy (see ``docs/ROBUSTNESS.md``).
-REJECTION_REASONS = ("queue_full", "over_quota", "shed_overload", "shard_down")
+#: Typed reasons a ``rejected`` result may carry (:attr:`JobResult.reason`):
+#: a full bounded queue is the one way a submission is turned away.
+REJECTION_REASONS = ("queue_full",)
 
 
 @dataclass(frozen=True)
@@ -85,13 +85,6 @@ class Job:
         the spec key (two jobs differing only in ``params`` are different
         computations); omitted from keys and JSONL when empty, so specs
         without it keep their exact pre-``params`` representation.
-    tenant:
-        The submitting tenant, for admission control and quota-fair
-        scheduling by a :class:`repro.serve.admission.Admission` policy.  A
-        service knob like ``priority``: excluded from the spec key (two
-        tenants asking for the same computation coalesce) and omitted
-        from JSONL at the default, so single-tenant specs keep their
-        exact pre-``tenant`` representation.
     """
 
     job_id: str
@@ -108,7 +101,6 @@ class Job:
     fault_args: Mapping[str, Any] = field(default_factory=dict)
     crash_marker: str | None = None
     params: Mapping[str, Any] = field(default_factory=dict)
-    tenant: str = "default"
 
     def __post_init__(self) -> None:
         if not self.job_id:
@@ -162,10 +154,9 @@ class Job:
     def spec_key(self) -> str:
         """Canonical key of the *computation* this job asks for.
 
-        Excludes ``job_id``, ``priority``, ``timeout_s``, and ``tenant``
-        — two jobs with equal keys produce bit-identical payloads, which
-        is what lets the server coalesce duplicate requests onto one
-        execution (even across tenants).
+        Excludes ``job_id``, ``priority``, and ``timeout_s`` — two jobs
+        with equal keys produce bit-identical payloads, which is what lets
+        the server coalesce duplicate requests onto one execution.
         """
         record = {
             "subject_seed": self.subject_seed,
@@ -214,8 +205,6 @@ class Job:
             record["fault_args"] = dict(self.fault_args)
         if self.params:
             record["params"] = dict(self.params)
-        if self.tenant != "default":
-            record["tenant"] = self.tenant
         return record
 
     @classmethod
@@ -253,12 +242,11 @@ class JobResult:
     trace exists, so telemetry-off reports stay bit-identical to
     pre-telemetry ones.
 
-    ``reason`` types a ``rejected`` status: ``queue_full`` (bounded-queue
-    backpressure), ``over_quota`` (tenant token bucket empty),
-    ``shed_overload`` (evicted by value-based load shedding), or
-    ``shard_down`` (no healthy shard to route to).  Like ``trace`` it is
-    operational — admission decisions depend on load, not on the spec —
-    and is emitted by :meth:`to_dict` only when set.
+    ``reason`` types a ``rejected`` status (one of
+    :data:`REJECTION_REASONS`: ``queue_full``, bounded-queue
+    backpressure).  Like ``trace`` it is operational — a full queue
+    depends on load, not on the spec — and is emitted by :meth:`to_dict`
+    only when set.
     """
 
     job_id: str

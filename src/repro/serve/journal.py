@@ -37,14 +37,14 @@ import json
 import os
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 from repro.errors import ReproError
 from repro.ioutil import atomic_write, fsync_dir
 from repro.obs import metrics as obs_metrics
 from repro.obs.logging import get_logger, kv
 
-__all__ = ["EVENTS", "Journal", "JournalState", "merge_journals", "replay_journal"]
+__all__ = ["EVENTS", "Journal", "JournalState", "replay_journal"]
 
 _log = get_logger("serve.journal")
 
@@ -143,27 +143,6 @@ class JournalState:
             else:
                 self.transient[key] = dict(record)
 
-    def absorb(self, other: "JournalState") -> None:
-        """Fold another journal's state into this one (the merge rule).
-
-        A ``done`` record anywhere wins and an ``ok`` outranks a dead
-        letter; otherwise the first transient failure seen is kept;
-        ``submitted`` job ids and ``started`` flags are unioned.
-        """
-        for key, ids in other.submitted.items():
-            known = self.submitted.setdefault(key, [])
-            known.extend(job_id for job_id in ids if job_id not in known)
-        self.started |= other.started
-        for key, record in other.transient.items():
-            self.transient.setdefault(key, dict(record))
-        for key, record in other.done.items():
-            current = self.done.get(key)
-            if current is None or (
-                current.get("status") != "ok" and record.get("status") == "ok"
-            ):
-                self.done[key] = dict(record)
-        self.corrupt.extend(other.corrupt)
-
 
 def replay_journal(path: str | os.PathLike) -> JournalState:
     """Replay a journal file into a :class:`JournalState`.
@@ -203,92 +182,6 @@ def replay_journal(path: str | os.PathLike) -> JournalState:
             for lineno, line in quarantined:
                 handle.write(f"# line {lineno}\n{line}\n")
     return state
-
-
-def merge_journals(
-    paths: Sequence[str | os.PathLike],
-    output: str | os.PathLike,
-    *,
-    fsync: bool = True,
-) -> JournalState:
-    """Merge several shard journals into one compacted journal at ``output``.
-
-    The inverse of sharding: a :class:`repro.serve.server.BatchServer`
-    with ``shards > 1`` writes one journal per partition (and may finish a
-    spec on a *different* partition than the one that first accepted it,
-    after a brownout reroute);
-    this folds them back into a single journal in the exact checkpoint
-    format :meth:`Journal.checkpoint` writes, so a plain single-server
-    ``--resume`` can replay a sharded run — and, by the determinism
-    contract, produce bit-identical results to the uninterrupted batch.
-
-    Merge rules, per spec key:
-
-    - a ``done`` record anywhere wins; an ``ok`` outranks a dead letter
-      (a reroute can leave a stale transient verdict in one journal and
-      the real result in another);
-    - otherwise the latest ``transient`` failure is kept (informational);
-    - ``submitted`` job-id mappings are unioned, ``started`` flags too.
-
-    Records are re-sequenced under a fresh ``checkpoint`` header and
-    written atomically (``tmp + fsync + os.replace``).  Missing input
-    files are skipped (an ejected shard that never came back may have an
-    empty journal).  Returns the merged state.
-    """
-    merged = JournalState()
-    for path in paths:
-        merged.absorb(replay_journal(path))
-    for key in merged.done:
-        merged.transient.pop(key, None)
-
-    records: list[dict[str, Any]] = []
-    seq = 0
-
-    def add(event: str, **fields: Any) -> None:
-        nonlocal seq
-        seq += 1
-        records.append({"event": event, "seq": seq, **fields})
-
-    add(
-        "checkpoint",
-        merged_from=len(paths),
-        done=len(merged.done),
-        pending=len(merged.pending()),
-    )
-    for key in sorted(merged.submitted):
-        for job_id in merged.submitted[key]:
-            add("submitted", spec_key=key, job_id=job_id)
-    for key in sorted(merged.started - set(merged.done)):
-        add("started", spec_key=key)
-    for key in sorted(merged.transient):
-        record = {k: v for k, v in merged.transient[key].items() if k != "seq"}
-        add(**record)
-    for key in sorted(merged.done):
-        record = {k: v for k, v in merged.done[key].items() if k != "seq"}
-        add(**record)
-
-    with atomic_write(output, "w", durable=fsync) as handle:
-        for record in records:
-            handle.write(_encode(record) + "\n")
-    if fsync:
-        fsync_dir(os.path.dirname(os.path.abspath(os.fspath(output))))
-
-    final = JournalState()
-    for record in records:
-        final.apply(record)
-    final.corrupt = list(merged.corrupt)
-    obs_metrics.counter("serve.journal.merges").inc()
-    _log.info(
-        kv(
-            "serve.journal.merged",
-            output=os.fspath(output),
-            inputs=len(paths),
-            records=len(records),
-            done=len(final.done),
-            pending=len(final.pending()),
-        )
-    )
-    return final
 
 
 class Journal:

@@ -50,16 +50,9 @@ class RetryPolicy:
     jitter_frac:
         Uniform jitter added on top, as a fraction of the delay
         (``0.25`` adds 0–25 %), derived deterministically from
-        ``(seed, namespace, token, attempt)``.
+        ``(seed, token, attempt)``.
     seed:
         Jitter seed; fixed seed + fixed tokens = bit-identical schedule.
-    namespace:
-        Decorrelation scope mixed into the jitter digest.  A sharded
-        server gives each shard's policy its own namespace (``"shard3"``)
-        so two shards retrying the *same spec key* back off at different
-        instants instead of hammering shared resources in lockstep.  The
-        empty default keeps the digest input byte-identical to the
-        un-namespaced formula, so existing schedules do not move.
     retry_timeouts:
         Timeouts are classified transient, but retrying them is opt-in:
         a deterministic job that blew its budget once will usually blow
@@ -77,7 +70,6 @@ class RetryPolicy:
     max_backoff_s: float = 2.0
     jitter_frac: float = 0.25
     seed: int = 0
-    namespace: str = ""
     retry_timeouts: bool = False
     max_total_retries: int | None = None
     _lock: threading.Lock = field(
@@ -132,12 +124,8 @@ class RetryPolicy:
     def backoff_s(self, attempt: int, token: str = "") -> float:
         """Delay before retry number ``attempt`` (1-based) of ``token``.
 
-        Pure function of ``(seed, namespace, token, attempt)`` —
-        deterministic jitter, so a replayed batch backs off identically.
-        A non-empty ``namespace`` decorrelates the schedule from other
-        policies with the same seed and token (shards retrying one hot
-        spec key); the empty default reproduces the historical digest
-        input exactly.
+        Pure function of ``(seed, token, attempt)`` — deterministic
+        jitter, so a replayed batch backs off identically.
         """
         if attempt < 1:
             raise ValueError(f"attempt must be >= 1, got {attempt}")
@@ -146,9 +134,8 @@ class RetryPolicy:
             self.max_backoff_s,
         )
         if self.jitter_frac > 0.0:
-            scope = f"{self.namespace}:" if self.namespace else ""
             digest = hashlib.sha256(
-                f"{self.seed}:{scope}{token}:{attempt}".encode()
+                f"{self.seed}:{token}:{attempt}".encode()
             ).digest()
             unit = int.from_bytes(digest[:8], "big") / 2**64
             delay *= 1.0 + self.jitter_frac * unit

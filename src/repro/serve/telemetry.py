@@ -68,11 +68,7 @@ EVENTS = (
     "drain",
     "checkpoint",
     "batch_done",
-    # Admission-control and shard-health events (the multi-tenant tier).
     "rejected",
-    "shed",
-    "shard_eject",
-    "shard_probe",
 )
 
 #: How many appended events between rollup snapshots.
@@ -80,7 +76,7 @@ DEFAULT_ROLLUP_EVERY = 64
 
 
 def _percentile(values: list[float], q: float) -> float:
-    """Exact percentile by linear interpolation (matches the batch report)."""
+    """Exact percentile by linear interpolation (also the batch report's)."""
     if not values:
         return float("nan")
     ordered = sorted(values)
@@ -210,7 +206,6 @@ class SloTracker:
         self._cold_known = 0
         self._dead_letters = 0
         self._rejected = 0
-        self._shed = 0
         self._first_t: float | None = None
         self._last_done_t: float | None = None
         self._n_done = 0
@@ -256,8 +251,6 @@ class SloTracker:
                 self._dead_letters += 1
             elif event == "rejected":
                 self._rejected += 1
-            elif event == "shed":
-                self._shed += 1
 
     def stats(self) -> dict[str, Any]:
         """Every tracked statistic as one flat JSON-serializable dict."""
@@ -271,7 +264,7 @@ class SloTracker:
             throughput = float("nan")
             if wall and self._n_done:
                 throughput = self._n_done / wall
-            offered = self._n_done + self._rejected + self._shed
+            offered = self._n_done + self._rejected
             return {
                 "n_jobs": self._n_done,
                 "n_executed": self._executed,
@@ -300,16 +293,11 @@ class SloTracker:
                     self._cold_starts / self._cold_known
                     if self._cold_known else float("nan")
                 ),
-                # Admission statistics: rates are over *offered* load
-                # (completed + turned away), the denominator an operator
-                # reasons about when judging a brownout.
+                # The reject rate is over *offered* load (completed +
+                # turned away), the denominator an operator reasons about.
                 "n_rejected": self._rejected,
-                "n_shed": self._shed,
                 "reject_rate": (
                     self._rejected / offered if offered else 0.0
-                ),
-                "shed_rate": (
-                    self._shed / offered if offered else 0.0
                 ),
             }
 
@@ -329,9 +317,7 @@ SLO_STATS = (
     "dead_letter_rate",
     "cold_start_fraction",
     "n_rejected",
-    "n_shed",
     "reject_rate",
-    "shed_rate",
 )
 
 

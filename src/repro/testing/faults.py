@@ -41,10 +41,8 @@ __all__ = [
     "mic_noise",
     "noisy_reverberant",
     "reverberant_room",
-    "shard_down",
     "slow_start",
     "synthetic_failure",
-    "tenant_burst",
     "worker_hang",
     "worker_kill",
     "zeroed",
@@ -390,35 +388,6 @@ def slow_start(session: SessionData, delay_s: float = 0.5) -> SessionData:
     return session
 
 
-def shard_down(session: SessionData, marker: str | None = None) -> SessionData:
-    """Take down the worker executing this job — the shard-failure fixture.
-
-    Mechanically a :func:`worker_kill` (SIGKILL, uncatchable); named
-    separately because the *intent* differs: a run seeded with several
-    markerless ``shard_down`` jobs routed to one shard produces the
-    consecutive transient failures that trip that shard's circuit breaker
-    (a :class:`repro.serve.server.BatchServer` partition), exercising
-    ejection, queued-job reroute, and probe-back recovery.  With a ``marker`` the
-    fault fires once, so the retried/rerouted execution completes — the
-    full brownout round trip.
-    """
-    return worker_kill(session, marker=marker)
-
-
-def tenant_burst(session: SessionData, delay_s: float = 0.2) -> SessionData:
-    """Hold a worker for ``delay_s`` (one job of a synchronized burst).
-
-    Benign but expensive: stamping this on a cluster of jobs models a
-    tenant's burst landing at once — every held worker lengthens queue
-    waits for the other tenants, which is exactly the contention
-    admission quotas and weighted-fair dequeue exist to bound.  Unlike
-    :func:`worker_hang` the heartbeat keeps beating, so a watchdog must
-    *not* kill these.
-    """
-    time.sleep(float(delay_s))
-    return session
-
-
 #: Name -> helper registry used by :func:`apply_fault` (and thereby by
 #: ``repro.serve`` job specs, which are plain JSON and name faults by string).
 FAULTS = {
@@ -431,10 +400,8 @@ FAULTS = {
     "mic_noise": mic_noise,
     "noisy_reverberant": noisy_reverberant,
     "reverberant_room": reverberant_room,
-    "shard_down": shard_down,
     "slow_start": slow_start,
     "synthetic-failure": synthetic_failure,
-    "tenant_burst": tenant_burst,
     "worker_hang": worker_hang,
     "worker_kill": worker_kill,
     "zeroed": zeroed,
@@ -445,7 +412,7 @@ FAULTS = {
 #: ``benchmarks/chaos_report.py``) — running them in-process would kill or
 #: stall the caller; the durability suite exercises them on a real pool.
 PROCESS_FAULTS = frozenset(
-    {"shard_down", "slow_start", "tenant_burst", "worker_hang", "worker_kill"}
+    {"slow_start", "worker_hang", "worker_kill"}
 )
 
 

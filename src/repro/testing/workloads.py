@@ -29,7 +29,6 @@ __all__ = [
     "digest_runner",
     "flaky_runner",
     "fleet_runner",
-    "loadgen_runner",
     "sleepy_runner",
 ]
 
@@ -104,34 +103,6 @@ def fleet_runner(spec: Mapping[str, Any]) -> dict[str, Any]:
 
     obs_metrics.counter("fleet.subject_jobs").inc()
     return subject_metrics(spec)
-
-
-def loadgen_runner(spec: Mapping[str, Any]) -> dict[str, Any]:
-    """The open-loop overload-simulation runner (``repro.cli serve-sim``).
-
-    Honors the standard unhappy paths (crash markers, process faults —
-    including ``shard_down`` and ``tenant_burst`` — and
-    :data:`FAILING_FAULT`), then holds the worker for the simulated
-    execution cost the load generator stamped as ``params["service_s"]``
-    and returns the deterministic digest payload.  ``service_s`` lives in
-    ``params`` (a spec-key field), so the payload stays a pure function
-    of the spec.
-    """
-    maybe_crash(spec)
-    apply_process_fault(spec)
-    _fail_if_requested(spec)
-    params = spec.get("params") or {}
-    service_s = float(params.get("service_s", 0.0))
-    if service_s > 0.0:
-        time.sleep(service_s)
-    obs_metrics.counter("workload.loadgen_jobs").inc()
-    payload: dict[str, Any] = {
-        "digest": _spec_digest(spec),
-        "subject_seed": spec.get("subject_seed"),
-    }
-    if params.get("expected_confidence") is not None:
-        payload["confidence"] = float(params["expected_confidence"])
-    return payload
 
 
 def sleepy_runner(spec: Mapping[str, Any]) -> dict[str, Any]:

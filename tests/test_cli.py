@@ -1,9 +1,6 @@
 """Tests for the uniq-personalize command-line interface."""
 
-import json
-
 import numpy as np
-import pytest
 
 from repro.cli import build_parser, main
 from repro.hrtf.io import load_table
@@ -60,41 +57,3 @@ class TestMain:
         printed = capsys.readouterr().out
         assert "wall time" in printed
         assert "cold" in printed and "fastest" in printed
-
-
-class TestServeSim:
-    def test_smoke_run_writes_report(self, tmp_path, capsys):
-        # A short, mildly-overloaded run with trivial gates: the point is
-        # exercising the whole admission -> shard -> gate -> report path,
-        # not the resilience thresholds (tests/test_frontdoor.py and the
-        # CI chaos job own those).
-        report = tmp_path / "report.json"
-        code = main(
-            [
-                "serve-sim",
-                "--duration", "0.6",
-                "--overload", "1.5",
-                "--shards", "1",
-                "--workers", "2",
-                "--service-mean", "0.05",
-                "--seed", "3",
-                "--goodput-floor", "0.0",
-                "--slo-p99", "999",
-                "--report", str(report),
-            ]
-        )
-        assert code == 0
-        printed = capsys.readouterr().out
-        assert "goodput" in printed
-        assert "accounting" in printed
-        record = json.loads(report.read_text())
-        assert record["gates"]["no_lost_jobs"] is True
-        assert record["arrivals"] == sum(record["counts"].values())
-        assert record["config"]["shards"] == 1
-        assert set(record["config"]["quotas"]) == set(record["tenant_goodput"])
-
-    def test_bad_config_exits_2(self, capsys):
-        assert main(["serve-sim", "--duration", "0"]) == 2
-        assert "positive" in capsys.readouterr().err
-        assert main(["serve-sim", "--kill-shard-at", "0.5", "--shards", "1"]) == 2
-        assert "--shards" in capsys.readouterr().err

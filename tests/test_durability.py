@@ -128,30 +128,18 @@ class TestRetryPolicy:
         # Different tokens must decorrelate (thundering-herd protection).
         assert policy.backoff_s(1, "a") != policy.backoff_s(1, "b")
 
-    def test_namespace_decorrelates_without_moving_the_default(self):
+    def test_jitter_schedule_is_pinned(self):
         import hashlib
 
-        kw = dict(base_backoff_s=0.1, backoff_factor=2.0, max_backoff_s=0.35,
-                  jitter_frac=0.25, seed=7)
-        plain = RetryPolicy(**kw)
-        # The empty namespace must reproduce the historical digest input
-        # byte for byte: existing schedules do not move.
+        policy = RetryPolicy(
+            base_backoff_s=0.1, backoff_factor=2.0, max_backoff_s=0.35,
+            jitter_frac=0.25, seed=7,
+        )
+        # The jitter digest input is "<seed>:<token>:<attempt>" byte for
+        # byte: replayed batches and old journals back off identically.
         digest = hashlib.sha256(b"7:job-key:2").digest()
         unit = int.from_bytes(digest[:8], "big") / 2**64
-        assert plain.backoff_s(2, "job-key") == 0.2 * (1.0 + 0.25 * unit)
-        # Shard namespaces each get their own jitter sequence, inside the
-        # same envelope.
-        schedules = {}
-        for namespace in ("", "shard0", "shard1"):
-            policy = RetryPolicy(**kw, namespace=namespace)
-            schedule = tuple(
-                policy.backoff_s(attempt, "job-key") for attempt in (1, 2, 3)
-            )
-            for attempt, delay in zip((1, 2, 3), schedule):
-                base = min(0.1 * 2.0 ** (attempt - 1), 0.35)
-                assert base <= delay <= base * 1.25
-            schedules[namespace] = schedule
-        assert len(set(schedules.values())) == 3
+        assert policy.backoff_s(2, "job-key") == 0.2 * (1.0 + 0.25 * unit)
 
     def test_batch_budget_exhausts(self):
         policy = RetryPolicy(max_transient_retries=10, max_total_retries=2)
@@ -589,113 +577,6 @@ class TestKillResume:
         }
         assert executed.isdisjoint(done_before)
         assert resumed.n_replayed >= len(done_before)
-
-
-# ---------------------------------------------------------------------------
-# Partitioned server: SIGTERM drain under saturation with an ejected shard
-# ---------------------------------------------------------------------------
-
-
-class TestShardedDrain:
-    def test_sigterm_drains_saturated_tier_with_ejected_shard(
-        self, tmp_path, monkeypatch
-    ):
-        """The worst-case graceful drain: a SIGTERM lands while the
-        admission backlog and both partition queues are saturated AND one
-        partition is breaker-ejected mid-reroute.  Every job must resolve
-        to a typed outcome, every partition journal must reach its final
-        checkpoint, and a resume from the merged journal must complete the
-        batch bit-identically with zero done work re-executed."""
-        import signal
-        import threading
-
-        from repro.serve import Admission
-        from repro.serve import server as server_module
-        from repro.serve.job import REJECTION_REASONS
-
-        jobs = [
-            Job(job_id=f"j{i:02d}", subject_seed=100 + i,
-                fault_args={"sleep_s": 0.15})
-            for i in range(24)
-        ]
-        # Reference: the uninterrupted run (sleepy_runner's payload is a
-        # pure function of the spec, so any schedule must reproduce it).
-        with BatchServer(
-            workers=2, runner=sleepy_runner, coalesce=False
-        ) as server:
-            reference = {
-                r.job_id: r.deterministic()
-                for r in server.run_batch(jobs).results
-            }
-
-        base = tmp_path / "sharded.journal"
-        received = threading.Event()
-        monkeypatch.setattr(server_module, "PROBE_BACKOFF_S", 3600.0)
-        server = BatchServer(
-            workers=1, shards=2, queue_size=4, runner=sleepy_runner,
-            coalesce=False, journal=base,
-            admission=Admission(backlog_limit=8, shed=True),
-        )
-
-        def _on_sigterm(signum, frame):  # noqa: ARG001 - signal signature
-            received.set()
-            server.interrupt()
-
-        previous = signal.signal(signal.SIGTERM, _on_sigterm)
-        try:
-            with server:
-                for job in jobs:
-                    server.submit(job, now=0.0)
-                # One partition dies while its queue is full; its jobs
-                # reroute into the other partition's already-full queue.
-                server.inject_shard_failure(0)
-                os.kill(os.getpid(), signal.SIGTERM)
-                assert received.wait(5.0)
-                server.drain()
-                server.checkpoint()
-                results = {r.job_id: r for r in server.results()}
-        finally:
-            signal.signal(signal.SIGTERM, previous)
-
-        # Every submitted job resolved to a typed outcome — nothing lost,
-        # nothing still pending.
-        assert set(results) == {job.job_id for job in jobs}
-        for result in results.values():
-            assert result.status in ("ok", "interrupted", "rejected")
-            if result.status == "rejected":
-                assert result.reason in REJECTION_REASONS
-        done_ids = {j for j, r in results.items() if r.ok}
-
-        # Both shard journals were checkpointed (compacted under a fresh
-        # checkpoint header) and merged back into the base artifact.
-        for k in range(2):
-            shard_path = tmp_path / f"sharded.journal.shard{k}"
-            assert shard_path.exists()
-            with open(shard_path) as handle:
-                assert json.loads(handle.readline())["event"] == "checkpoint"
-        assert base.exists()
-        merged_done = set(replay_journal(base).done)
-
-        # Resume from the merged journal: the batch completes, done work
-        # replays rather than re-executing, and the deterministic fields
-        # match the uninterrupted reference bit for bit.
-        with BatchServer(
-            workers=1, shards=2, runner=sleepy_runner, coalesce=False,
-            journal=base, resume=True,
-        ) as resumed_server:
-            resumed = resumed_server.run_batch(jobs)
-        assert resumed.counts == {"ok": len(jobs)}
-        assert {
-            r.job_id: r.deterministic() for r in resumed.results
-        } == reference
-        replayed_ids = {r.job_id for r in resumed.results if r.replayed}
-        assert done_ids <= replayed_ids
-        executed_keys = {
-            job.spec_key()
-            for job, result in zip(jobs, resumed.results)
-            if not result.replayed
-        }
-        assert executed_keys.isdisjoint(merged_done)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import json
 import os
+import sys
+import threading
 
 import pytest
 
@@ -237,6 +239,61 @@ class TestBatchServerSemantics:
         with pytest.raises(ReproError, match="closed"):
             server.submit(_job("late"))
 
+    def test_rejects_bad_configuration(self):
+        with pytest.raises(ReproError, match="resume"):
+            BatchServer(workers=1, resume=True, runner=digest_runner)
+        with pytest.raises(ReproError, match="queue_size"):
+            BatchServer(workers=1, queue_size=0, runner=digest_runner)
+
+    def test_submit_after_interrupt_is_interrupted_not_lost(self):
+        with BatchServer(workers=1, runner=digest_runner) as server:
+            server.interrupt()
+            assert not server.submit(_job("late"))
+            server.drain()
+            results = {r.job_id: r for r in server.results()}
+        assert results["late"].status == "interrupted"
+        assert results["late"].attempts == 0
+
+    def test_concurrent_submitters_account_exactly(self):
+        # More submitting threads than cores and a shortened switch
+        # interval: every job must land in the ledger exactly once, either
+        # executed or coalesced onto an execution of its spec.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with BatchServer(workers=1, runner=digest_runner) as server:
+
+                def submit_all(t: int) -> None:
+                    for i in range(50):
+                        server.submit(_job(f"t{t}-{i}", seed=i % 7 + 1))
+
+                threads = [
+                    threading.Thread(target=submit_all, args=(t,))
+                    for t in range(4)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30.0)
+                assert not any(thread.is_alive() for thread in threads)
+                drained = threading.Event()
+                waiter = threading.Thread(
+                    target=lambda: (server.drain(), drained.set())
+                )
+                waiter.start()
+                assert drained.wait(30.0)
+                results = server.results()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == 200
+        assert len({r.job_id for r in results}) == 200
+        assert all(r.ok for r in results)
+        # Seven distinct specs: each executes once, every twin coalesces.
+        executed = [r for r in results if not r.coalesced]
+        assert len(executed) == 7
+        assert all(r.attempts >= 1 for r in executed)
+        assert len({r.payload["digest"] for r in results}) == 7
+
     def test_nonblocking_submit_rejects_when_full(self):
         # One worker pinned on a slow job; a tiny queue behind it must
         # reject (not drop, not block) the overflow.
@@ -261,14 +318,14 @@ class TestBatchServerSemantics:
     def test_rejections_are_visible_everywhere(self, tmp_path):
         # A non-blocking rejection must be observable in all three planes:
         # the metrics counter, the telemetry event stream, and the batch
-        # report — silent admission drops read as lost load.
+        # report — silent drops read as lost load.
         from repro.obs import metrics as obs_metrics
         from repro.serve import BatchReport
 
         before = obs_metrics.counter("serve.rejected").value
         telemetry = tmp_path / "events.jsonl"
         blocker = _job("blocker", seed=0, fault_args={"sleep_s": 0.8})
-        burst = [_job(f"b{i}", seed=100 + i, tenant="burst") for i in range(6)]
+        burst = [_job(f"b{i}", seed=100 + i) for i in range(6)]
         with BatchServer(workers=1, queue_size=1, runner=sleepy_runner,
                          coalesce=False, telemetry=telemetry) as server:
             assert server.submit(blocker, block=True)
@@ -283,12 +340,11 @@ class TestBatchServerSemantics:
         assert obs_metrics.counter("serve.rejected").value == before + n_rejected
 
         # Telemetry plane: one typed "rejected" event per rejection, each
-        # carrying the reason, tenant, and observed queue depth.
+        # carrying the reason and observed queue depth.
         events = [e for e in read_events(telemetry) if e.get("event") == "rejected"]
         assert len(events) == n_rejected
         for event in events:
             assert event["reason"] == "queue_full"
-            assert event["tenant"] == "burst"
             assert event["queue_depth"] >= 0
 
         # Report plane: rejections surface in counts, typed reasons, and
