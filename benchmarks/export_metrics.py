@@ -27,7 +27,7 @@ import sys
 import numpy as np
 
 from repro import __version__, obs
-from repro.obs.report import span_to_dict, stage_durations
+from repro.obs.report import stage_durations
 from repro.simulation.person import VirtualSubject
 from repro.simulation.session import MeasurementSession
 from repro.core.fusion import clear_search_memo
@@ -84,7 +84,7 @@ def run_benchmark(
         "wall_cold_s": wall_cold,
         "residual_deg": float(result.fusion.residual_deg),
         "stages_s": {name: best_stages[name] for name in sorted(best_stages)},
-        "trace": span_to_dict(best_trace),
+        "trace": best_trace.to_dict(),
         "metrics": obs.registry().snapshot(),
     }
 

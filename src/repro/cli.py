@@ -619,12 +619,10 @@ def build_warmup_parser() -> argparse.ArgumentParser:
         prog="python -m repro.cli warmup",
         description=(
             "Pre-bake DelayMap artifacts into a map store so cold serve "
-            "workers mmap tables instead of rebuilding them.  Two modes: "
-            "--jobs replays job specs once with the store active and "
-            "persists every table those exact runs touch (highest value: "
-            "optimizer trajectories are capture-specific); without --jobs, "
-            "a geometry lattice over the anthropometric search bounds is "
-            "baked at the fusion grids."
+            "workers mmap tables instead of rebuilding them: replay each "
+            "distinct job spec once with the store active and persist every "
+            "table those exact runs touch (optimizer trajectories are "
+            "capture-specific, so only exact replays produce store hits)."
         ),
     )
     parser.add_argument(
@@ -636,32 +634,9 @@ def build_warmup_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--jobs",
         metavar="PATH",
-        default=None,
+        required=True,
         help="JSONL job file: run each distinct spec once, persisting every "
-        "delay table it touches (exact-key warmup)",
-    )
-    parser.add_argument(
-        "--step-mm",
-        type=float,
-        default=5.0,
-        help="lattice spacing over each head axis in millimeters "
-        "(default: 5.0)",
-    )
-    parser.add_argument(
-        "--grids",
-        choices=("coarse", "final", "both"),
-        default="coarse",
-        help="which fusion grids to bake per lattice point: the coarse "
-        "optimizer grid, the full-resolution final grid, or both "
-        "(default: coarse)",
-    )
-    parser.add_argument(
-        "--max-maps",
-        type=int,
-        default=5000,
-        metavar="N",
-        help="refuse lattices baking more than N maps (default: 5000); "
-        "raise --step-mm instead of the cap when you hit it",
+        "delay table it touches",
     )
     return parser
 
@@ -669,14 +644,14 @@ def build_warmup_parser() -> argparse.ArgumentParser:
 def main_warmup(argv: list[str] | None = None) -> int:
     """Pre-bake DelayMap artifacts into a map store.
 
-    Exit codes: 0 baked, 1 a --jobs spec failed, 2 the store or job file
-    could not be used (or the lattice exceeds --max-maps).
+    Exit codes: 0 baked, 1 a job spec failed, 2 the store or job file
+    could not be used.
     """
     import os
 
     from repro.core import mapstore
-    from repro.core.fusion import _BOUNDS, DiffractionAwareSensorFusion
-    from repro.core.localize import cached_delay_map
+    from repro.serve import load_jobs
+    from repro.serve.worker import execute_job
 
     args = build_warmup_parser().parse_args(argv)
     raw = args.store or os.environ.get(mapstore.MAP_STORE_ENV, "")
@@ -690,87 +665,37 @@ def main_warmup(argv: list[str] | None = None) -> int:
         return 2
     store = mapstore.MapStore(path)
     before_n, before_bytes = len(store), store.size_bytes()
-    # Builds (here and in --jobs runs) persist through cached_delay_map's
-    # store hook, which reads the environment.
+    # Builds persist through cached_delay_map's store hook, which reads the
+    # environment.
     os.environ[mapstore.MAP_STORE_ENV] = path
     started = time.perf_counter()
 
-    if args.jobs is not None:
-        from repro.serve import load_jobs
-        from repro.serve.worker import execute_job
-
+    try:
+        jobs = load_jobs(args.jobs)
+    except (OSError, ReproError) as error:
+        print(f"error: cannot load jobs: {error}", file=sys.stderr)
+        return 2
+    distinct = {job.spec_key(): job for job in jobs}
+    print(f"exact warmup     : {len(distinct)} distinct specs "
+          f"from {args.jobs} -> {path}")
+    failed = 0
+    for i, job in enumerate(distinct.values()):
+        job_started = time.perf_counter()
         try:
-            jobs = load_jobs(args.jobs)
-        except (OSError, ReproError) as error:
-            print(f"error: cannot load jobs: {error}", file=sys.stderr)
-            return 2
-        distinct = {job.spec_key(): job for job in jobs}
-        print(f"exact warmup     : {len(distinct)} distinct specs "
-              f"from {args.jobs} -> {path}")
-        failed = 0
-        for i, job in enumerate(distinct.values()):
-            job_started = time.perf_counter()
-            try:
-                execute_job(job.to_dict())
-            except ReproError as error:
-                failed += 1
-                print(f"  {job.job_id}: failed ({error})", file=sys.stderr)
-                continue
-            print(f"  [{i + 1}/{len(distinct)}] {job.job_id}: "
-                  f"{time.perf_counter() - job_started:.2f} s")
-        status = 1 if failed else 0
-    else:
-        fusion = DiffractionAwareSensorFusion()
-        grids = []
-        if args.grids in ("coarse", "both"):
-            grids.append((
-                fusion.fusion_boundary_samples,
-                fusion.map_radii, fusion.map_thetas, False,
-            ))
-        if args.grids in ("final", "both"):
-            from repro.geometry.head import DEFAULT_BOUNDARY_SAMPLES
-
-            grids.append((
-                DEFAULT_BOUNDARY_SAMPLES,
-                fusion.final_map_radii, fusion.final_map_thetas, True,
-            ))
-        step = args.step_mm / 1000.0
-        if step <= 0:
-            print("error: --step-mm must be positive", file=sys.stderr)
-            return 2
-        axes = [
-            np.arange(lo, hi + 1e-12, step) for lo, hi in _BOUNDS.values()
-        ]
-        n_points = int(np.prod([len(axis) for axis in axes]))
-        n_maps = n_points * len(grids)
-        print(f"lattice warmup   : {'x'.join(str(len(a)) for a in axes)} "
-              f"head lattice ({args.step_mm:g} mm step), "
-              f"{len(grids)} grid(s) -> {n_maps} maps -> {path}")
-        if n_maps > args.max_maps:
-            print(f"error: {n_maps} maps exceeds --max-maps {args.max_maps}; "
-                  f"widen --step-mm", file=sys.stderr)
-            return 2
-        baked = 0
-        for a in axes[0]:
-            for b in axes[1]:
-                for c in axes[2]:
-                    for boundary, radii, thetas, refine in grids:
-                        cached_delay_map(
-                            (float(a), float(b), float(c)), boundary,
-                            radii, thetas, refine=refine,
-                        )
-                        baked += 1
-            print(f"  a={a * 100:.1f} cm plane done "
-                  f"({baked}/{n_maps} maps, "
-                  f"{time.perf_counter() - started:.1f} s)")
-        status = 0
+            execute_job(job.to_dict())
+        except ReproError as error:
+            failed += 1
+            print(f"  {job.job_id}: failed ({error})", file=sys.stderr)
+            continue
+        print(f"  [{i + 1}/{len(distinct)}] {job.job_id}: "
+              f"{time.perf_counter() - job_started:.2f} s")
 
     print(f"store            : {len(store)} artifacts "
           f"({store.size_bytes() / 1e6:.1f} MB), "
           f"+{len(store) - before_n} new "
           f"(+{(store.size_bytes() - before_bytes) / 1e6:.1f} MB) "
           f"in {time.perf_counter() - started:.1f} s")
-    return status
+    return 1 if failed else 0
 
 
 def build_fleet_parser() -> argparse.ArgumentParser:

@@ -32,7 +32,6 @@ from repro.core.beamforming import (
 from repro.core.compensation import (
     estimate_system_response,
     compensate_recording,
-    remove_room_reflections,
     check_gesture_quality,
 )
 from repro.core.decomposition import (
@@ -45,7 +44,6 @@ from repro.core.elevation import (
     SphericalPersonalizer,
     capture_rings,
 )
-from repro.core.online import OnlineFusion, OnlineStatus
 from repro.core.pipeline import (
     PersonalizationResult,
     Uniq,
@@ -71,7 +69,6 @@ __all__ = [
     "signal_to_interference_gain",
     "estimate_system_response",
     "compensate_recording",
-    "remove_room_reflections",
     "check_gesture_quality",
     "Uniq",
     "grid_from_step",
@@ -86,8 +83,6 @@ __all__ = [
     "Personalization3DResult",
     "SphericalPersonalizer",
     "capture_rings",
-    "OnlineFusion",
-    "OnlineStatus",
     "AcousticTriangulator",
     "PoseEstimate",
     "Speaker",

@@ -6,8 +6,8 @@
   equalized by that response so the estimated channels contain only the
   head, not the hardware.
 - **Room-reflection removal** lives in the channel toolbox
-  (:func:`repro.signals.channel.truncate_after`); a convenience wrapper is
-  re-exported here.
+  (:func:`repro.signals.channel.truncate_after`), applied per probe inside
+  :meth:`repro.core.interpolation.NearFieldInterpolator.extract_measurements`.
 - **Automatic gesture correction**: a capture is rejected (the user is asked
   to redo the sweep) when the estimated phone radius collapses toward the
   head or when the fusion residual is too large.
@@ -17,13 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.constants import ROOM_REFLECTION_CUTOFF_S
 from repro.errors import CalibrationError, SignalError
-from repro.signals.channel import (
-    estimate_channel,
-    first_tap_index,
-    truncate_after,
-)
+from repro.signals.channel import estimate_channel
 from repro.core.fusion import FusionResult
 
 #: Smoothing width (bins) for the measured system magnitude response.
@@ -79,16 +74,6 @@ def compensate_recording(
     if floor == 0.0:
         raise SignalError("system response is identically zero")
     return np.fft.irfft(spectrum / np.maximum(interpolated, floor), recording.shape[0])
-
-
-def remove_room_reflections(
-    channel: np.ndarray,
-    fs: int,
-    cutoff_s: float = ROOM_REFLECTION_CUTOFF_S,
-) -> np.ndarray:
-    """Zero channel taps later than ``cutoff_s`` after the first tap."""
-    tap = first_tap_index(channel)
-    return truncate_after(channel, tap + int(round(cutoff_s * fs)))
 
 
 def check_gesture_quality(

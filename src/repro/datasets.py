@@ -1,18 +1,15 @@
-"""Dataset utilities: persist capture sessions and build cohort datasets.
+"""Dataset utilities: persist capture sessions.
 
 A real deployment separates *capture* (seconds, on-device) from
 *processing* (the UNIQ pipeline, possibly elsewhere).  This module
 serializes a complete :class:`~repro.simulation.session.SessionData` —
 recordings, IMU trace, probe waveform, and the evaluation-only ground truth
-— into a single ``.npz``, and batch-generates reproducible cohort datasets
-for offline experiments.
+— into a single ``.npz``.
 """
 
 from __future__ import annotations
 
-import json
 import os
-from pathlib import Path
 
 import numpy as np
 
@@ -23,7 +20,6 @@ from repro.simulation.imu import IMUTrace
 from repro.simulation.person import VirtualSubject
 from repro.simulation.pinna import PinnaModel
 from repro.simulation.session import (
-    MeasurementSession,
     ProbeMeasurement,
     SessionData,
     SessionTruth,
@@ -148,42 +144,3 @@ def load_session(path: str | os.PathLike) -> SessionData:
         except KeyError as missing:
             raise TableError(f"session file missing field {missing}") from missing
 
-
-def generate_cohort_dataset(
-    directory: str | os.PathLike,
-    n_subjects: int = 5,
-    base_seed: int = 1_000,
-    probe_interval_s: float = 0.4,
-) -> list[Path]:
-    """Generate and persist one capture per subject, with a manifest.
-
-    Returns the session file paths.  The manifest (``manifest.json``)
-    records seeds and true head parameters for downstream bookkeeping.
-    """
-    if n_subjects < 1:
-        raise ValueError(f"n_subjects must be >= 1, got {n_subjects}")
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    manifest = []
-    paths = []
-    for i in range(n_subjects):
-        subject = VirtualSubject.random(base_seed + i, name=f"volunteer-{i + 1}")
-        session = MeasurementSession(
-            subject, seed=9_000 + i, probe_interval_s=probe_interval_s
-        ).run()
-        path = directory / f"session_{subject.name}.npz"
-        save_session(session, path)
-        paths.append(path)
-        manifest.append(
-            {
-                "subject": subject.name,
-                "subject_seed": base_seed + i,
-                "session_seed": 9_000 + i,
-                "file": path.name,
-                "true_head_parameters_m": list(subject.head.parameters),
-                "n_probes": session.n_probes,
-            }
-        )
-    with open(directory / "manifest.json", "w") as handle:
-        json.dump(manifest, handle, indent=2)
-    return paths

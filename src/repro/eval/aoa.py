@@ -25,7 +25,7 @@ from repro.core.aoa import (
     UnknownSourceAoAEstimator,
     front_back_consistent,
 )
-from repro.eval.common import cdf_points, get_cohort
+from repro.eval.common import get_cohort
 
 #: Test angles: off-grid (not multiples of 5) to avoid gifting the
 #: estimators exact template matches.
@@ -80,13 +80,6 @@ class AoAComparisonResult:
             ]
         )
         return float(personal), float(template)
-
-    def cdf(self, which: str) -> tuple[np.ndarray, np.ndarray]:
-        """Empirical error CDF for ``which`` in {'personalized', 'global'}."""
-        errors = (
-            self.personalized_errors if which == "personalized" else self.global_errors
-        )
-        return cdf_points(errors)
 
 
 def fig21_aoa_known_source(

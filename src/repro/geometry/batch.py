@@ -135,28 +135,6 @@ def _path_lengths(
     return [_ear_lengths(head, sources, ear, tangents, inside) for ear in ears]
 
 
-def path_lengths_batch(
-    head: HeadGeometry, sources: np.ndarray, ear: Ear
-) -> np.ndarray:
-    """Shortest-path lengths (m) from each source row to ``ear``.
-
-    Parameters
-    ----------
-    head:
-        The head geometry (any boundary resolution).
-    sources:
-        Array of shape ``(m, 2)``.
-
-    Returns
-    -------
-    Array of shape ``(m,)`` of path lengths.  Sources inside the head yield
-    ``nan`` (the caller decides whether that is an error or an out-of-domain
-    grid cell).
-    """
-    (lengths,) = _path_lengths(head, sources, (ear,))
-    return lengths
-
-
 def binaural_delays_batch(
     head: HeadGeometry,
     sources: np.ndarray,

@@ -66,8 +66,3 @@ def wrap_angle_deg(angle: float | np.ndarray) -> float | np.ndarray:
     wrapped = -((-a + 180.0) % 360.0 - 180.0)
     return float(wrapped) if np.ndim(wrapped) == 0 else wrapped
 
-
-def angular_difference_deg(a: float | np.ndarray, b: float | np.ndarray) -> float | np.ndarray:
-    """Absolute smallest difference between two angles, in ``[0, 180]``."""
-    d = np.abs(wrap_angle_deg(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)))
-    return float(d) if np.ndim(d) == 0 else d

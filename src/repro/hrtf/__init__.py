@@ -12,17 +12,15 @@ and global-template tables (:mod:`~repro.hrtf.reference`).
 
 from repro.hrtf.hrir import BinauralIR
 from repro.hrtf.table import HRTFTable
-from repro.hrtf.full_circle import FullCircleHRTF, signed_aoa
+from repro.hrtf.full_circle import signed_aoa
 from repro.hrtf.metrics import hrir_correlation, table_correlations
 from repro.hrtf.perceptual import perceptual_distance, table_perceptual_distance
 from repro.hrtf.io import save_table, load_table, table_digest
-from repro.hrtf.sofa import export_sofa_like, import_sofa_like
 from repro.hrtf.reference import ground_truth_table, global_template_table
 
 __all__ = [
     "BinauralIR",
     "HRTFTable",
-    "FullCircleHRTF",
     "signed_aoa",
     "hrir_correlation",
     "table_correlations",
@@ -31,8 +29,6 @@ __all__ = [
     "save_table",
     "load_table",
     "table_digest",
-    "export_sofa_like",
-    "import_sofa_like",
     "ground_truth_table",
     "global_template_table",
 ]

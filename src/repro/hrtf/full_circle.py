@@ -1,65 +1,22 @@
-"""Full-circle spatial audio from a left-semicircle table.
+"""Side-aware AoA over the full circle from a left-semicircle table.
 
 The paper's measurement sweep covers the left semicircle ``[0, 180]`` —
 the arm cannot comfortably cross the body.  Real applications need sources
 anywhere in ``(-180, 180]``.  The standard completion is **mirror
-symmetry**: a source at ``-theta`` is rendered by looking up ``+theta`` and
-swapping the two ear feeds.
+symmetry**: a source at ``-theta`` looks like one at ``+theta`` with the two
+ear feeds swapped.
 
 Mirroring is an approximation — the user's left and right pinnae differ —
-but it is the same approximation every product using a semicircle
-measurement makes, and it preserves the dominant cues exactly (the head is
-left/right symmetric in the model, so ITD/ILD mirror perfectly; only the
-fine pinna texture is approximated).  This module packages the convention
-once so applications and examples do not each reimplement it:
-
-- :class:`FullCircleHRTF` — lookup/render at any signed angle;
-- :func:`signed_aoa` — a side-aware wrapper around the AoA estimators,
-  returning angles in ``(-180, 180]``.
+but it preserves the dominant cues exactly (the head is left/right
+symmetric in the model, so ITD/ILD mirror perfectly; only the fine pinna
+texture is approximated).  :func:`signed_aoa` wraps the AoA estimators with
+that convention, returning angles in ``(-180, 180]``; the triangulation
+application (:mod:`repro.core.triangulation`) uses it for signed bearings.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from repro.errors import TableError
-from repro.geometry.vec import wrap_angle_deg
-from repro.hrtf.hrir import BinauralIR
-from repro.hrtf.table import HRTFTable
-
-
-@dataclass(frozen=True)
-class FullCircleHRTF:
-    """A semicircle table extended to all signed angles by mirror symmetry."""
-
-    table: HRTFTable
-
-    def __post_init__(self) -> None:
-        lo, hi = self.table.angle_span()
-        if lo > 0.0 or hi < 180.0 - 1e-9:
-            raise TableError(
-                f"full-circle extension needs a [0, 180] table, got [{lo}, {hi}]"
-            )
-
-    @property
-    def fs(self) -> int:
-        return self.table.fs
-
-    def lookup(self, theta_deg: float, field: str = "far") -> BinauralIR:
-        """HRIR pair for any signed angle in ``(-180, 180]``."""
-        theta = float(wrap_angle_deg(theta_deg))
-        entry = self.table.lookup(abs(theta), field)
-        if theta >= 0.0:
-            return entry
-        return BinauralIR(left=entry.right, right=entry.left, fs=entry.fs)
-
-    def binauralize(
-        self, signal: np.ndarray, theta_deg: float, far: bool = True
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Render a mono signal from any signed direction."""
-        return self.lookup(theta_deg, "far" if far else "near").apply(signal)
 
 
 def signed_aoa(

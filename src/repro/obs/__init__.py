@@ -25,12 +25,10 @@ Quickstart::
 from repro.obs.trace import (
     Span,
     capturing,
-    current_span,
     is_enabled,
     last_trace,
     set_enabled,
     span,
-    traced,
 )
 from repro.obs.metrics import (
     MetricsRegistry,
@@ -44,19 +42,15 @@ from repro.obs.logging import get_logger, kv
 from repro.obs.report import (
     render_metrics,
     render_span_tree,
-    span_to_dict,
-    trace_to_json,
 )
 
 __all__ = [
     "Span",
     "capturing",
-    "current_span",
     "is_enabled",
     "last_trace",
     "set_enabled",
     "span",
-    "traced",
     "MetricsRegistry",
     "counter",
     "gauge",
@@ -67,6 +61,4 @@ __all__ = [
     "kv",
     "render_metrics",
     "render_span_tree",
-    "span_to_dict",
-    "trace_to_json",
 ]

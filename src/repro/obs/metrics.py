@@ -132,34 +132,6 @@ class Histogram:
             self.sum += value
             self.count += 1
 
-    @property
-    def mean(self) -> float:
-        return self.sum / self.count if self.count else float("nan")
-
-    def quantile(self, q: float) -> float:
-        """Estimate the ``q``-quantile (``0 <= q <= 1``) from the buckets.
-
-        Linear interpolation inside the bucket the quantile lands in (the
-        usual Prometheus-style estimate).  The lowest bucket interpolates
-        from 0, and a quantile landing in the overflow bucket returns the
-        top bound — a lower bound on the true value, which is the honest
-        answer a fixed-bucket histogram can give.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        if self.count == 0:
-            return float("nan")
-        rank = q * self.count
-        seen = 0
-        for i, bound in enumerate(self.buckets):
-            in_bucket = self.bucket_counts[i]
-            if seen + in_bucket >= rank and in_bucket > 0:
-                lower = 0.0 if i == 0 else self.buckets[i - 1]
-                fraction = (rank - seen) / in_bucket
-                return lower + fraction * (bound - lower)
-            seen += in_bucket
-        return self.buckets[-1]
-
 
 class MetricsRegistry:
     """A named collection of metrics with snapshot/reset semantics."""

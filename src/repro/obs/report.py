@@ -9,14 +9,13 @@ wall clock as a block bar::
     │  ├─ fusion.extract_delays                0.412 s  ██▊                    12.8%
     ...
 
-The machine form (:func:`span_to_dict` / :func:`trace_to_json`) is plain
-nested dicts, stable enough to diff across PRs and feed the repo's
-``BENCH_*.json`` trajectory.
+The machine form is :meth:`repro.obs.trace.Span.to_dict`: plain nested
+dicts, stable enough to diff across PRs and feed the repo's ``BENCH_*.json``
+trajectory.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Any
 
 from repro.errors import SignalError
@@ -26,9 +25,7 @@ __all__ = [
     "render_metrics",
     "render_span_tree",
     "self_durations",
-    "span_to_dict",
     "stage_durations",
-    "trace_to_json",
 ]
 
 _BAR_WIDTH = 22
@@ -105,22 +102,6 @@ def _longest_name(span: Span, depth: int) -> int:
     for child in span.children:
         length = max(length, _longest_name(child, depth + 1))
     return length
-
-
-def span_to_dict(span: Span) -> dict[str, Any]:
-    """One span (and its subtree) as JSON-serializable nested dicts.
-
-    Delegates to :meth:`repro.obs.trace.Span.to_dict` so every exporter —
-    benchmark records, worker telemetry, batch reports — speaks one
-    serialization (stable ids, ``start_s``, exact round trip through
-    :meth:`Span.from_dict`).
-    """
-    return span.to_dict()
-
-
-def trace_to_json(root: Span, indent: int | None = 2) -> str:
-    """A finished trace serialized as JSON text."""
-    return json.dumps(span_to_dict(root), indent=indent, sort_keys=True, default=str)
 
 
 def stage_durations(root: Span) -> dict[str, float]:

@@ -28,21 +28,18 @@ threads each build their own tree and never interleave.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import threading
 import time
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Mapping
 
 __all__ = [
     "Span",
     "capturing",
-    "current_span",
     "is_enabled",
     "last_trace",
     "set_enabled",
     "span",
-    "traced",
 ]
 
 _enabled = False
@@ -217,14 +214,6 @@ def span(name: str, **attributes: Any):
     return Span(name, attributes)
 
 
-def current_span():
-    """The innermost open span on this thread (no-op handle if none)."""
-    if not _enabled:
-        return NULL_SPAN
-    stack = _stack()
-    return stack[-1] if stack else NULL_SPAN
-
-
 def last_trace() -> Span | None:
     """The most recently completed *root* span on this thread."""
     return getattr(_local, "last_trace", None)
@@ -253,34 +242,3 @@ class capturing:
         set_enabled(self._previous)
         return False
 
-
-def traced(name: str | None = None) -> Callable:
-    """Decorator: run the function inside a span named after it.
-
-    ``@traced()`` uses ``module_tail.func_name``; ``@traced("custom.name")``
-    overrides.  When tracing is disabled the wrapper is one flag check.
-    """
-
-    def decorate(func: Callable) -> Callable:
-        span_name = name or f"{func.__module__.rsplit('.', 1)[-1]}.{func.__qualname__}"
-
-        @functools.wraps(func)
-        def wrapper(*args: Any, **kwargs: Any) -> Any:
-            if not _enabled:
-                return func(*args, **kwargs)
-            with Span(span_name):
-                return func(*args, **kwargs)
-
-        return wrapper
-
-    return decorate
-
-
-def walk(root: Span) -> Iterator[tuple[int, Span]]:
-    """Depth-first ``(depth, span)`` traversal of a finished trace."""
-    todo: list[tuple[int, Span]] = [(0, root)]
-    while todo:
-        depth, node = todo.pop()
-        yield depth, node
-        for child in reversed(node.children):
-            todo.append((depth + 1, child))

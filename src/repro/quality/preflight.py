@@ -28,7 +28,6 @@ empirically breaks; clean captures must score 1.0 on every component.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
 
 import numpy as np
 
@@ -137,15 +136,6 @@ class ProbeHealth:
             return "dead"
         return "ok" if self.weight >= 1.0 else "suspect"
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "index": int(self.index),
-            "snr_db": float(self.snr_db),
-            "clipping_ratio": float(self.clipping_ratio),
-            "verdict": self.verdict,
-            "weight": float(self.weight),
-        }
-
 
 @dataclass(frozen=True)
 class CaptureHealth:
@@ -183,23 +173,6 @@ class CaptureHealth:
     def score(self) -> float:
         """Preflight-only confidence (product of capture components)."""
         return combine_components(self.components)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "n_probes": len(self.probes),
-            "n_usable": self.n_usable,
-            "n_suspect": self.n_suspect,
-            "n_dead": self.n_dead,
-            "score": self.score(),
-            "noise_floor": float(self.noise_floor),
-            "reverb_ratio": float(self.reverb_ratio),
-            "oob_noise": float(self.oob_noise),
-            "recommended_method": self.recommended_method,
-            "components": {
-                name: float(v) for name, v in sorted(self.components.items())
-            },
-            "probes": [p.to_dict() for p in self.probes],
-        }
 
 
 def _ear_stats(signal: np.ndarray, thresholds: PreflightThresholds):

@@ -111,12 +111,3 @@ def heartbeat_pid(hb_path: str) -> int | None:
     except (OSError, ValueError):
         return None
 
-
-def wait_for_beat(hb_path: str, timeout_s: float) -> bool:
-    """Block until a beat exists (tests); ``False`` on timeout."""
-    deadline = time.monotonic() + timeout_s
-    while time.monotonic() < deadline:
-        if last_beat(hb_path) is not None:
-            return True
-        time.sleep(0.01)
-    return False

@@ -43,6 +43,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Any, Callable, Iterable
 
 from repro.errors import ReproError, WorkerDiedError, WorkerHungError
@@ -126,6 +127,15 @@ def _default_context():
         return multiprocessing.get_context()
 
 
+#: The retry policy a pool gets when none is passed: one immediate retry
+#: after a transient failure (worker death, watchdog kill), no backoff and
+#: no jitter.  Kept as keyword arguments, not a shared instance, because a
+#: policy carries its own spent-retry budget.
+DEFAULT_RETRY = MappingProxyType(
+    {"max_transient_retries": 1, "base_backoff_s": 0.0, "jitter_frac": 0.0}
+)
+
+
 class WorkerPool:
     """A crash-tolerant, timeout-aware process pool (see module docstring).
 
@@ -138,14 +148,9 @@ class WorkerPool:
         (defaults to ``workers <= 1``).  Pass ``False`` to force a real
         subprocess even for one worker — what the batch server does so a
         single-worker service still survives job crashes.
-    max_crash_retries:
-        Legacy knob: when ``retry_policy`` is not given, builds a policy
-        granting this many immediate (no-backoff) retries on worker death
-        — the pre-RetryPolicy behavior, still what the evaluation cohort
-        wants.
     retry_policy:
-        Full retry semantics (classification, backoff, budget); overrides
-        ``max_crash_retries``.
+        Full retry semantics (classification, backoff, budget); defaults
+        to a fresh ``RetryPolicy(**DEFAULT_RETRY)``.
     heartbeat_deadline_s:
         Enable the watchdog: a task whose worker has not heartbeaten for
         this long is presumed hung; the worker is SIGKILLed and the task
@@ -173,8 +178,6 @@ class WorkerPool:
         workers: int | None = None,
         *,
         inline: bool | None = None,
-        mp_context=None,
-        max_crash_retries: int = 1,
         retry_policy: RetryPolicy | None = None,
         heartbeat_deadline_s: float | None = None,
         heartbeat_interval_s: float = 0.2,
@@ -190,17 +193,13 @@ class WorkerPool:
             from repro.core.mapstore import MAP_STORE_ENV
 
             os.environ[MAP_STORE_ENV] = self.map_store
-        if retry_policy is None:
-            retry_policy = RetryPolicy(
-                max_transient_retries=int(max_crash_retries),
-                base_backoff_s=0.0,
-                jitter_frac=0.0,
-            )
-        self.retry_policy = retry_policy
+        self.retry_policy = (
+            retry_policy if retry_policy is not None
+            else RetryPolicy(**DEFAULT_RETRY)
+        )
         self._on_event = on_event
         self.heartbeat_deadline_s = heartbeat_deadline_s
         self.heartbeat_interval_s = float(heartbeat_interval_s)
-        self._context = mp_context if mp_context is not None else _default_context()
         self._lock = threading.Lock()
         self._executor: ProcessPoolExecutor | None = None
         self._closed = False
@@ -231,7 +230,7 @@ class WorkerPool:
                 raise ReproError("WorkerPool is shut down")
             self._executor = ProcessPoolExecutor(
                 max_workers=self.workers,
-                mp_context=self._context,
+                mp_context=_default_context(),
                 initializer=_init_worker,
                 initargs=(self.map_store,),
             )

@@ -279,8 +279,8 @@ class BatchServer:
         Share one execution among jobs with equal :meth:`Job.spec_key`.
     retry_policy:
         Classified-retry semantics (see :class:`repro.serve.retry
-        .RetryPolicy`); defaults to the legacy one-immediate-crash-retry
-        behavior via ``max_crash_retries``.
+        .RetryPolicy`); defaults to one immediate retry after a worker
+        death (:data:`repro.serve.pool.DEFAULT_RETRY`).
     journal:
         A :class:`repro.serve.journal.Journal`, or a path to open one at.
         Enables the write-ahead log of every submission and outcome.
@@ -327,13 +327,11 @@ class BatchServer:
         default_timeout_s: float | None = None,
         runner: Callable[[Mapping[str, Any]], Mapping[str, Any]] | None = None,
         coalesce: bool = True,
-        max_crash_retries: int = 1,
         retry_policy: RetryPolicy | None = None,
         journal: Journal | str | os.PathLike | None = None,
         resume: bool = False,
         heartbeat_deadline_s: float | None = None,
         heartbeat_interval_s: float = 0.2,
-        mp_context=None,
         telemetry: ServeTelemetry | str | os.PathLike | None = None,
         slo: SloPolicy | Mapping[str, float] | None = None,
         map_store: str | os.PathLike | None = None,
@@ -394,11 +392,9 @@ class BatchServer:
         self._pool = WorkerPool(
             workers if workers is not None else os.cpu_count(),
             inline=False,
-            max_crash_retries=max_crash_retries,
             retry_policy=retry_policy,
             heartbeat_deadline_s=heartbeat_deadline_s,
             heartbeat_interval_s=heartbeat_interval_s,
-            mp_context=mp_context,
             on_event=(
                 self._telemetry.pool_event
                 if self._telemetry is not None else None

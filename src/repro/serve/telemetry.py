@@ -423,10 +423,6 @@ class ServeTelemetry:
         self._enqueued_t: dict[str, float] = {}
         self._closed = False
 
-    @property
-    def path(self) -> str | None:
-        return self.recorder.path if self.recorder is not None else None
-
     # -- event intake -------------------------------------------------------
 
     def record(self, event: str, **fields: Any) -> None:

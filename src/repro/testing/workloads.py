@@ -27,7 +27,6 @@ from repro.testing.faults import apply_process_fault
 
 __all__ = [
     "digest_runner",
-    "flaky_runner",
     "fleet_runner",
     "sleepy_runner",
 ]
@@ -114,8 +113,3 @@ def sleepy_runner(spec: Mapping[str, Any]) -> dict[str, Any]:
     time.sleep(float((spec.get("fault_args") or {}).get("sleep_s", 0.05)))
     return digest_runner(spec)
 
-
-def flaky_runner(spec: Mapping[str, Any]) -> dict[str, Any]:
-    """Crash (once, via marker) then compute — shorthand used by docs."""
-    maybe_crash(spec)
-    return digest_runner(spec)

@@ -1,13 +1,10 @@
-"""Terminal plotting: inspect HRIRs, CDFs, and matrices without matplotlib.
+"""Terminal plotting: inspect HRIRs, CDFs, and timelines without matplotlib.
 
 The offline environment has no plotting stack, and a personalization CLI
 should be able to *show* its results anyway.  These helpers render compact
-unicode plots — sparklines, bar charts, waveform panels, and shade-mapped
-matrices — used by ``uniq-personalize --show`` and handy in any REPL:
-
->>> from repro.textplot import sparkline
->>> sparkline([0, 1, 2, 3, 2, 1, 0])
-'▁▃▆█▆▃▁'
+unicode plots — waveform panels, CDFs, Gantt charts and aligned tables —
+used by ``uniq-personalize --show``, ``repro.cli timeline`` and the
+fleet drift table.
 """
 
 from __future__ import annotations
@@ -15,9 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import SignalError
-
-_SPARK_LEVELS = "▁▂▃▄▅▆▇█"
-_SHADE_LEVELS = " ░▒▓█"
 
 
 def _validate_1d(values) -> np.ndarray:
@@ -27,44 +21,6 @@ def _validate_1d(values) -> np.ndarray:
     if not np.all(np.isfinite(array)):
         raise SignalError("values must be finite")
     return array
-
-
-def sparkline(values, width: int | None = None) -> str:
-    """One-line unicode sparkline of a sequence.
-
-    ``width`` resamples (by block-max of absolute peaks preserved via
-    block means for smooth data) to at most that many characters.
-    """
-    array = _validate_1d(values)
-    if width is not None and width > 0 and array.shape[0] > width:
-        edges = np.linspace(0, array.shape[0], width + 1).astype(int)
-        array = np.array(
-            [array[lo:hi].mean() for lo, hi in zip(edges[:-1], edges[1:])]
-        )
-    lo, hi = float(array.min()), float(array.max())
-    if hi == lo:
-        return _SPARK_LEVELS[0] * array.shape[0]
-    indices = ((array - lo) / (hi - lo) * (len(_SPARK_LEVELS) - 1)).round()
-    return "".join(_SPARK_LEVELS[int(i)] for i in indices)
-
-
-def bar_chart(labels, values, width: int = 40, unit: str = "") -> str:
-    """Horizontal bar chart with right-aligned labels.
-
-    Negative values are rendered with their bars marked ``-``.
-    """
-    array = _validate_1d(values)
-    labels = [str(label) for label in labels]
-    if len(labels) != array.shape[0]:
-        raise SignalError("labels and values must match")
-    scale = float(np.max(np.abs(array)))
-    label_width = max(len(label) for label in labels)
-    lines = []
-    for label, value in zip(labels, array):
-        n = 0 if scale == 0 else int(round(abs(value) / scale * width))
-        bar = ("█" if value >= 0 else "▒") * n
-        lines.append(f"{label.rjust(label_width)} | {bar} {value:g}{unit}")
-    return "\n".join(lines)
 
 
 def waveform(signal, width: int = 72, height: int = 9, title: str = "") -> str:
@@ -189,31 +145,3 @@ def table(headers, rows, aligns=None) -> str:
     lines.extend(render(row) for row in rows)
     return "\n".join(lines)
 
-
-def matrix_heatmap(matrix, row_labels=None, col_step: int = 1) -> str:
-    """Shade-mapped matrix (e.g. the Figure 2 correlation matrices)."""
-    array = np.asarray(matrix, dtype=float)
-    if array.ndim != 2 or array.size == 0:
-        raise SignalError("expected a non-empty 2D matrix")
-    if not np.all(np.isfinite(array)):
-        raise SignalError("matrix must be finite")
-    lo, hi = float(array.min()), float(array.max())
-    span = hi - lo if hi > lo else 1.0
-    labels = (
-        [str(label) for label in row_labels]
-        if row_labels is not None
-        else ["" for _ in range(array.shape[0])]
-    )
-    if len(labels) != array.shape[0]:
-        raise SignalError("row_labels must match the matrix rows")
-    label_width = max(len(label) for label in labels)
-    lines = []
-    for label, row in zip(labels, array[:, ::col_step]):
-        shades = "".join(
-            _SHADE_LEVELS[
-                min(int((value - lo) / span * len(_SHADE_LEVELS)), len(_SHADE_LEVELS) - 1)
-            ]
-            for value in row
-        )
-        lines.append(f"{label.rjust(label_width)} |{shades}|")
-    return "\n".join(lines)

@@ -7,10 +7,27 @@ import pytest
 import repro
 
 
+PACKAGES = (
+    "repro",
+    "repro.core",
+    "repro.hrtf",
+    "repro.obs",
+    "repro.serve",
+    "repro.signals",
+    "repro.geometry",
+    "repro.simulation",
+    "repro.quality",
+    "repro.eval",
+    "repro.room_acoustics",
+)
+
+
 class TestPublicApi:
-    def test_all_names_resolve(self):
-        for name in repro.__all__:
-            assert hasattr(repro, name), f"repro.__all__ lists missing {name}"
+    @pytest.mark.parametrize("package", PACKAGES)
+    def test_all_names_resolve(self, package):
+        module = importlib.import_module(package)
+        for name in module.__all__:
+            assert hasattr(module, name), f"{package}.__all__ lists missing {name}"
 
     def test_version(self):
         assert repro.__version__ == "1.0.0"

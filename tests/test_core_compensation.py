@@ -8,11 +8,11 @@ from repro.core.compensation import (
     check_gesture_quality,
     compensate_recording,
     estimate_system_response,
-    remove_room_reflections,
 )
 from repro.core.fusion import FusionResult
+from repro.core.interpolation import NearFieldInterpolator
 from repro.geometry.head import HeadGeometry
-from repro.signals.channel import first_tap_index
+from repro.signals.channel import first_tap_index, truncate_after
 from repro.signals.delays import add_tap
 from repro.signals.spectrum import amplitude_spectrum
 from repro.signals.waveforms import chirp
@@ -61,19 +61,26 @@ class TestSystemResponse:
 
 
 class TestRoomRemoval:
+    """The per-probe room cut inside ``NearFieldInterpolator.extract_measurements``."""
+
+    @staticmethod
+    def _cut(channel):
+        cutoff = NearFieldInterpolator(FS).room_cutoff
+        return truncate_after(channel, first_tap_index(channel) + cutoff)
+
     def test_keeps_head_taps_drops_room(self):
         channel = np.zeros(1000)
         add_tap(channel, 60.0, 1.0)  # first tap
         add_tap(channel, 100.0, 0.5)  # pinna echo (~0.8 ms later)
         add_tap(channel, 500.0, 0.4)  # room echo (~9 ms later)
-        cleaned = remove_room_reflections(channel, FS)
+        cleaned = self._cut(channel)
         assert abs(cleaned[100]) > 0.4
         assert np.all(np.abs(cleaned[400:]) < 1e-9)
 
     def test_first_tap_untouched(self):
         channel = np.zeros(1000)
         add_tap(channel, 60.0, 1.0)
-        cleaned = remove_room_reflections(channel, FS)
+        cleaned = self._cut(channel)
         assert first_tap_index(cleaned) == 60
 
 

@@ -1,4 +1,4 @@
-"""Tests for session serialization and cohort dataset generation."""
+"""Tests for session serialization."""
 
 import json
 from collections import Counter
@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from repro.datasets import generate_cohort_dataset, load_session, save_session
+from repro.datasets import load_session, save_session
 from repro.errors import TableError
 from repro.core.fusion import DiffractionAwareSensorFusion
 
@@ -80,25 +80,3 @@ class TestSessionRoundtrip:
         with pytest.raises(TableError):
             load_session(path)
 
-
-class TestCohortDataset:
-    def test_generates_files_and_manifest(self, tmp_path):
-        paths = generate_cohort_dataset(tmp_path / "cohort", n_subjects=2)
-        assert len(paths) == 2
-        assert all(p.exists() for p in paths)
-        with open(tmp_path / "cohort" / "manifest.json") as handle:
-            manifest = json.load(handle)
-        assert len(manifest) == 2
-        assert manifest[0]["subject"] == "volunteer-1"
-        assert len(manifest[0]["true_head_parameters_m"]) == 3
-
-    def test_dataset_reproducible(self, tmp_path):
-        paths_a = generate_cohort_dataset(tmp_path / "a", n_subjects=1)
-        paths_b = generate_cohort_dataset(tmp_path / "b", n_subjects=1)
-        a = load_session(paths_a[0])
-        b = load_session(paths_b[0])
-        np.testing.assert_array_equal(a.probes[0].left, b.probes[0].left)
-
-    def test_rejects_empty(self, tmp_path):
-        with pytest.raises(ValueError):
-            generate_cohort_dataset(tmp_path, n_subjects=0)

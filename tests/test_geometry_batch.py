@@ -9,9 +9,9 @@ from repro.errors import GeometryError
 from repro.geometry.batch import (
     _faces,
     _horizon_indices,
+    _path_lengths,
     _vertex_table,
     binaural_delays_batch,
-    path_lengths_batch,
 )
 from repro.geometry.head import Ear, HeadGeometry
 from repro.geometry.paths import binaural_delays, propagation_path
@@ -86,7 +86,7 @@ class TestAgreementWithScalar:
         else:
             source = polar_to_cartesian(size, angle)
         assert not head.contains(source)
-        lengths = path_lengths_batch(head, source[None, :], ear)
+        (lengths,) = _path_lengths(head, source[None, :], (ear,))
         expected = propagation_path(head, source, ear).length
         assert lengths[0] == pytest.approx(expected, abs=1e-12)
 
@@ -94,18 +94,18 @@ class TestAgreementWithScalar:
 class TestBatchSemantics:
     def test_inside_points_are_nan(self, average_head):
         sources = np.array([[0.0, 0.0], [0.5, 0.5]])
-        lengths = path_lengths_batch(average_head, sources, Ear.LEFT)
+        (lengths,) = _path_lengths(average_head, sources, (Ear.LEFT,))
         assert np.isnan(lengths[0])
         assert np.isfinite(lengths[1])
 
     def test_wrong_shape_raises(self, average_head):
         with pytest.raises(GeometryError):
-            path_lengths_batch(average_head, np.zeros((3,)), Ear.LEFT)
+            _path_lengths(average_head, np.zeros((3,)), (Ear.LEFT,))
         with pytest.raises(GeometryError):
             binaural_delays_batch(average_head, np.zeros((2, 3)))
 
     def test_empty_batch(self, average_head):
-        lengths = path_lengths_batch(average_head, np.zeros((0, 2)), Ear.LEFT)
+        (lengths,) = _path_lengths(average_head, np.zeros((0, 2)), (Ear.LEFT,))
         assert lengths.shape == (0,)
 
     def test_large_batch_consistent_between_ears(self, average_head):

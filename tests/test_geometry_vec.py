@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from repro.geometry.vec import (
     angle_deg_of,
-    angular_difference_deg,
     norm,
     normalize,
     polar_to_cartesian,
@@ -61,12 +60,6 @@ class TestWrap:
     def test_range(self, angle):
         w = wrap_angle_deg(angle)
         assert -180.0 < w <= 180.0
-
-    @given(st.floats(-1000, 1000), st.floats(-1000, 1000))
-    def test_difference_symmetric_and_bounded(self, a, b):
-        d = angular_difference_deg(a, b)
-        assert 0.0 <= d <= 180.0
-        assert d == pytest.approx(angular_difference_deg(b, a))
 
 
 class TestNormalize:

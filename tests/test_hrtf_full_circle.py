@@ -1,10 +1,9 @@
-"""Tests for the full-circle mirror extension and signed AoA."""
+"""Tests for side-aware (signed) AoA."""
 
 import numpy as np
 import pytest
 
-from repro.errors import TableError
-from repro.hrtf.full_circle import FullCircleHRTF, signed_aoa
+from repro.hrtf.full_circle import signed_aoa
 from repro.hrtf.reference import ground_truth_table
 from repro.simulation.propagation import record_far_field
 from repro.signals.waveforms import probe_chirp, white_noise
@@ -14,50 +13,14 @@ FS = 48_000
 
 
 @pytest.fixture(scope="module")
-def full(subject):
-    return FullCircleHRTF(ground_truth_table(subject, np.arange(0.0, 181.0, 5.0), FS))
-
-
-class TestFullCircleLookup:
-    def test_positive_angles_pass_through(self, full):
-        direct = full.table.lookup(60.0, "far")
-        wrapped = full.lookup(60.0)
-        np.testing.assert_array_equal(wrapped.left, direct.left)
-
-    def test_negative_angle_mirrors_ears(self, full):
-        positive = full.lookup(60.0)
-        negative = full.lookup(-60.0)
-        np.testing.assert_array_equal(negative.left, positive.right)
-        np.testing.assert_array_equal(negative.right, positive.left)
-
-    def test_mirror_flips_itd_sign(self, full):
-        assert full.lookup(60.0).interaural_delay_s() == pytest.approx(
-            -full.lookup(-60.0).interaural_delay_s(), abs=1e-7
-        )
-
-    def test_angles_wrap(self, full):
-        a = full.lookup(200.0)  # wraps to -160
-        b = full.lookup(-160.0)
-        np.testing.assert_array_equal(a.left, b.left)
-
-    def test_binauralize_pans_correctly(self, full):
-        signal = np.zeros(64)
-        signal[0] = 1.0
-        left_l, left_r = full.binauralize(signal, 70.0)
-        right_l, right_r = full.binauralize(signal, -70.0)
-        assert np.sum(left_l**2) > np.sum(left_r**2)
-        assert np.sum(right_r**2) > np.sum(right_l**2)
-
-    def test_rejects_partial_table(self, subject):
-        partial = ground_truth_table(subject, np.arange(30.0, 151.0, 10.0), FS)
-        with pytest.raises(TableError):
-            FullCircleHRTF(partial)
+def table(subject):
+    return ground_truth_table(subject, np.arange(0.0, 181.0, 5.0), FS)
 
 
 class TestSignedAoA:
     @pytest.mark.parametrize("true_angle", [50.0, -50.0, 120.0, -120.0])
-    def test_known_source_sides(self, subject, full, true_angle):
-        estimator = KnownSourceAoAEstimator(full.table)
+    def test_known_source_sides(self, subject, table, true_angle):
+        estimator = KnownSourceAoAEstimator(table)
         chirp = probe_chirp(FS, duration_s=0.05)
         left, right = record_far_field(
             subject, abs(true_angle), chirp, FS,
@@ -70,8 +33,8 @@ class TestSignedAoA:
         assert np.sign(estimate) == np.sign(true_angle)
 
     @pytest.mark.parametrize("true_angle", [45.0, -45.0])
-    def test_unknown_source_sides(self, subject, full, true_angle):
-        estimator = UnknownSourceAoAEstimator(full.table)
+    def test_unknown_source_sides(self, subject, table, true_angle):
+        estimator = UnknownSourceAoAEstimator(table)
         signal = white_noise(0.5, FS, rng=np.random.default_rng(9))
         left, right = record_far_field(
             subject, abs(true_angle), signal, FS,

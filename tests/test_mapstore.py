@@ -248,48 +248,18 @@ class TestServePlumbing:
 
 
 class TestWarmupCli:
-    def test_lattice_warmup_populates_store(self, tmp_path, monkeypatch, capsys):
-        from repro.cli import main
-
-        path = str(tmp_path / "maps")
-        monkeypatch.delenv(mapstore.MAP_STORE_ENV, raising=False)
-        assert main(["warmup", "--store", path, "--step-mm", "30"]) == 0
-        store = mapstore.MapStore(path)
-        assert len(store) > 0
-        out = capsys.readouterr().out
-        assert "lattice warmup" in out
-
-        # A lattice corner is a store hit for a cold process.
-        monkeypatch.setenv(mapstore.MAP_STORE_ENV, path)
-        clear_delay_map_cache()
-        from repro.core.fusion import _BOUNDS, DiffractionAwareSensorFusion
-
-        fusion = DiffractionAwareSensorFusion()
-        hits = _counter("mapstore.hits")
-        h0 = hits.value
-        cached_delay_map(
-            tuple(float(lo) for lo, _ in _BOUNDS.values()),
-            fusion.fusion_boundary_samples,
-            fusion.map_radii,
-            fusion.map_thetas,
-            refine=False,
-        )
-        assert hits.value - h0 == 1
-        clear_delay_map_cache()
-
-    def test_warmup_requires_a_store(self, monkeypatch, capsys):
+    def test_warmup_requires_a_store(self, tmp_path, monkeypatch, capsys):
         from repro.cli import main
 
         monkeypatch.delenv(mapstore.MAP_STORE_ENV, raising=False)
-        assert main(["warmup"]) == 2
+        assert main(["warmup", "--jobs", str(tmp_path / "jobs.jsonl")]) == 2
         assert "no store" in capsys.readouterr().err
 
-    def test_lattice_cap_refuses_oversized_lattices(self, tmp_path, capsys):
+    def test_warmup_requires_jobs(self, tmp_path, capsys):
         from repro.cli import main
 
-        code = main([
-            "warmup", "--store", str(tmp_path / "maps"),
-            "--step-mm", "1", "--max-maps", "10",
-        ])
-        assert code == 2
-        assert "exceeds --max-maps" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_info:
+            main(["warmup", "--store", str(tmp_path / "maps")])
+        assert exit_info.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not (tmp_path / "maps").exists()

@@ -148,7 +148,8 @@ class TestWorkerPool:
         first = tmp_path / "boom"
         spec = {"job_id": "j", "subject_seed": 3, "crash_marker": str(first)}
 
-        with WorkerPool(1, inline=False, max_crash_retries=0) as pool:
+        policy = RetryPolicy(max_transient_retries=0)
+        with WorkerPool(1, inline=False, retry_policy=policy) as pool:
             outcomes = pool.outcomes(digest_runner, [spec])
         assert outcomes[0].status == "crashed"
         assert outcomes[0].attempts == 1

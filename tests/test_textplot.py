@@ -4,44 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import SignalError
-from repro.textplot import bar_chart, cdf_plot, matrix_heatmap, sparkline, waveform
-
-
-class TestSparkline:
-    def test_shape_follows_values(self):
-        line = sparkline([0, 1, 2, 3, 2, 1, 0])
-        assert line == "▁▃▆█▆▃▁"
-
-    def test_constant_input_flat(self):
-        assert sparkline([5, 5, 5]) == "▁▁▁"
-
-    def test_resampling_caps_width(self):
-        line = sparkline(np.sin(np.linspace(0, 10, 500)), width=40)
-        assert len(line) == 40
-
-    def test_rejects_nan(self):
-        with pytest.raises(SignalError):
-            sparkline([1.0, float("nan")])
-
-    def test_rejects_empty(self):
-        with pytest.raises(SignalError):
-            sparkline([])
-
-
-class TestBarChart:
-    def test_longest_bar_for_largest_value(self):
-        chart = bar_chart(["a", "bb"], [1.0, 2.0], width=10)
-        lines = chart.splitlines()
-        assert lines[1].count("█") == 10
-        assert lines[0].count("█") == 5
-
-    def test_negative_values_shaded(self):
-        chart = bar_chart(["x"], [-1.0])
-        assert "▒" in chart
-
-    def test_label_mismatch_raises(self):
-        with pytest.raises(SignalError):
-            bar_chart(["a"], [1.0, 2.0])
+from repro.textplot import cdf_plot, waveform
 
 
 class TestWaveform:
@@ -67,24 +30,8 @@ class TestWaveform:
             waveform(np.ones(16), height=4)
 
 
-class TestCdfAndHeatmap:
+class TestCdf:
     def test_cdf_monotone_rows(self):
         text = cdf_plot(np.arange(100.0))
         bars = [line.count("█") for line in text.splitlines()]
         assert bars == sorted(bars)
-
-    def test_heatmap_shape_and_extremes(self):
-        matrix = np.array([[0.0, 1.0], [0.5, 0.25]])
-        text = matrix_heatmap(matrix, row_labels=["r0", "r1"])
-        lines = text.splitlines()
-        assert len(lines) == 2
-        assert "█" in lines[0]  # the 1.0 cell
-        assert " " in lines[0].split("|")[1]  # the 0.0 cell
-
-    def test_heatmap_label_mismatch(self):
-        with pytest.raises(SignalError):
-            matrix_heatmap(np.eye(3), row_labels=["only-one"])
-
-    def test_heatmap_rejects_empty(self):
-        with pytest.raises(SignalError):
-            matrix_heatmap(np.zeros((0, 3)))
