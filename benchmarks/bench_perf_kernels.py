@@ -16,6 +16,7 @@ from repro.geometry.batch import binaural_delays_batch
 from repro.geometry.head import DEFAULT_BOUNDARY_SAMPLES, HeadGeometry
 from repro.geometry.vec import polar_to_cartesian
 from repro.hrtf.reference import ground_truth_table
+from repro.obs import metrics as obs_metrics
 from repro.simulation.person import VirtualSubject
 from repro.simulation.propagation import record_far_field, record_near_field
 from repro.signals.channel import estimate_channel
@@ -140,11 +141,10 @@ def test_perf_channel_bank_hit(benchmark, subject):
 
 
 def test_perf_personalize_end_to_end(benchmark, subject):
-    """The whole pipeline on a short capture, min-of-N over warm repeats.
+    """The whole pipeline on a short capture, cold first round.
 
-    The first (cold) round pays the DelayMap builds and the head search;
-    later rounds measure the cached steady state the acceptance budget
-    tracks, in which the head search replays from its memo.
+    The first round pays the DelayMap builds and the head search; later
+    rounds are re-renders, in which the head search replays from its memo.
     """
     session = MeasurementSession(subject, seed=3, probe_interval_s=0.8).run()
     uniq = Uniq(UniqConfig(angle_grid_deg=tuple(np.arange(0.0, 181.0, 20.0))))
@@ -154,6 +154,28 @@ def test_perf_personalize_end_to_end(benchmark, subject):
         uniq.personalize, args=(session,), rounds=3, iterations=1,
         warmup_rounds=0,
     )
+    assert np.isfinite(result.fusion.radii_m).all()
+
+
+def test_perf_personalize_warm_solve(benchmark):
+    """A warm in-process personalization that solves its head search.
+
+    The CLI's default capture (subject seed 1, 50 probes) on a 5-degree
+    grid.  The warm-up round fills the DelayMap cache; every round forgets
+    the head search first, so each timed round runs Nelder-Mead on cached
+    maps.
+    """
+    session = MeasurementSession(
+        VirtualSubject.random(1), seed=0, probe_interval_s=0.4
+    ).run()
+    uniq = Uniq(UniqConfig(angle_grid_deg=tuple(np.arange(0.0, 181.0, 5.0))))
+    replays = obs_metrics.counter("fusion.search_memo_hits")
+    replays_before = replays.value
+    result = benchmark.pedantic(
+        uniq.personalize, args=(session,), setup=clear_search_memo,
+        rounds=3, iterations=1, warmup_rounds=1,
+    )
+    assert replays.value == replays_before
     assert np.isfinite(result.fusion.radii_m).all()
 
 

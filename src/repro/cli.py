@@ -96,16 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="seconds between probe chirps during the sweep (default: 0.4)",
     )
     parser.add_argument(
-        "--repeat",
-        type=int,
-        default=1,
-        metavar="N",
-        help="run the personalization N times on the same capture and "
-        "report the cold and fastest wall times (the repeats replay the "
-        "head search and reuse the cached DelayMaps; outputs are identical "
-        "across runs)",
-    )
-    parser.add_argument(
         "--min-confidence",
         type=float,
         default=0.0,
@@ -1001,19 +991,12 @@ def main(argv: list[str] | None = None) -> int:
 
     grid = grid_from_step(args.angle_step)
     uniq = Uniq(UniqConfig(angle_grid_deg=grid, deconv=args.deconv))
-    walls = []
     try:
-        for _ in range(max(args.repeat, 1)):
-            start = time.perf_counter()
-            result = uniq.personalize(session)
-            walls.append(time.perf_counter() - start)
+        result = uniq.personalize(session)
     except ReproError as error:
         print(f"personalization failed: {error}", file=sys.stderr)
         _write_metrics(args.metrics_json)
         return 1
-    if len(walls) > 1:
-        print(f"wall time        : cold {walls[0]:.2f} s, "
-              f"fastest {min(walls):.2f} s over {len(walls)} runs")
 
     if args.trace and result.trace is not None:
         print()

@@ -10,8 +10,7 @@ wall clock as a block bar::
     ...
 
 The machine form is :meth:`repro.obs.trace.Span.to_dict`: plain nested
-dicts, stable enough to diff across PRs and feed the repo's ``BENCH_*.json``
-trajectory.
+dicts, stable enough to diff across commits.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ __all__ = [
     "render_metrics",
     "render_span_tree",
     "self_durations",
-    "stage_durations",
 ]
 
 _BAR_WIDTH = 22
@@ -102,18 +100,6 @@ def _longest_name(span: Span, depth: int) -> int:
     for child in span.children:
         length = max(length, _longest_name(child, depth + 1))
     return length
-
-
-def stage_durations(root: Span) -> dict[str, float]:
-    """Flat ``{span name: total duration}`` over a trace (summing repeats)."""
-    totals: dict[str, float] = {}
-    todo = [root]
-    while todo:
-        node = todo.pop()
-        if node.duration_s is not None:
-            totals[node.name] = totals.get(node.name, 0.0) + node.duration_s
-        todo.extend(node.children)
-    return totals
 
 
 def self_durations(root: Span) -> dict[str, float]:

@@ -10,9 +10,9 @@ count and scheduling order.
 Workers are long-lived, so the process-wide caches PR 2 introduced —
 :func:`repro.core.localize.cached_delay_map` across jobs, the per-session
 :class:`repro.signals.channel.ProbeChannelBank` within one — amortize
-exactly as they do in a single-process run.  Each payload carries the
-worker's delay-map cache hit/miss delta for the job so a batch report can
-show how much the cache actually earned.
+exactly as they do in a single-process run.  With telemetry on, each
+payload's ``_telemetry`` block carries the job's metrics delta, which is
+where a batch report reads what the caches and the map store earned.
 """
 
 from __future__ import annotations
@@ -121,13 +121,6 @@ def execute_job(spec: Mapping[str, Any]) -> dict[str, Any]:
     those as ``status="failed"`` without disturbing the rest of the batch.
     """
     maybe_crash(spec)
-    hits = obs_metrics.counter("localize.delay_map_cache_hits")
-    misses = obs_metrics.counter("localize.delay_map_cache_misses")
-    store_hits = obs_metrics.counter("mapstore.hits")
-    store_misses = obs_metrics.counter("mapstore.misses")
-    hits_before, misses_before = hits.value, misses.value
-    store_hits_before, store_misses_before = store_hits.value, store_misses.value
-    started = time.perf_counter()
 
     process_fault = False
     if spec.get("fault"):
@@ -173,17 +166,6 @@ def execute_job(spec: Mapping[str, Any]) -> dict[str, Any]:
             "rung": int(salvage.get("deconv_rung", 0)),
         },
         "quality": result.quality.to_dict() if result.quality else None,
-        # Operational extras (identical across processes for a fixed spec
-        # would be wrong to assume — keyed under "_stats" and excluded from
-        # determinism comparisons by the server).
-        "_stats": {
-            "worker_pid": os.getpid(),
-            "compute_s": time.perf_counter() - started,
-            "delay_map_cache_hits": hits.value - hits_before,
-            "delay_map_cache_misses": misses.value - misses_before,
-            "map_store_hits": store_hits.value - store_hits_before,
-            "map_store_misses": store_misses.value - store_misses_before,
-        },
     }
 
 

@@ -42,18 +42,3 @@ class TestMain:
     def test_invalid_angle_step(self, capsys):
         assert main(["--angle-step", "0"]) == 2
         assert "angle-step" in capsys.readouterr().err
-
-    def test_repeat_reports_cold_and_fastest(self, tmp_path, capsys):
-        code = main(
-            [
-                "--subject-seed", "1",
-                "--output", str(tmp_path / "table.npz"),
-                "--angle-step", "20",
-                "--probe-interval", "0.6",
-                "--repeat", "2",
-            ]
-        )
-        assert code == 0
-        printed = capsys.readouterr().out
-        assert "wall time" in printed
-        assert "cold" in printed and "fastest" in printed

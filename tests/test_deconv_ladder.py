@@ -18,8 +18,11 @@ import numpy as np
 import pytest
 
 from repro.errors import CalibrationError, SignalError
+from repro.core.fusion import clear_search_memo
+from repro.core.localize import clear_delay_map_cache
 from repro.core.pipeline import personalize_capture
 from repro.hrtf.io import table_digest
+from repro.obs import metrics as obs_metrics
 from repro.quality.preflight import preflight
 from repro.signals.channel import (
     ProbeChannelBank,
@@ -250,11 +253,30 @@ class TestLadderRescue:
 
 
 class TestCleanBitIdentity:
-    def test_auto_equals_pinned_inverse_on_a_clean_capture(self):
-        _, auto = personalize_capture(subject_seed=1, session_seed=0, **CASE_CONFIG)
-        _, pinned = personalize_capture(
-            subject_seed=1, session_seed=0, deconv="inverse", **CASE_CONFIG
+    """On a clean capture the ladder costs nothing: rung 0, same work."""
+
+    COUNTED = (
+        "channel.bank_deconvolutions",
+        "channel.bank_hits",
+        "localize.delay_map_builds",
+        "fusion.cost_evaluations",
+    )
+
+    def _counted(self, deconv):
+        # Cold caches on both sides, so neither replays the other's search.
+        clear_search_memo()
+        clear_delay_map_cache()
+        counters = [obs_metrics.counter(name) for name in self.COUNTED]
+        before = [c.value for c in counters]
+        _, result = personalize_capture(
+            subject_seed=1, session_seed=0, deconv=deconv, **CASE_CONFIG
         )
+        return result, [c.value - b for c, b in zip(counters, before)]
+
+    def test_auto_equals_pinned_inverse_on_a_clean_capture(self):
+        auto, auto_work = self._counted("auto")
+        pinned, pinned_work = self._counted("inverse")
+        assert auto_work == pinned_work
         assert table_digest(auto.table) == table_digest(pinned.table)
         assert auto.head_parameters == pinned.head_parameters
         assert auto.confidence == 1.0

@@ -220,6 +220,46 @@ class TestKillTheCache:
         clear_delay_map_cache()
 
 
+@pytest.mark.slow
+class TestServedColdStart:
+    """A fresh worker over a baked store serves its jobs without a build."""
+
+    def test_baked_store_replaces_every_build(self, tmp_path):
+        from repro.core.fusion import clear_search_memo
+        from repro.serve import BatchServer, Job
+        from repro.testing.golden import CASE_CONFIG
+
+        jobs = [Job(job_id=f"cold-{seed}", subject_seed=seed, **CASE_CONFIG)
+                for seed in (1, 2)]
+        store = str(tmp_path / "maps")
+        reports = []
+        for run in ("empty", "baked"):
+            # Workers fork from this process: cold memory caches, so the
+            # store's contents are the only difference between the runs.
+            clear_delay_map_cache()
+            clear_search_memo()
+            with BatchServer(
+                workers=1, map_store=store, telemetry=tmp_path / f"{run}.jsonl"
+            ) as server:
+                reports.append(server.run_batch(jobs))
+        empty, baked = reports
+
+        def per_job(report, name):
+            return [
+                r.payload["_telemetry"]["metrics_delta"]["counters"].get(name, 0)
+                for r in report.results
+            ]
+
+        builds = per_job(empty, "localize.delay_map_builds")
+        assert all(n > 0 for n in builds)
+        assert per_job(baked, "localize.delay_map_builds") == [0, 0]
+        assert per_job(baked, "mapstore.misses") == [0, 0]
+        assert per_job(baked, "localize.delay_map_loads") == builds
+        assert [r.deterministic() for r in baked.results] == [
+            r.deterministic() for r in empty.results
+        ]
+
+
 class TestServePlumbing:
     def test_inline_pool_activates_store(self, tmp_path, monkeypatch):
         from repro.serve.pool import WorkerPool

@@ -188,16 +188,6 @@ class TestReportRendering:
         assert data["attributes"] == {"n": 2}
         assert data["duration_s"] == pytest.approx(root.duration_s)
 
-    def test_stage_durations_sum_repeats(self):
-        with obs_trace.capturing():
-            with obs_trace.span("root"):
-                for _ in range(3):
-                    with obs_trace.span("rep"):
-                        pass
-        totals = obs_report.stage_durations(obs_trace.last_trace())
-        assert set(totals) == {"root", "rep"}
-        assert totals["rep"] <= totals["root"]
-
     def test_render_metrics(self):
         reg = obs_metrics.MetricsRegistry()
         reg.counter("pipeline.runs").inc(2)

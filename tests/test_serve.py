@@ -104,7 +104,7 @@ class TestJobResult:
         result = JobResult(
             job_id="a",
             status="ok",
-            payload={"digest": "d", "_stats": {"worker_pid": 123}},
+            payload={"digest": "d", "_telemetry": {"worker_pid": 123}},
             attempts=2,
             run_s=1.0,
         )

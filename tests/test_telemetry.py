@@ -33,6 +33,8 @@ from repro.serve.telemetry import (
     iter_attempt_bars,
     read_events,
 )
+from repro.serve.worker import execute_job
+from repro.testing.golden import CASE_CONFIG
 from repro.testing.workloads import digest_runner
 from repro.textplot import gantt
 
@@ -365,23 +367,30 @@ class TestBatchTelemetry:
         assert record["slo_violations"] == []
         assert record["slo_summary"]["n_jobs"] == 5
 
+    @pytest.mark.slow
     def test_telemetry_off_outputs_are_bit_identical(self, tmp_path):
-        jobs = _jobs(4)
-        with BatchServer(workers=2, runner=digest_runner) as server:
-            plain = server.run_batch(jobs)
-        with BatchServer(
-            workers=2, runner=digest_runner, telemetry=tmp_path / "t.jsonl"
-        ) as server:
-            traced = server.run_batch(jobs)
-        # Same deterministic results either way...
-        assert [r.deterministic() for r in plain.results] == [
-            r.deterministic() for r in traced.results
-        ]
-        # ...and the telemetry-off report exposes none of the new keys.
-        record = json.dumps(plain.to_dict(), sort_keys=True, default=str)
-        assert "slo_" not in record
-        assert '"trace"' not in record
-        assert plain.slo is None and plain.slo_violations == []
+        # The millisecond runner, then the real pipeline on short captures.
+        for runner, jobs in (
+            (digest_runner, _jobs(4)),
+            (execute_job, _jobs(2, **CASE_CONFIG)),
+        ):
+            with BatchServer(workers=2, runner=runner) as server:
+                plain = server.run_batch(jobs)
+            with BatchServer(
+                workers=2, runner=runner,
+                telemetry=tmp_path / f"{runner.__name__}.jsonl",
+            ) as server:
+                traced = server.run_batch(jobs)
+            # Same deterministic results either way...
+            assert plain.counts == {"ok": len(jobs)}
+            assert [r.deterministic() for r in plain.results] == [
+                r.deterministic() for r in traced.results
+            ]
+            # ...and the telemetry-off report exposes none of the new keys.
+            record = json.dumps(plain.to_dict(), sort_keys=True, default=str)
+            assert "slo_" not in record
+            assert '"trace"' not in record
+            assert plain.slo is None and plain.slo_violations == []
 
     def test_slo_without_telemetry_path_still_judges(self):
         with BatchServer(
