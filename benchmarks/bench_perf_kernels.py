@@ -24,6 +24,7 @@ from repro.signals.waveforms import probe_chirp, white_noise
 from repro.simulation.session import MeasurementSession
 from repro.signals.channel import ProbeChannelBank
 from repro.core.aoa import KnownSourceAoAEstimator, UnknownSourceAoAEstimator
+from repro.core import mapstore
 from repro.core.localize import DelayMap, cached_delay_map, clear_delay_map_cache
 from repro.core.pipeline import Uniq, UniqConfig
 from repro.core.fusion import DiffractionAwareSensorFusion, clear_search_memo
@@ -176,6 +177,35 @@ def test_perf_personalize_warm_solve(benchmark):
         rounds=3, iterations=1, warmup_rounds=1,
     )
     assert replays.value == replays_before
+    assert np.isfinite(result.fusion.radii_m).all()
+
+
+def test_perf_personalize_store_replay(benchmark, tmp_path, monkeypatch):
+    """A cold in-process personalization whose head search the store replays.
+
+    The capture and grid of the warm solve.  The store is baked once; every
+    round then clears the DelayMap cache and the search memo, so each timed
+    round reads the search outcome from disk and builds only its final map.
+    """
+    monkeypatch.setenv(mapstore.MAP_STORE_ENV, str(tmp_path / "searches"))
+    session = MeasurementSession(
+        VirtualSubject.random(1), seed=0, probe_interval_s=0.4
+    ).run()
+    uniq = Uniq(UniqConfig(angle_grid_deg=tuple(np.arange(0.0, 181.0, 5.0))))
+    clear_search_memo()
+    uniq.personalize(session)  # bake
+
+    def cold():
+        clear_delay_map_cache()
+        clear_search_memo()
+
+    evals = obs_metrics.counter("fusion.cost_evaluations")
+    evals_before = evals.value
+    result = benchmark.pedantic(
+        uniq.personalize, args=(session,), setup=cold,
+        rounds=3, iterations=1, warmup_rounds=1,
+    )
+    assert evals.value == evals_before
     assert np.isfinite(result.fusion.radii_m).all()
 
 

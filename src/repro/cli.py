@@ -14,7 +14,7 @@ one-shot command.
 ``batch --telemetry`` output) as a per-worker Gantt chart with a
 critical-path summary and the batch's SLO statistics.
 
-``python -m repro.cli warmup`` pre-bakes DelayMap artifacts into a
+``python -m repro.cli warmup`` pre-bakes head-search outcomes into a
 :mod:`repro.core.mapstore` directory so serve workers start warm (see
 ``docs/PERFORMANCE.md``, "Cold start & the map store").
 
@@ -245,9 +245,9 @@ def build_batch_parser() -> argparse.ArgumentParser:
         "--map-store",
         metavar="DIR",
         default=None,
-        help="DelayMap artifact store directory: workers mmap pre-baked "
-        "delay tables from DIR (and persist what they build) instead of "
-        "recomputing them from cold — pre-bake with `python -m repro.cli "
+        help="map store directory: workers replay each capture's head "
+        "search from DIR (and persist the searches they run) instead of "
+        "searching from cold — pre-bake with `python -m repro.cli "
         "warmup`; defaults to $REPRO_MAP_STORE when set",
     )
     parser.add_argument(
@@ -608,11 +608,11 @@ def build_warmup_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.cli warmup",
         description=(
-            "Pre-bake DelayMap artifacts into a map store so cold serve "
-            "workers mmap tables instead of rebuilding them: replay each "
-            "distinct job spec once with the store active and persist every "
-            "table those exact runs touch (optimizer trajectories are "
-            "capture-specific, so only exact replays produce store hits)."
+            "Pre-bake head-search outcomes into a map store so cold serve "
+            "workers replay each capture's head search instead of running "
+            "it: run each distinct job spec once with the store active and "
+            "persist every search it runs (a search is keyed on the exact "
+            "capture, so only the captures served later produce hits)."
         ),
     )
     parser.add_argument(
@@ -626,13 +626,13 @@ def build_warmup_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         required=True,
         help="JSONL job file: run each distinct spec once, persisting every "
-        "delay table it touches",
+        "head search it runs",
     )
     return parser
 
 
 def main_warmup(argv: list[str] | None = None) -> int:
-    """Pre-bake DelayMap artifacts into a map store.
+    """Pre-bake head-search outcomes into a map store.
 
     Exit codes: 0 baked, 1 a job spec failed, 2 the store or job file
     could not be used.
@@ -655,7 +655,7 @@ def main_warmup(argv: list[str] | None = None) -> int:
         return 2
     store = mapstore.MapStore(path)
     before_n, before_bytes = len(store), store.size_bytes()
-    # Builds persist through cached_delay_map's store hook, which reads the
+    # Searches persist through fusion's store lookup, which reads the
     # environment.
     os.environ[mapstore.MAP_STORE_ENV] = path
     started = time.perf_counter()
@@ -681,9 +681,9 @@ def main_warmup(argv: list[str] | None = None) -> int:
               f"{time.perf_counter() - job_started:.2f} s")
 
     print(f"store            : {len(store)} artifacts "
-          f"({store.size_bytes() / 1e6:.1f} MB), "
+          f"({store.size_bytes() / 1e3:.1f} kB), "
           f"+{len(store) - before_n} new "
-          f"(+{(store.size_bytes() - before_bytes) / 1e6:.1f} MB) "
+          f"(+{(store.size_bytes() - before_bytes) / 1e3:.1f} kB) "
           f"in {time.perf_counter() - started:.1f} s")
     return 1 if failed else 0
 
@@ -746,7 +746,7 @@ def build_fleet_parser() -> argparse.ArgumentParser:
             "--map-store",
             metavar="DIR",
             default=None,
-            help="DelayMap artifact store for the serve workers (pre-bake "
+            help="head-search outcome store for the serve workers (pre-bake "
             "with `python -m repro.cli warmup`)",
         )
 

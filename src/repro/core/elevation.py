@@ -193,7 +193,7 @@ class SphericalPersonalizer:
         tilts = np.array(sorted(ring_results))
         tables = tuple(ring_results[float(t)].table for t in tilts)
         return Personalization3DResult(
-            field=HRTFField(ring_tilts_deg=tilts, ring_tables=tables),
+            field=HRTFField(tilts, tables),
             head=head,
             ring_results=ring_results,
         )

@@ -24,6 +24,7 @@ import numpy as np
 from scipy import optimize
 
 from repro.constants import SPEED_OF_SOUND
+from repro.core import mapstore
 from repro.errors import ConvergenceError, SignalError
 from repro.geometry.head import HeadGeometry
 from repro.obs import metrics as obs_metrics
@@ -98,6 +99,12 @@ class _SearchOutcome:
     nit: int
     fun: float
     success: bool
+
+    @classmethod
+    def of(cls, x, nit, fun, success) -> _SearchOutcome:
+        x = np.array(x, dtype=float)
+        x.flags.writeable = False
+        return cls(x=x, nit=int(nit), fun=float(fun), success=bool(success))
 
 
 #: LRU of head-search outcomes keyed on the exact bytes of everything the
@@ -420,13 +427,22 @@ class DiffractionAwareSensorFusion:
                 key = self._search_key(search_args, x0, simplex)
                 result = _recall_search(key)
                 memo_hit = result is not None
-                if memo_hit:
-                    # Replayed work is not counted as work: fusion.iterations
-                    # and fusion.cost_evaluations stay put.
-                    obs_metrics.counter("fusion.search_memo_hits").inc()
-                    cost_evaluations = 0
-                else:
-                    obs_metrics.counter("fusion.search_memo_misses").inc()
+                store = None if memo_hit else mapstore.active_store()
+                if store is not None:
+                    # Name the class: the key must read the same in every process.
+                    cls = type(self)
+                    disk_key = (f"{cls.__module__}.{cls.__qualname__}",) + key[1:]
+                    stored = store.load(disk_key, x0.shape[0])
+                    if stored is not None:
+                        result = _SearchOutcome.of(*stored)
+                        _remember_search(key, result)
+                obs_metrics.counter(
+                    f"fusion.search_memo_{'hits' if memo_hit else 'misses'}"
+                ).inc()
+                # Replayed work is not counted as work: fusion.iterations
+                # and fusion.cost_evaluations stay put.
+                cost_evaluations = 0
+                if result is None:
                     evals = obs_metrics.counter("fusion.cost_evaluations")
                     evals_before = evals.value
                     raw = optimize.minimize(
@@ -440,15 +456,14 @@ class DiffractionAwareSensorFusion:
                             "initial_simplex": simplex,
                         },
                     )
-                    x = np.array(raw.x, dtype=float)
-                    x.flags.writeable = False
-                    result = _SearchOutcome(
-                        x=x,
-                        nit=int(getattr(raw, "nit", 0)),
-                        fun=float(raw.fun),
-                        success=bool(raw.success),
+                    result = _SearchOutcome.of(
+                        raw.x, getattr(raw, "nit", 0), raw.fun, raw.success
                     )
                     _remember_search(key, result)
+                    if store is not None:
+                        store.save(
+                            disk_key, result.x, result.nit, result.fun, result.success
+                        )
                     obs_metrics.counter("fusion.iterations").inc(result.nit)
                     cost_evaluations = int(evals.value - evals_before)
                 iterations = result.nit

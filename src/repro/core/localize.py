@@ -30,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.constants import SPEED_OF_SOUND
-from repro.core import mapstore
 from repro.errors import GeometryError
 from repro.geometry.batch import binaural_delays_batch
 from repro.geometry.head import DEFAULT_BOUNDARY_SAMPLES, Ear, HeadGeometry
@@ -93,7 +92,6 @@ class DelayMap:
         speed_of_sound: float = SPEED_OF_SOUND,
         model: str = "diffraction",
         refine: bool = True,
-        tables: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> None:
         r_min, r_max, n_r = radii
         t_min, t_max, n_t = thetas
@@ -129,27 +127,12 @@ class DelayMap:
         self.radii = np.linspace(r_min, r_max, n_r)
         self.thetas_deg = np.linspace(t_min, t_max, n_t)
 
-        if tables is not None:
-            # Precomputed tables (the mapstore's mmap-loaded artifacts):
-            # skip the batch diffraction solve entirely.  The arrays must
-            # match the grid this spec would have produced — shape is the
-            # only checkable invariant, content is the store's contract.
-            t_left, t_right = tables
-            if t_left.shape != (n_r, n_t) or t_right.shape != (n_r, n_t):
-                raise GeometryError(
-                    f"precomputed tables {t_left.shape}/{t_right.shape} do not "
-                    f"match the {(n_r, n_t)} grid"
-                )
-            self.t_left = t_left  # (r, theta)
-            self.t_right = t_right
-            obs_metrics.counter("localize.delay_map_loads").inc()
-        else:
-            grid_r, grid_t = np.meshgrid(self.radii, self.thetas_deg, indexing="ij")
-            sources = polar_to_cartesian(grid_r.ravel(), grid_t.ravel())
-            t_left, t_right = self._delays_for(sources)
-            self.t_left = t_left.reshape(n_r, n_t)  # (r, theta)
-            self.t_right = t_right.reshape(n_r, n_t)
-            obs_metrics.counter("localize.delay_map_builds").inc()
+        grid_r, grid_t = np.meshgrid(self.radii, self.thetas_deg, indexing="ij")
+        sources = polar_to_cartesian(grid_r.ravel(), grid_t.ravel())
+        t_left, t_right = self._delays_for(sources)
+        self.t_left = t_left.reshape(n_r, n_t)  # (r, theta)
+        self.t_right = t_right.reshape(n_r, n_t)
+        obs_metrics.counter("localize.delay_map_builds").inc()
         #: Memoized invert() results keyed by the exact (t1, t2) pair — the
         #: tables are immutable after construction, so a repeated delay pair
         #: (cached maps re-served across optimizer runs) is a pure replay.
@@ -721,9 +704,8 @@ MAP_KEY_DECIMALS = 9
 def quantize_key_component(value: float) -> float:
     """Deterministic quantization for continuous delay-map key components.
 
-    The single definition shared by the in-memory LRU key and the on-disk
-    :mod:`repro.core.mapstore` artifact key — two values within the
-    quantization tolerance always address the same entry in both.
+    Two values within the quantization tolerance always address the same
+    :func:`cached_delay_map` entry.
     """
     return round(float(value), MAP_KEY_DECIMALS)
 
@@ -771,12 +753,9 @@ def cached_delay_map(
 
     Hits/misses are counted under ``localize.delay_map_cache_hits`` /
     ``_misses``; :func:`clear_delay_map_cache` empties the store (tests,
-    memory-pressure escape hatch).
-
-    When a :mod:`repro.core.mapstore` artifact store is active
-    (``REPRO_MAP_STORE``), an in-memory miss first tries the on-disk
-    tables for this key (mmap-loaded, no solve); a store miss builds the
-    map and persists its tables so the next cold process starts warm.
+    memory-pressure escape hatch).  Nothing is persisted: a process builds
+    its own maps (~2 ms coarse, ~12 ms final), and the on-disk
+    :mod:`repro.core.mapstore` keeps head-search outcomes instead.
     """
     key = _map_cache_key(
         parameters, n_boundary, radii, thetas, speed_of_sound, model, refine
@@ -793,27 +772,7 @@ def cached_delay_map(
     obs_metrics.counter("localize.delay_map_cache_misses").inc()
     a, b, c = (float(v) for v in parameters)
     head = HeadGeometry(a=a, b=b, c=c, n_boundary=int(n_boundary))
-    store = mapstore.active_store()
-    built = None
-    if store is not None:
-        tables = store.load(key)
-        if tables is not None:
-            try:
-                built = DelayMap(
-                    head, radii, thetas, speed_of_sound,
-                    model=model, refine=refine, tables=tables,
-                )
-            except GeometryError:
-                # Validated-on-load artifacts should never get here; treat
-                # any mismatch as corruption and fall through to a rebuild.
-                store.discard(key)
-                built = None
-    if built is None:
-        built = DelayMap(
-            head, radii, thetas, speed_of_sound, model=model, refine=refine
-        )
-        if store is not None:
-            store.save(key, built.t_left, built.t_right)
+    built = DelayMap(head, radii, thetas, speed_of_sound, model=model, refine=refine)
     with _MAP_CACHE_LOCK:
         existing = _MAP_CACHE.get(key)
         if existing is not None:

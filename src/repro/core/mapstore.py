@@ -1,66 +1,88 @@
-"""On-disk DelayMap artifact store: pre-baked delay tables, mmap-loaded.
+"""On-disk store of head-search outcomes, shared by every process.
 
-The serve cold-start tax is almost entirely DelayMap construction: a fresh
-worker process rebuilds every table the fusion optimizer touches (~170
-coarse maps plus the full-resolution final map, multi-second in total)
-before its in-memory LRU warms up.  The tables are pure functions of the
-quantized cache key — ``(a, b, c, n_boundary, radii, thetas, c_sound,
-model, refine)`` from :func:`repro.core.localize._map_cache_key` — so they
-can be computed once, persisted, and shared by every process on the
-machine.
+UNIQ estimates the head ``E_opt`` once per capture (paper §4.1); the angle
+grid enters only later.  :meth:`repro.core.fusion.DiffractionAwareSensorFusion.run`
+replays a search from its in-process memo, and this store carries the same
+replay across processes: a fresh serve worker, a CLI one-shot, or a
+re-render in a new process reads the outcome instead of re-running the
+Nelder-Mead search.
 
-Artifacts are single ``.npy`` files holding the stacked ``(2, n_r,
-n_theta)`` float64 ``(t_left, t_right)`` tables, written atomically
-(:func:`repro.ioutil.atomic_write`, tmp sibling + rename) and read with
-``np.load(mmap_mode="r")`` — loading is a header parse plus an mmap, the
-table pages fault in lazily and live in the shared page cache, so N
-workers loading the same artifact cost one copy of physical memory.
+An artifact is one small JSON file holding the search outcome ``(x, nit,
+fun, success)``.  JSON writes floats by ``repr``, which round-trips every
+float64 exactly, so a replayed outcome is bit-identical to the search.
+Files are written atomically (:func:`repro.ioutil.atomic_write_json`, tmp
+sibling + rename).
+
+The file name is a SHA-256 of the search key (the exact bytes of all the
+search reads, see ``fusion._search_key``) salted with :func:`code_salt`, a
+digest of the ``repro`` sources and the numpy and scipy versions.  A store
+baked before an upgrade therefore misses rather than replays an ``E_opt``
+the new code would not find.
 
 Activation is by environment variable so worker processes inherit it with
 zero plumbing: ``REPRO_MAP_STORE=/path/to/store``.  An unusable path warns
 and disables the store (the serve path must never die on a bad cache
-knob); corrupt or truncated artifacts are discarded and rebuilt.  Counters:
-``mapstore.hits`` / ``misses`` / ``saved`` / ``corrupt`` / ``disabled``.
+knob); corrupt or truncated artifacts are discarded and searched again.
+Counters: ``mapstore.hits`` / ``misses`` / ``saved`` / ``corrupt`` /
+``save_errors`` / ``disabled``.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import json
 import os
 import threading
+from pathlib import Path
 
 import numpy as np
 
-from repro.ioutil import atomic_write
+from repro.ioutil import atomic_write_json
 from repro.obs import metrics as obs_metrics
 from repro.obs.logging import get_logger, kv
 
 #: Environment variable naming the store directory for this process.
 MAP_STORE_ENV = "REPRO_MAP_STORE"
 
-_ARTIFACT_SUFFIX = ".npy"
+_ARTIFACT_SUFFIX = ".json"
 
 _log = get_logger("core.mapstore")
 
 
-def _artifact_name(key: tuple) -> str:
-    """Stable filename for one quantized map key.
+@functools.lru_cache(maxsize=None)
+def code_salt() -> str:
+    """Digest of every ``repro`` module plus the numpy and scipy versions.
 
-    The key tuple contains only round-tripped primitives (quantized floats,
-    ints, strings, bools), so its ``repr`` is deterministic across
-    processes and Python runs — no hash randomization, no float formatting
-    drift post-quantization.
+    Computed once per process (a few ms); forked workers inherit it.
     """
-    digest = hashlib.sha256(repr(key).encode("utf-8")).hexdigest()
-    return f"map-{digest[:40]}{_ARTIFACT_SUFFIX}"
+    import scipy
+
+    root = Path(__file__).resolve().parents[1]
+    digest = hashlib.sha256(f"{np.__version__} {scipy.__version__}".encode())
+    for path in sorted(root.rglob("*.py")):
+        digest.update(path.relative_to(root).as_posix().encode() + b"\0")
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
+def _artifact_name(key: tuple) -> str:
+    """Stable filename for one search key.
+
+    The key holds only strings, ints and bytes (no classes, no floats
+    outside ``repr``), so its ``repr`` is the same in every process and
+    under every ``PYTHONHASHSEED``.
+    """
+    digest = hashlib.sha256((code_salt() + repr(key)).encode("utf-8")).hexdigest()
+    return f"search-{digest[:40]}{_ARTIFACT_SUFFIX}"
 
 
 class MapStore:
-    """A directory of precomputed delay-table artifacts.
+    """A directory of head-search outcomes.
 
     Methods never raise on I/O problems: a load failure reports a miss (or
     a counted corruption) and a save failure is logged and dropped — the
-    caller always has the build-from-scratch path.
+    caller always has the search-from-scratch path.
     """
 
     def __init__(self, root: str | os.PathLike) -> None:
@@ -70,57 +92,48 @@ class MapStore:
     def path_for(self, key: tuple) -> str:
         return os.path.join(self.root, _artifact_name(key))
 
-    def load(self, key: tuple) -> tuple[np.ndarray, np.ndarray] | None:
-        """The ``(t_left, t_right)`` tables for ``key``, or None on a miss.
+    def load(self, key: tuple, size: int) -> tuple[list[float], int, float, bool] | None:
+        """The ``(x, nit, fun, success)`` stored for ``key``, or None on a miss.
 
-        Returned arrays are read-only mmap views.  Anything unreadable —
-        garbage bytes, a truncated write, a shape or dtype that does not
-        match the key's grid spec — counts as corruption: the artifact is
-        discarded so the caller's rebuild can replace it.
+        Anything unreadable — garbage bytes, a truncated write, fields of
+        the wrong type, or an ``x`` that is not ``size`` floats — counts as
+        corruption: the artifact is discarded so the caller's search can
+        replace it.
         """
         path = self.path_for(key)
-        # The grid spec lives in the key: (..., radii, thetas, ...).
-        expected = (2, int(key[4][2]), int(key[5][2]))
         try:
-            stacked = np.load(path, mmap_mode="r", allow_pickle=False)
+            with open(path, "rb") as handle:
+                record = json.load(handle)
+            x, nit, fun, success = (record[f] for f in ("x", "nit", "fun", "success"))
+            if not (
+                isinstance(x, list) and len(x) == size
+                and all(type(v) is float for v in x)
+                and type(nit) is int and type(fun) is float and type(success) is bool
+            ):
+                raise ValueError("fields of the wrong type or size")
         except FileNotFoundError:
             obs_metrics.counter("mapstore.misses").inc()
             return None
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, TypeError, KeyError) as exc:
             obs_metrics.counter("mapstore.corrupt").inc()
             _log.warning(kv("mapstore.corrupt", path=path, error=str(exc)))
             self.discard(key)
             return None
-        if stacked.shape != expected or stacked.dtype != np.float64:
-            obs_metrics.counter("mapstore.corrupt").inc()
-            _log.warning(
-                kv(
-                    "mapstore.corrupt",
-                    path=path,
-                    shape=list(stacked.shape),
-                    expected=list(expected),
-                    dtype=str(stacked.dtype),
-                )
-            )
-            del stacked  # drop the mmap handle before unlinking
-            self.discard(key)
-            return None
         obs_metrics.counter("mapstore.hits").inc()
-        return stacked[0], stacked[1]
+        return x, nit, fun, success
 
-    def save(self, key: tuple, t_left: np.ndarray, t_right: np.ndarray) -> None:
-        """Persist one table pair atomically (first writer wins, last lands)."""
-        stacked = np.stack([
-            np.asarray(t_left, dtype=np.float64),
-            np.asarray(t_right, dtype=np.float64),
-        ])
+    def save(self, key: tuple, x: np.ndarray, nit: int, fun: float, success: bool) -> None:
+        """Persist one search outcome atomically (first writer wins, last lands)."""
+        record = {
+            "x": [float(v) for v in x], "nit": int(nit),
+            "fun": float(fun), "success": bool(success),
+        }
         path = self.path_for(key)
         try:
             # durable=False: atomicity (tmp sibling + rename) without the
             # fsync tax — a torn artifact after a crash is re-detected as
-            # corruption and rebuilt, so durability buys nothing here.
-            with atomic_write(path, "wb", durable=False) as handle:
-                np.save(handle, stacked)
+            # corruption and searched again, so durability buys nothing.
+            atomic_write_json(record, path, indent=None, durable=False)
         except OSError as exc:
             obs_metrics.counter("mapstore.save_errors").inc()
             _log.warning(kv("mapstore.save_failed", path=path, error=str(exc)))

@@ -72,13 +72,20 @@ def _backtrack_to_radius(anchor: np.ndarray, u: np.ndarray, radius: float) -> np
 
 
 def critical_trajectory_angles(
-    head: HeadGeometry, theta_deg: float, trajectory_radius_m: float
+    head: HeadGeometry,
+    theta_deg: float,
+    trajectory_radius_m: float,
+    arrivals: dict | None = None,
 ) -> tuple[float, float, float]:
     """The Figure 12 anchor angles ``(phi_B, phi_C, phi_D)`` on the trajectory.
 
     ``phi_B`` bounds the arc feeding the left ear, ``phi_D`` the right,
-    ``phi_C`` is the normal-incidence divider.
+    ``phi_C`` is the normal-incidence divider.  ``arrivals`` maps each ear
+    to its :func:`plane_wave_arrival` at ``theta_deg`` when the caller has
+    already solved them.
     """
+    if arrivals is None:
+        arrivals = {ear: plane_wave_arrival(head, theta_deg, ear) for ear in Ear}
     u = -unit_from_angle_deg(theta_deg)  # propagation direction
     boundary = head.boundary
     # Q: boundary point most squarely facing the incoming wave.
@@ -87,8 +94,7 @@ def critical_trajectory_angles(
     phi_c = float(angle_deg_of(_backtrack_to_radius(q_point, u, trajectory_radius_m)))
 
     anchors = {}
-    for ear in Ear:
-        arrival = plane_wave_arrival(head, theta_deg, ear)
+    for ear, arrival in arrivals.items():
         anchor = (
             head.ear_position(ear)
             if arrival.grazing_point is None
@@ -128,24 +134,29 @@ class NearFarConverter:
         theta_deg: float,
         trajectory_radius_m: float,
         fallbacks: list[int] | None = None,
+        aligned: dict | None = None,
     ) -> BinauralIR:
         """Far-field HRIR pair for one target angle.
 
         When ``fallbacks`` is given, the number of arcs (0–2) that had no
         in-arc measurements and fell back to nearest-measurement selection
         is appended to it — :meth:`convert` aggregates these counts into
-        the stage's arc-support sentinel.
+        the stage's arc-support sentinel.  ``aligned`` memoizes the
+        first-tap aligned HRIR per ``(measurement index, ear)`` across the
+        angles of one :meth:`convert` call.
         """
         if not measurements:
             raise SignalError("no near-field measurements to convert")
         n = measurements[0].hrir.n_samples
         angles = np.array([m.angle_deg for m in measurements])
 
+        arrivals = {ear: plane_wave_arrival(head, theta_deg, ear) for ear in Ear}
         phi_b, phi_c, phi_d = critical_trajectory_angles(
-            head, theta_deg, trajectory_radius_m
+            head, theta_deg, trajectory_radius_m, arrivals
         )
         arcs = {Ear.LEFT: _arc_interval(phi_c, phi_b), Ear.RIGHT: _arc_interval(phi_c, phi_d)}
 
+        aligned = {} if aligned is None else aligned
         averaged = {}
         n_fallback = 0
         for ear, (lo, hi) in arcs.items():
@@ -155,18 +166,18 @@ class NearFarConverter:
                 midpoint = 0.5 * (lo + hi)
                 order = np.argsort(np.abs(angles - midpoint))
                 in_arc = order[: max(self.min_arc_measurements, 1)]
-            stack = [
-                align_to_first_tap(measurements[i].hrir.ear(ear), n, _PRE_SAMPLES)
-                for i in in_arc
-            ]
-            averaged[ear] = np.mean(stack, axis=0)
+            for i in in_arc:
+                if (i, ear) not in aligned:
+                    aligned[i, ear] = align_to_first_tap(
+                        measurements[i].hrir.ear(ear), n, _PRE_SAMPLES
+                    )
+            averaged[ear] = np.mean([aligned[i, ear] for i in in_arc], axis=0)
 
         # Fine-tune interaural delay and amplitudes from the plane-wave
         # model with the learned head parameters.  Scaling anchors on the
         # *first tap* (which the model predicts), not the strongest tap —
         # a pinna echo can exceed the first tap, and normalizing by it
         # would corrupt the interaural level difference.
-        arrivals = {ear: plane_wave_arrival(head, theta_deg, ear) for ear in Ear}
         reference = min(a.delay for a in arrivals.values())
         tuned = {}
         for ear in Ear:
@@ -204,6 +215,7 @@ class NearFarConverter:
         )
         grid = np.asarray(angle_grid_deg, dtype=float)
         fallbacks: list[int] = []
+        aligned: dict = {}
         with obs_trace.span(
             "near_far.convert",
             n_angles=int(grid.shape[0]),
@@ -212,7 +224,7 @@ class NearFarConverter:
         ) as convert_span:
             converted = [
                 self.convert_angle(
-                    measurements, head, float(theta), radius, fallbacks=fallbacks
+                    measurements, head, float(theta), radius, fallbacks, aligned
                 )
                 for theta in grid
             ]

@@ -106,7 +106,7 @@ def _noop() -> None:
 
 
 def _init_worker(map_store: str | None) -> None:
-    """Executor initializer: activate the DelayMap artifact store per worker.
+    """Executor initializer: activate the head-search store per worker.
 
     Setting ``REPRO_MAP_STORE`` in the child covers spawn contexts (no env
     inheritance) and parents that configured a store programmatically
@@ -166,10 +166,10 @@ class WorkerPool:
         supplied.  Exceptions from the sink are swallowed — telemetry must
         never take the pool down.
     map_store:
-        DelayMap artifact store directory (:mod:`repro.core.mapstore`),
+        Head-search outcome store directory (:mod:`repro.core.mapstore`),
         activated as ``REPRO_MAP_STORE`` in every worker process (and in
-        this process under inline mode) so cold workers load pre-baked
-        delay tables instead of rebuilding them.  ``None`` leaves the
+        this process under inline mode) so cold workers replay pre-baked
+        head searches instead of running them.  ``None`` leaves the
         inherited environment in charge.
     """
 

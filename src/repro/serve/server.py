@@ -311,9 +311,9 @@ class BatchServer:
         the batch; usable without a telemetry path (statistics are then
         tracked in memory only).
     map_store:
-        DelayMap artifact store directory (:mod:`repro.core.mapstore`),
+        Head-search outcome store directory (:mod:`repro.core.mapstore`),
         exported as ``REPRO_MAP_STORE`` to every worker so cold workers
-        mmap pre-baked delay tables instead of rebuilding them — the
+        replay pre-baked head searches instead of running them — the
         cold-start killer.  ``None`` (default) inherits whatever
         ``REPRO_MAP_STORE`` the environment already carries; an unusable
         path warns and serves storeless.

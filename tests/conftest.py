@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from repro.core.fusion import clear_search_memo
+from repro.core.mapstore import MAP_STORE_ENV
 from repro.geometry.head import HeadGeometry
 from repro.geometry.trajectory import circular_trajectory
 from repro.simulation.person import VirtualSubject
@@ -54,6 +55,17 @@ def _fresh_search_memo():
     clear_search_memo()
     yield
     clear_search_memo()
+
+
+@pytest.fixture(autouse=True)
+def _no_map_store(monkeypatch):
+    """No test replays a head search from a store it did not set up itself.
+
+    ``setenv`` (not ``delenv``) so that teardown restores the variable
+    even when code under test wrote it into ``os.environ`` directly, as an
+    inline ``WorkerPool`` does; an empty value means no store.
+    """
+    monkeypatch.setenv(MAP_STORE_ENV, "")
 
 
 @pytest.fixture(scope="session")

@@ -1,13 +1,20 @@
-"""Tests for the on-disk DelayMap artifact store (repro.core.mapstore)."""
+"""Tests for the on-disk head-search outcome store (repro.core.mapstore)."""
 
+import dataclasses
+import glob
+import json
 import logging
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import repro
 from repro.constants import SPEED_OF_SOUND
 from repro.core import mapstore
+from repro.core.fusion import DiffractionAwareSensorFusion, clear_search_memo
 from repro.core.localize import (
     _map_cache_key,
     cached_delay_map,
@@ -27,98 +34,128 @@ def _counter(name):
 @pytest.fixture
 def store_path(tmp_path, monkeypatch):
     """A fresh activated store; both memory caches cleared around the test."""
-    path = str(tmp_path / "maps")
+    path = str(tmp_path / "searches")
     monkeypatch.setenv(mapstore.MAP_STORE_ENV, path)
     clear_delay_map_cache()
     yield path
     clear_delay_map_cache()
 
 
-def _the_key():
-    return _map_cache_key(
-        PARAMS, 240, GRID["radii"], GRID["thetas"], SPEED_OF_SOUND,
-        "diffraction", True,
-    )
+def _artifacts(path):
+    return sorted(glob.glob(os.path.join(path, "*.json")))
+
+
+def _counted_run(session):
+    """One cold-memo fusion run and the store/search counter deltas it made."""
+    clear_search_memo()
+    names = ("mapstore.hits", "mapstore.misses", "mapstore.saved",
+             "mapstore.corrupt", "fusion.cost_evaluations")
+    before = [_counter(n).value for n in names]
+    result = DiffractionAwareSensorFusion().run(session)
+    deltas = {
+        n.split(".")[1]: _counter(n).value - b for n, b in zip(names, before)
+    }
+    return result, deltas
+
+
+def _assert_fusion_equal(expected, actual):
+    for field in dataclasses.fields(expected):
+        np.testing.assert_array_equal(
+            getattr(actual, field.name), getattr(expected, field.name),
+            err_msg=field.name,
+        )
 
 
 class TestRoundTrip:
-    def test_build_persists_and_reload_is_bit_identical(self, store_path):
-        saved = _counter("mapstore.saved")
-        hits = _counter("mapstore.hits")
-        loads = _counter("localize.delay_map_loads")
-        builds = _counter("localize.delay_map_builds")
-        s0, h0, l0, b0 = saved.value, hits.value, loads.value, builds.value
+    def test_build_persists_and_reload_is_bit_identical(
+        self, store_path, small_session
+    ):
+        """A search persists its outcome; a cold memo replays it exactly."""
+        searched, first = _counted_run(small_session)
+        assert first["saved"] == 1 and first["misses"] == 1
+        assert first["cost_evaluations"] > 0
+        [artifact] = _artifacts(store_path)
+        with open(artifact) as handle:
+            record = json.load(handle)
+        assert sorted(record) == ["fun", "nit", "success", "x"]
+        assert len(record["x"]) == 4  # (a, b, c, gyro bias)
 
-        built = cached_delay_map(PARAMS, 240, **GRID)
-        assert saved.value - s0 == 1
-        assert os.path.exists(mapstore.MapStore(store_path).path_for(_the_key()))
+        replayed, second = _counted_run(small_session)
+        assert second == {"hits": 1, "misses": 0, "saved": 0, "corrupt": 0,
+                          "cost_evaluations": 0}
+        assert replayed.head.parameters == searched.head.parameters
+        assert replayed.residual_deg == searched.residual_deg
+        assert replayed.gyro_bias_dps == searched.gyro_bias_dps
 
-        clear_delay_map_cache()
-        loaded = cached_delay_map(PARAMS, 240, **GRID)
-        assert hits.value - h0 == 1
-        assert loads.value - l0 == 1
-        assert builds.value - b0 == 1  # only the original build
-        assert isinstance(loaded.t_left, np.memmap)
-        np.testing.assert_array_equal(
-            np.asarray(loaded.t_left), np.asarray(built.t_left)
-        )
-        np.testing.assert_array_equal(
-            np.asarray(loaded.t_right), np.asarray(built.t_right)
-        )
+    def test_inversion_identical_from_store(self, store_path, small_session):
+        """Everything after the search (final localization included) is the
+        same from a stored outcome as from the search."""
+        searched, _ = _counted_run(small_session)
+        replayed, deltas = _counted_run(small_session)
+        assert deltas["hits"] == 1
+        _assert_fusion_equal(searched, replayed)
 
-    def test_inversion_identical_from_store(self, store_path):
-        from repro.geometry.paths import binaural_delays
-        from repro.geometry.vec import polar_to_cartesian
+    def _searched_again_after(self, store_path, session, damage):
+        """Damage the one stored outcome; the next run must search again."""
+        searched, _ = _counted_run(session)
+        [artifact] = _artifacts(store_path)
+        damage(artifact)
+        again, deltas = _counted_run(session)
+        assert deltas["corrupt"] == 1 and deltas["hits"] == 0
+        assert deltas["cost_evaluations"] > 0  # searched again
+        assert deltas["saved"] == 1  # and re-persisted a valid outcome
+        _assert_fusion_equal(searched, again)
+        _, replay = _counted_run(session)
+        assert replay["hits"] == 1 and replay["cost_evaluations"] == 0
 
-        built = cached_delay_map(PARAMS, 240, **GRID)
-        t1, t2 = binaural_delays(built.head, polar_to_cartesian(0.45, 40.0))
-        clear_delay_map_cache()
-        loaded = cached_delay_map(PARAMS, 240, **GRID)
-        assert loaded is not built
-        assert loaded.invert(t1, t2) == built.invert(t1, t2)
+    def test_corrupt_artifact_is_rebuilt_not_fatal(self, store_path, small_session):
+        def garbage(path):
+            with open(path, "wb") as handle:
+                handle.write(b"\x93NUMPY these are not the outcomes you seek")
 
-    def test_corrupt_artifact_is_rebuilt_not_fatal(self, store_path):
-        built = cached_delay_map(PARAMS, 240, **GRID)
-        artifact = mapstore.MapStore(store_path).path_for(_the_key())
-        with open(artifact, "wb") as handle:
-            handle.write(b"these are not the tables you are looking for")
-        clear_delay_map_cache()
-        corrupt = _counter("mapstore.corrupt")
-        c0 = corrupt.value
-        rebuilt = cached_delay_map(PARAMS, 240, **GRID)
-        assert corrupt.value - c0 == 1
-        np.testing.assert_array_equal(
-            np.asarray(rebuilt.t_left), np.asarray(built.t_left)
-        )
-        # The rebuild re-persisted a valid artifact.
-        clear_delay_map_cache()
-        reloaded = cached_delay_map(PARAMS, 240, **GRID)
-        assert isinstance(reloaded.t_left, np.memmap)
+        self._searched_again_after(store_path, small_session, garbage)
 
-    def test_truncated_artifact_is_rebuilt_not_fatal(self, store_path):
-        built = cached_delay_map(PARAMS, 240, **GRID)
-        artifact = mapstore.MapStore(store_path).path_for(_the_key())
-        size = os.path.getsize(artifact)
-        with open(artifact, "rb+") as handle:
-            handle.truncate(size // 2)
-        clear_delay_map_cache()
-        corrupt = _counter("mapstore.corrupt")
-        c0 = corrupt.value
-        rebuilt = cached_delay_map(PARAMS, 240, **GRID)
-        assert corrupt.value - c0 == 1
-        np.testing.assert_array_equal(
-            np.asarray(rebuilt.t_left), np.asarray(built.t_left)
-        )
+    def test_truncated_artifact_is_rebuilt_not_fatal(self, store_path, small_session):
+        def truncate(path):
+            with open(path, "rb+") as handle:
+                handle.truncate(os.path.getsize(path) // 2)
+
+        self._searched_again_after(store_path, small_session, truncate)
 
     def test_wrong_shape_artifact_counts_as_corrupt(self, store_path):
+        """Well-formed JSON that is not a 3-float outcome is corrupt too."""
         store = mapstore.MapStore(store_path)
-        key = _the_key()
-        store.save(key, np.zeros((3, 4)), np.zeros((3, 4)))
+        key = ("wrong-shape",)
+        good = {"x": [0.1, 0.2, 0.3], "nit": 7, "fun": 1.5, "success": True}
+        records = [
+            [0.1, 0.2, 0.3],
+            dict(good, x=[0.1, 0.2]),
+            dict(good, x=[0.1, 0.2, "0.3"]),
+            dict(good, nit=7.0),
+            dict(good, success=1),
+            {k: v for k, v in good.items() if k != "fun"},
+        ]
         corrupt = _counter("mapstore.corrupt")
-        c0 = corrupt.value
-        assert store.load(key) is None
-        assert corrupt.value - c0 == 1
-        assert not os.path.exists(store.path_for(key))
+        for record in records:
+            with open(store.path_for(key), "w") as handle:
+                json.dump(record, handle)
+            c0 = corrupt.value
+            assert store.load(key, 3) is None, record
+            assert corrupt.value - c0 == 1
+            assert not os.path.exists(store.path_for(key))
+        with open(store.path_for(key), "w") as handle:
+            json.dump(good, handle)
+        assert store.load(key, 3) == ([0.1, 0.2, 0.3], 7, 1.5, True)
+
+    def test_every_float_round_trips_exactly(self, store_path):
+        store = mapstore.MapStore(store_path)
+        x = np.array([0.1 + 2e-17, np.nextafter(0.0905, 1.0), -0.0, 1e-300])
+        fun = float(np.nextafter(3.5, 0.0))
+        store.save(("exact",), x, 42, fun, False)
+        loaded_x, nit, loaded_fun, success = store.load(("exact",), 4)
+        assert np.array(loaded_x).tobytes() == x.tobytes()
+        assert (nit, loaded_fun, success) == (42, fun, False)
+        assert len(store) == 1 and store.size_bytes() < 200
 
 
 class TestActivation:
@@ -154,38 +191,97 @@ class TestActivation:
 
 
 class TestKeyQuantization:
-    def test_nudged_parameters_share_key_and_artifact(self, store_path):
-        """Satellite regression: two keys within the quantization tolerance
-        (1-ulp-ish arithmetic noise) address the same memory entry AND the
-        same on-disk artifact."""
+    """The disk key is exact: only bit-identical search inputs share it.
+
+    (``quantize_key_component`` now keys only the in-memory DelayMap LRU.)
+    """
+
+    def test_equal_inputs_share_an_artifact(self, store_path, small_session):
+        """Fresh copies of the same inputs name the same file; nudged map
+        parameters still share one LRU map (no artifact involved)."""
+        _counted_run(small_session)
+        _counted_run(small_session)
+        assert len(_artifacts(store_path)) == 1
+
         a, b, c = PARAMS
         nudged = (a + 1e-10, b - 1e-10, c + 1e-10)
-        key = _the_key()
-        key_nudged = _map_cache_key(
-            nudged, 240, GRID["radii"], GRID["thetas"], SPEED_OF_SOUND,
-            "diffraction", True,
-        )
-        assert key_nudged == key
-        store = mapstore.MapStore(store_path)
-        assert store.path_for(key_nudged) == store.path_for(key)
-
+        clear_delay_map_cache()
         first = cached_delay_map(PARAMS, 240, **GRID)
         assert cached_delay_map(nudged, 240, **GRID) is first
         assert delay_map_cache_size() == 1
-
-    def test_distinct_parameters_get_distinct_artifacts(self, store_path):
-        a, b, c = PARAMS
-        key = _the_key()
-        other = _map_cache_key(
-            (a + 1e-5, b, c), 240, GRID["radii"], GRID["thetas"],
-            SPEED_OF_SOUND, "diffraction", True,
+        assert _map_cache_key(
+            nudged, 240, GRID["radii"], GRID["thetas"], SPEED_OF_SOUND,
+            "diffraction", True,
+        ) == _map_cache_key(
+            PARAMS, 240, GRID["radii"], GRID["thetas"], SPEED_OF_SOUND,
+            "diffraction", True,
         )
-        store = mapstore.MapStore(store_path)
-        assert store.path_for(other) != store.path_for(key)
+
+    def test_distinct_parameters_get_distinct_artifacts(
+        self, store_path, small_session, monkeypatch
+    ):
+        """A one-ulp nudge of one probe delay is a new search and file."""
+        _counted_run(small_session)
+        original = DiffractionAwareSensorFusion.extract_probe_delays
+
+        def nudged(self, *args, **kwargs):
+            t_left, t_right = original(self, *args, **kwargs)
+            t_left = t_left.copy()
+            t_left[0] = np.nextafter(t_left[0], 1.0)
+            return t_left, t_right
+
+        monkeypatch.setattr(
+            DiffractionAwareSensorFusion, "extract_probe_delays", nudged
+        )
+        _, deltas = _counted_run(small_session)
+        assert deltas["misses"] == 1 and deltas["saved"] == 1
+        assert len(_artifacts(store_path)) == 2
+
+
+class TestKeyAcrossProcessesAndVersions:
+    JOB = {"job_id": "k", "subject_seed": 3, "probe_interval_s": 1.1,
+           "angle_step_deg": 30.0}
+
+    def test_warmup_under_another_hash_seed_adds_nothing(self, tmp_path):
+        """The key's repr holds no hash-ordered or address-bearing part."""
+        jobs = tmp_path / "jobs.jsonl"
+        jobs.write_text(json.dumps(self.JOB) + "\n")
+        store = str(tmp_path / "searches")
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        counts = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (src, env.get("PYTHONPATH")) if p
+            )
+            env.pop(mapstore.MAP_STORE_ENV, None)
+            subprocess.run(
+                [sys.executable, "-m", "repro.cli", "warmup", "--store", store,
+                 "--jobs", str(jobs)],
+                env=env, check=True, capture_output=True, timeout=300,
+            )
+            counts.append(len(mapstore.MapStore(store)))
+        assert counts[0] >= 1
+        assert counts[1] == counts[0]
+
+    def test_code_salt_change_misses(self, store_path, small_session, monkeypatch):
+        """A store baked by other code (or numpy/scipy) is not replayed."""
+        _counted_run(small_session)
+        monkeypatch.setattr(mapstore, "code_salt", lambda: "another release")
+        _, deltas = _counted_run(small_session)
+        assert deltas["hits"] == 0 and deltas["misses"] == 1
+        assert deltas["cost_evaluations"] > 0
+        assert len(_artifacts(store_path)) == 2
+
+    def test_code_salt_covers_library_versions(self, monkeypatch):
+        salt = mapstore.code_salt()
+        assert mapstore.code_salt() is salt  # computed once per process
+        monkeypatch.setattr(np, "__version__", "0.0.other")
+        assert mapstore.code_salt.__wrapped__() != salt
 
 
 class TestKillTheCache:
-    """Store-loaded tables must change no bit of a PersonalizationResult."""
+    """Store-replayed searches must change no bit of a PersonalizationResult."""
 
     SPEC = {"probe_interval_s": 1.1, "angle_step_deg": 30.0}
 
@@ -197,17 +293,22 @@ class TestKillTheCache:
         clear_delay_map_cache()
         _, baseline = personalize_capture(subject_seed=3, **self.SPEC)
 
-        monkeypatch.setenv(mapstore.MAP_STORE_ENV, str(tmp_path / "maps"))
+        monkeypatch.setenv(mapstore.MAP_STORE_ENV, str(tmp_path / "searches"))
         clear_delay_map_cache()
+        clear_search_memo()
         _, persisted = personalize_capture(subject_seed=3, **self.SPEC)
 
         clear_delay_map_cache()
-        builds = _counter("localize.delay_map_builds")
-        misses = _counter("mapstore.misses")
-        b0, m0 = builds.value, misses.value
+        clear_search_memo()
+        names = ("fusion.cost_evaluations", "mapstore.misses", "mapstore.hits",
+                 "localize.delay_map_builds")
+        before = [_counter(n).value for n in names]
         _, loaded = personalize_capture(subject_seed=3, **self.SPEC)
-        assert builds.value - b0 == 0  # everything came off the store
-        assert misses.value - m0 == 0
+        evals, misses, hits, builds = (
+            _counter(n).value - b for n, b in zip(names, before)
+        )
+        assert (evals, misses, hits) == (0, 0, 1)  # the search came off disk
+        assert builds == 1  # only the final map
 
         digests = {
             table_digest(r.table) for r in (baseline, persisted, loaded)
@@ -220,41 +321,74 @@ class TestKillTheCache:
         clear_delay_map_cache()
 
 
+def _served_twice(tmp_path, jobs):
+    """Serve ``jobs`` from fresh forked workers over an empty, then the
+    same now-baked store; the two batch reports."""
+    from repro.serve import BatchServer
+
+    store = str(tmp_path / "searches")
+    reports = []
+    for run in ("empty", "baked"):
+        # Workers fork from this process: cold memory caches, so the
+        # store's contents are the only difference between the runs.
+        clear_delay_map_cache()
+        clear_search_memo()
+        with BatchServer(
+            workers=1, map_store=store, telemetry=tmp_path / f"{run}.jsonl"
+        ) as server:
+            reports.append(server.run_batch(jobs))
+    return reports, store
+
+
+def _per_job(report, name):
+    return [
+        r.payload["_telemetry"]["metrics_delta"]["counters"].get(name, 0)
+        for r in report.results
+    ]
+
+
 @pytest.mark.slow
 class TestServedColdStart:
-    """A fresh worker over a baked store serves its jobs without a build."""
+    """A fresh worker over a baked store serves its jobs without a search."""
 
-    def test_baked_store_replaces_every_build(self, tmp_path):
-        from repro.core.fusion import clear_search_memo
-        from repro.serve import BatchServer, Job
+    def test_baked_store_replaces_every_search(self, tmp_path):
+        from repro.serve import Job
         from repro.testing.golden import CASE_CONFIG
 
         jobs = [Job(job_id=f"cold-{seed}", subject_seed=seed, **CASE_CONFIG)
                 for seed in (1, 2)]
-        store = str(tmp_path / "maps")
-        reports = []
-        for run in ("empty", "baked"):
-            # Workers fork from this process: cold memory caches, so the
-            # store's contents are the only difference between the runs.
-            clear_delay_map_cache()
-            clear_search_memo()
-            with BatchServer(
-                workers=1, map_store=store, telemetry=tmp_path / f"{run}.jsonl"
-            ) as server:
-                reports.append(server.run_batch(jobs))
-        empty, baked = reports
+        (empty, baked), _ = _served_twice(tmp_path, jobs)
 
-        def per_job(report, name):
-            return [
-                r.payload["_telemetry"]["metrics_delta"]["counters"].get(name, 0)
-                for r in report.results
-            ]
+        assert all(n > 0 for n in _per_job(empty, "fusion.cost_evaluations"))
+        assert _per_job(empty, "mapstore.saved") == [1, 1]
+        assert _per_job(baked, "fusion.cost_evaluations") == [0, 0]
+        assert _per_job(baked, "mapstore.hits") == [1, 1]
+        assert _per_job(baked, "mapstore.misses") == [0, 0]
+        # Each cold worker builds only its own final map per capture.
+        assert _per_job(baked, "localize.delay_map_builds") == [1, 1]
+        assert [r.deterministic() for r in baked.results] == [
+            r.deterministic() for r in empty.results
+        ]
 
-        builds = per_job(empty, "localize.delay_map_builds")
-        assert all(n > 0 for n in builds)
-        assert per_job(baked, "localize.delay_map_builds") == [0, 0]
-        assert per_job(baked, "mapstore.misses") == [0, 0]
-        assert per_job(baked, "localize.delay_map_loads") == builds
+    def test_multi_search_capture_replays_exactly(self, tmp_path):
+        """A capture that climbs the deconvolution ladder runs one search
+        per rung; every one of them is stored and replayed."""
+        from repro.serve import Job
+
+        job = Job(job_id="climb", subject_seed=2, probe_interval_s=0.6,
+                  angle_step_deg=30.0, fault="mic_noise",
+                  fault_args={"std": 0.5})
+        (empty, baked), store = _served_twice(tmp_path, [job])
+
+        [searches] = _per_job(empty, "fusion.search_memo_misses")
+        assert searches > 1
+        assert empty.results[0].payload["quality"]["salvage"]["deconv_path"] == [
+            "wiener", "tdls"
+        ]
+        assert _per_job(empty, "mapstore.saved") == [searches]
+        assert len(mapstore.MapStore(store)) == searches
+        assert _per_job(baked, "fusion.cost_evaluations") == [0]
+        assert _per_job(baked, "mapstore.hits") == [searches]
         assert [r.deterministic() for r in baked.results] == [
             r.deterministic() for r in empty.results
         ]
