@@ -19,8 +19,8 @@ critical-path summary and the batch's SLO statistics.
 ``docs/PERFORMANCE.md``, "Cold start & the map store").
 
 ``python -m repro.cli fleet`` runs the fleet-evaluation tier
-(:mod:`repro.eval.fleet`): ``run`` pushes a deterministic synthetic
-population through the batch server and writes a FleetReport, ``compare``
+(:mod:`repro.eval.fleet`): ``run`` personalizes the pinned population
+through the batch server and writes a FleetReport, ``compare``
 gates a report against the pinned distribution baseline with drift
 classification, and ``regen-baseline`` re-pins the baseline (see
 ``docs/TESTING.md``, "Fleet tier & distribution digests").
@@ -33,8 +33,7 @@ Examples::
         --map-store /var/cache/repro-maps \
         --telemetry telemetry.jsonl --report batch_report.json
     python -m repro.cli timeline telemetry.jsonl
-    python -m repro.cli fleet run --subjects 1000 --seed 7 \
-        --output fleet_report.json
+    python -m repro.cli fleet run --output fleet_report.json
     python -m repro.cli fleet compare --report fleet_report.json
 """
 
@@ -692,62 +691,20 @@ def build_fleet_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.cli fleet",
         description=(
-            "Fleet-scale evaluation: run a deterministic synthetic-subject "
-            "population through the batch server, aggregate per-stratum "
-            "metric distributions into a FleetReport, and gate against the "
-            "pinned distribution baseline with drift classification."
+            "Fleet evaluation: personalize the pinned population through the "
+            "batch server, score each subject against the simulator's "
+            "truth, digest the per-stratum distributions into a FleetReport, "
+            "and gate against the pinned baseline with drift classification."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_run_args(p: argparse.ArgumentParser) -> None:
         p.add_argument(
-            "--subjects",
-            type=int,
-            default=1000,
-            help="synthetic population size (default: 1000)",
-        )
-        p.add_argument(
-            "--seed",
-            type=int,
-            default=7,
-            help="population seed; the whole run is a pure function of it "
-            "(default: 7)",
-        )
-        p.add_argument(
             "--workers",
             type=int,
             default=2,
             help="serve worker process count (default: 2)",
-        )
-        p.add_argument(
-            "--queue-size",
-            type=int,
-            default=256,
-            help="bound on the serve pending-job queue (default: 256)",
-        )
-        p.add_argument(
-            "--bias-fraction",
-            type=float,
-            default=0.0,
-            metavar="F",
-            help="fraction of subjects given a systematic head-geometry "
-            "bias — the canonical injected regression (default: 0)",
-        )
-        p.add_argument(
-            "--head-bias-mm",
-            type=float,
-            default=0.0,
-            metavar="MM",
-            help="head-half-width bias in millimeters applied to the "
-            "biased fraction (default: 0)",
-        )
-        p.add_argument(
-            "--map-store",
-            metavar="DIR",
-            default=None,
-            help="head-search outcome store for the serve workers (pre-bake "
-            "with `python -m repro.cli warmup`)",
         )
 
     run = sub.add_parser(
@@ -758,8 +715,8 @@ def build_fleet_parser() -> argparse.ArgumentParser:
         "--output",
         metavar="PATH",
         default="fleet_report.json",
-        help="FleetReport path (default: fleet_report.json); same config "
-        "twice writes bit-identical files",
+        help="FleetReport path (default: fleet_report.json); any worker "
+        "count writes bit-identical files",
     )
     run.add_argument(
         "--metrics-json",
@@ -778,8 +735,8 @@ def build_fleet_parser() -> argparse.ArgumentParser:
         "--report",
         metavar="PATH",
         default=None,
-        help="existing FleetReport to compare; omitted: run a fresh "
-        "population with the options above",
+        help="existing FleetReport to compare; omitted: run the population "
+        "afresh",
     )
     compare.add_argument(
         "--baseline",
@@ -813,25 +770,14 @@ def _fleet_run(args) -> tuple["object", dict]:
     """Execute one fleet run from parsed CLI args (shared by subcommands)."""
     from repro.eval.fleet import run_fleet
 
-    report, ops = run_fleet(
-        args.subjects,
-        args.seed,
-        workers=args.workers,
-        queue_size=args.queue_size,
-        bias_fraction=args.bias_fraction,
-        head_bias_m=args.head_bias_mm / 1000.0,
-        map_store=args.map_store,
-    )
+    report, ops = run_fleet(workers=args.workers)
     statuses = ", ".join(
         f"{status} {count}" for status, count in sorted(ops["statuses"].items())
     )
-    print(f"fleet run        : {args.subjects} subjects, seed {args.seed} "
+    print(f"fleet run        : {sum(ops['statuses'].values())} subjects "
           f"({statuses})")
-    print(f"throughput       : {ops['subjects_per_s']:.0f} subjects/s "
-          f"({ops['wall_s']:.2f} s wall, {ops['workers']} workers)")
-    if args.bias_fraction > 0:
-        print(f"perturbation     : {args.bias_fraction:.0%} of subjects "
-              f"biased by {args.head_bias_mm:+g} mm head half-width")
+    print(f"throughput       : {ops['subjects_per_s']:.2f} subjects/s "
+          f"({ops['wall_s']:.1f} s wall, {ops['workers']} workers)")
     return report, ops
 
 
@@ -839,24 +785,21 @@ def main_fleet(argv: list[str] | None = None) -> int:
     """Run / compare / re-pin the fleet-evaluation tier.
 
     Exit codes: 0 clean, 1 baseline drift (``compare``), 2 the inputs
-    (population config, report, or baseline file) could not be used, 3 the
-    run completed but left failed subjects.
+    (report, baseline file, or server options) could not be used, 3 the
+    run left subjects the service never measured (``crashed``,
+    ``timeout``, ``interrupted`` or ``rejected``).  A ``failed`` subject
+    is a measured outcome: it counts in the failure rate only.
     """
     import json
     import os
 
     from repro.eval.drift import render_drift_table
-    from repro.eval.fleet import FleetReport, compare_reports
+    from repro.eval.fleet import UNMEASURED_STATUSES, compare_reports
     from repro.testing.golden import golden_dir
 
     args = build_fleet_parser().parse_args(argv)
     pinned_baseline = os.path.join(golden_dir(), "fleet_baseline.json")
-
-    def failed_subjects(report: FleetReport) -> int:
-        return sum(
-            count for status, count in report.statuses.items()
-            if status != "ok"
-        )
+    unmeasured_names = "/".join(sorted(UNMEASURED_STATUSES))
 
     if args.command == "run":
         try:
@@ -871,9 +814,9 @@ def main_fleet(argv: list[str] | None = None) -> int:
             return 2
         print(f"report saved     : {args.output}")
         _write_metrics(args.metrics_json)
-        if failed_subjects(report):
-            print(f"error: {failed_subjects(report)} subjects did not "
-                  f"complete ok", file=sys.stderr)
+        if report.n_unmeasured:
+            print(f"error: {report.n_unmeasured} subjects were not measured "
+                  f"({unmeasured_names})", file=sys.stderr)
             return 3
         return 0
 
@@ -884,10 +827,10 @@ def main_fleet(argv: list[str] | None = None) -> int:
         except ReproError as error:
             print(f"error: {error}", file=sys.stderr)
             return 2
-        if failed_subjects(report):
+        if report.n_unmeasured:
             print(f"error: refusing to pin a baseline with "
-                  f"{failed_subjects(report)} failed subjects",
-                  file=sys.stderr)
+                  f"{report.n_unmeasured} unmeasured subjects "
+                  f"({unmeasured_names})", file=sys.stderr)
             return 3
         try:
             report.save(output)

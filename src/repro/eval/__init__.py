@@ -25,7 +25,6 @@ from repro.eval.ablations import (
     ablation_near_far_conversion,
     ablation_measurement_density,
 )
-from repro.eval.sketch import QuantileSketch
 from repro.eval.drift import (
     DriftFinding,
     classify_drift,
@@ -39,7 +38,7 @@ from repro.eval.fleet import (
     compare_reports,
     generate_population,
     run_fleet,
-    subject_metrics,
+    score_job,
 )
 
 __all__ = [
@@ -61,7 +60,6 @@ __all__ = [
     "ablation_diffraction_model",
     "ablation_near_far_conversion",
     "ablation_measurement_density",
-    "QuantileSketch",
     "DriftFinding",
     "classify_drift",
     "compare_digests",
@@ -72,5 +70,5 @@ __all__ = [
     "compare_reports",
     "generate_population",
     "run_fleet",
-    "subject_metrics",
+    "score_job",
 ]

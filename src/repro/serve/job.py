@@ -81,7 +81,7 @@ class Job:
     params:
         Free-form runner parameters (JSON-serializable), for runners that
         need compute-relevant knobs beyond the capture spec — the fleet
-        harness tags each job with its stratum and bias here.  Part of
+        harness tags each job with its stratum here.  Part of
         the spec key (two jobs differing only in ``params`` are different
         computations); omitted from keys and JSONL when empty, so specs
         without it keep their exact pre-``params`` representation.

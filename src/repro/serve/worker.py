@@ -29,7 +29,12 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.core.pipeline import personalize_capture
 
-__all__ = ["execute_job", "maybe_crash", "run_with_telemetry"]
+__all__ = [
+    "execute_job",
+    "maybe_crash",
+    "personalize_spec",
+    "run_with_telemetry",
+]
 
 #: Jobs completed in *this* process since import.  With the fork start
 #: method workers inherit the parent's zero, so the first job each worker
@@ -113,12 +118,14 @@ def maybe_crash(spec: Mapping[str, Any]) -> None:
     os._exit(77)
 
 
-def execute_job(spec: Mapping[str, Any]) -> dict[str, Any]:
-    """Run one personalization job and return its deterministic payload.
+def personalize_spec(spec: Mapping[str, Any]):
+    """Personalize the capture a job spec names: ``(session, result)``.
 
-    Raises :class:`repro.errors.ReproError` subclasses for *job* failures
-    (bad spec, corrupted capture, failed gesture check) — the server records
-    those as ``status="failed"`` without disturbing the rest of the batch.
+    The one spec → :class:`~repro.core.pipeline.PersonalizationResult`
+    path shared by :func:`execute_job` and the fleet runner
+    (:func:`repro.eval.fleet.score_job`): honors the ``crash_marker`` hook
+    and process faults, loads or simulates the capture, applies any
+    capture fault, and runs the pipeline.
     """
     maybe_crash(spec)
 
@@ -142,7 +149,7 @@ def execute_job(spec: Mapping[str, Any]) -> dict[str, Any]:
             session, spec["fault"], **dict(spec.get("fault_args") or {})
         )
 
-    session, result = personalize_capture(
+    return personalize_capture(
         subject_seed=spec.get("subject_seed", 0) or 0,
         session_seed=spec.get("session_seed", 0),
         probe_interval_s=spec.get("probe_interval_s", 0.4),
@@ -151,6 +158,16 @@ def execute_job(spec: Mapping[str, Any]) -> dict[str, Any]:
         session=session,
         deconv=spec.get("deconv", "auto") or "auto",
     )
+
+
+def execute_job(spec: Mapping[str, Any]) -> dict[str, Any]:
+    """Run one personalization job and return its deterministic payload.
+
+    Raises :class:`repro.errors.ReproError` subclasses for *job* failures
+    (bad spec, corrupted capture, failed gesture check) — the server records
+    those as ``status="failed"`` without disturbing the rest of the batch.
+    """
+    session, result = personalize_spec(spec)
     a, b, c = result.head_parameters
     salvage = (result.quality.salvage or {}) if result.quality else {}
     return {

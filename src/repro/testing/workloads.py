@@ -27,7 +27,6 @@ from repro.testing.faults import apply_process_fault
 
 __all__ = [
     "digest_runner",
-    "fleet_runner",
     "sleepy_runner",
 ]
 
@@ -84,24 +83,6 @@ def digest_runner(spec: Mapping[str, Any]) -> dict[str, Any]:
         "digest": _spec_digest(spec),
         "subject_seed": spec.get("subject_seed"),
     }
-
-
-def fleet_runner(spec: Mapping[str, Any]) -> dict[str, Any]:
-    """Synthetic per-subject fleet metrics (see :mod:`repro.eval.fleet`).
-
-    Mirrors :func:`digest_runner`'s unhappy paths (crash markers, process
-    faults, :data:`FAILING_FAULT`) so the fleet harness exercises the same
-    service machinery, then returns the deterministic subject metrics.
-    Imports the fleet model lazily: workloads must stay importable without
-    pulling the eval package into every worker.
-    """
-    maybe_crash(spec)
-    apply_process_fault(spec)
-    _fail_if_requested(spec)
-    from repro.eval.fleet import subject_metrics
-
-    obs_metrics.counter("fleet.subject_jobs").inc()
-    return subject_metrics(spec)
 
 
 def sleepy_runner(spec: Mapping[str, Any]) -> dict[str, Any]:

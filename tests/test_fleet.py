@@ -1,13 +1,17 @@
-"""Fleet-evaluation tier tests: sketches, drift classes, populations, CLI.
+"""Fleet-evaluation tier tests: drift classes, population, digests, CLI.
 
-The load-bearing properties, in suite order: the quantile sketch is exactly
-mergeable (order- and shard-invariant — the property future serve sharding
-rests on), the drift detector classifies deviations the documented way, the
-synthetic population and per-subject metrics are pure functions of their
-seeds, a fleet run through the real :class:`BatchServer` is bit-identical
-for any worker count, and the ``fleet`` CLI gates against the pinned
-baseline: exit 0 clean, exit 1 with a classified diff table under the
-canonical 10%-biased-population perturbation.
+The load-bearing properties, in suite order: the drift detector classifies
+deviations the documented way, the pinned population is a pure function of
+the module constants, the digests are exact statistics of the scores in
+submission order, a fleet run through the real pipeline and
+:class:`BatchServer` is bit-identical for any worker count and compares
+clean against the pinned baseline, a one-sample delay regression in fusion
+reads as a ``shift`` in head error, and the ``fleet`` CLI's exit codes
+separate drift, unusable inputs and unmeasured subjects.
+
+The real pipeline runs the pinned population once per session (the
+``fleet_run`` module fixture); every other real-pipeline test runs a subset
+of strata.
 """
 
 from __future__ import annotations
@@ -18,11 +22,12 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from repro import cli
+from repro.core.fusion import DiffractionAwareSensorFusion
+from repro.core.mapstore import MAP_STORE_ENV
 from repro.errors import ReproError
+from repro.eval import fleet
 from repro.eval.drift import (
     DEFAULT_TOLERANCES,
     classify_drift,
@@ -31,136 +36,21 @@ from repro.eval.drift import (
 )
 from repro.eval.fleet import (
     DEFAULT_STRATA,
-    FleetReport,
-    METRIC_EDGES,
+    METRICS,
     OVERALL,
+    RATE_METRICS,
+    SUBJECTS_PER_STRATUM,
+    FleetReport,
     Stratum,
+    aggregate,
     compare_reports,
     generate_population,
     run_fleet,
-    subject_metrics,
 )
-from repro.eval.sketch import QuantileSketch
-from repro.serve.job import Job
+from repro.serve.job import Job, JobResult
 from repro.testing.golden import golden_dir
-from repro.testing.workloads import FAILING_FAULT
 
-
-# -- quantile sketch ----------------------------------------------------------
-
-
-class TestQuantileSketch:
-    def test_exact_accumulators(self):
-        sketch = QuantileSketch([0.0, 1.0, 2.0])
-        sketch.add_many([0.5, 1.5, 1.5, 3.0])
-        assert sketch.count == 4
-        assert sketch.total == pytest.approx(6.5)
-        assert sketch.low == 0.5
-        assert sketch.high == 3.0
-        assert sketch.mean == pytest.approx(6.5 / 4)
-
-    def test_quantile_endpoints_are_exact(self):
-        sketch = QuantileSketch(np.linspace(0, 10, 11))
-        values = [0.3, 2.2, 5.5, 9.9]
-        sketch.add_many(values)
-        assert sketch.quantile(0.0) == 0.3
-        assert sketch.quantile(1.0) == 9.9
-
-    def test_quantiles_within_one_bin_of_exact(self):
-        rng = np.random.default_rng(5)
-        values = rng.normal(5.0, 1.5, 2000).clip(0.0, 10.0)
-        edges = np.linspace(0.0, 10.0, 101)
-        sketch = QuantileSketch(edges)
-        sketch.add_many(values)
-        bin_width = 0.1
-        for q in (0.05, 0.25, 0.5, 0.75, 0.95):
-            assert sketch.quantile(q) == pytest.approx(
-                float(np.quantile(values, q)), abs=bin_width
-            )
-
-    def test_std_tracks_sample_std(self):
-        rng = np.random.default_rng(6)
-        values = rng.normal(5.0, 1.5, 2000).clip(0.0, 10.0)
-        sketch = QuantileSketch(np.linspace(0.0, 10.0, 101))
-        sketch.add_many(values)
-        assert sketch.std() == pytest.approx(float(np.std(values)), abs=0.1)
-
-    def test_empty_sketch_statistics(self):
-        sketch = QuantileSketch([0.0, 1.0])
-        assert np.isnan(sketch.mean)
-        assert np.isnan(sketch.quantile(0.5))
-        assert sketch.std() == 0.0
-        record = sketch.to_dict()
-        assert record["min"] is None and record["max"] is None
-
-    def test_saturating_end_bins_keep_outliers(self):
-        sketch = QuantileSketch([0.0, 1.0])
-        sketch.add_many([-5.0, 0.5, 99.0])
-        assert sketch.count == 3
-        assert sketch.low == -5.0 and sketch.high == 99.0
-        assert sketch.quantile(1.0) == 99.0
-
-    def test_validation(self):
-        with pytest.raises(ReproError):
-            QuantileSketch([1.0])
-        with pytest.raises(ReproError):
-            QuantileSketch([1.0, 1.0])
-        with pytest.raises(ReproError):
-            QuantileSketch([0.0, float("inf")])
-        sketch = QuantileSketch([0.0, 1.0])
-        with pytest.raises(ReproError):
-            sketch.add(float("nan"))
-        with pytest.raises(ReproError):
-            sketch.quantile(1.5)
-        with pytest.raises(ReproError):
-            sketch.merge(QuantileSketch([0.0, 2.0]))
-
-    def test_dict_round_trip(self):
-        sketch = QuantileSketch(np.linspace(0, 4, 9))
-        sketch.add_many([0.1, 1.3, 2.7, 3.9, 2.0])
-        clone = QuantileSketch.from_dict(
-            json.loads(json.dumps(sketch.to_dict()))
-        )
-        assert np.array_equal(clone.counts, sketch.counts)
-        assert clone.count == sketch.count
-        assert clone.total == sketch.total
-        assert clone.low == sketch.low and clone.high == sketch.high
-        assert clone.quantile(0.5) == sketch.quantile(0.5)
-
-    @given(
-        values=st.lists(
-            st.floats(min_value=0.0, max_value=45.0, allow_nan=False),
-            min_size=1,
-            max_size=120,
-        ),
-        n_shards=st.integers(min_value=1, max_value=5),
-        order_seed=st.integers(min_value=0, max_value=2**16),
-    )
-    def test_merge_is_order_and_shard_invariant(
-        self, values, n_shards, order_seed
-    ):
-        # The property the harness needs to survive serve sharding: any
-        # partition of the stream into shards, merged in any order, equals
-        # the monolithic sketch — counts/min/max exactly, the float total
-        # within accumulation tolerance.
-        edges = METRIC_EDGES["error_deg"]
-        mono = QuantileSketch(edges)
-        mono.add_many(values)
-        shards = [QuantileSketch(edges) for _ in range(n_shards)]
-        for i, value in enumerate(values):
-            shards[i % n_shards].add(value)
-        merged = QuantileSketch(edges)
-        for index in np.random.default_rng(order_seed).permutation(n_shards):
-            merged.merge(shards[index])
-        assert np.array_equal(merged.counts, mono.counts)
-        assert merged.count == mono.count
-        assert merged.low == mono.low and merged.high == mono.high
-        assert merged.total == pytest.approx(mono.total, rel=1e-12, abs=1e-9)
-        for q in (0.05, 0.5, 0.95):
-            assert merged.quantile(q) == pytest.approx(
-                mono.quantile(q), abs=1e-9
-            )
-        assert merged.std() == pytest.approx(mono.std(), abs=1e-9)
+BASELINE = os.path.join(golden_dir(), "fleet_baseline.json")
 
 
 # -- drift classification -----------------------------------------------------
@@ -235,104 +125,48 @@ class TestDriftClassification:
         assert render_drift_table([]) == "no drift findings"
 
     def test_default_tolerances_cover_every_fleet_metric(self):
-        for metric in METRIC_EDGES:
-            assert metric in DEFAULT_TOLERANCES
-        for rate in ("salvage_rate", "retry_rate", "failure_rate"):
-            assert rate in DEFAULT_TOLERANCES
+        assert set(DEFAULT_TOLERANCES) == set(METRICS) | set(RATE_METRICS)
 
 
-# -- population generation and the subject model ------------------------------
+# -- the pinned population ----------------------------------------------------
 
 
 class TestPopulation:
     def test_generation_is_deterministic(self):
-        a = generate_population(300, 11)
-        b = generate_population(300, 11)
+        a, b = generate_population(), generate_population()
         assert [job.spec_key() for job in a] == [job.spec_key() for job in b]
 
-    def test_subject_seeds_are_distinct(self):
-        jobs = generate_population(300, 11)
-        seeds = {job.subject_seed for job in jobs}
-        assert len(seeds) == 300
-
     def test_every_stratum_is_populated(self):
-        jobs = generate_population(500, 11)
-        strata = {job.params["stratum"] for job in jobs}
-        assert strata == {s.name for s in DEFAULT_STRATA}
+        jobs = generate_population()
+        assert len(jobs) == SUBJECTS_PER_STRATUM * len(DEFAULT_STRATA)
+        for stratum in DEFAULT_STRATA:
+            members = [j for j in jobs if j.params["stratum"] == stratum.name]
+            assert len(members) == SUBJECTS_PER_STRATUM
+            assert all(j.fault == stratum.fault for j in members)
+            assert all(dict(j.fault_args) == dict(stratum.fault_args)
+                       for j in members)
 
-    def test_bias_marks_subpopulation_without_moving_strata(self):
-        clean = generate_population(500, 11)
-        biased = generate_population(
-            500, 11, bias_fraction=0.1, head_bias_m=1e-3
-        )
-        # Same subjects in the same strata — only the bias tag differs.
-        assert [j.params["stratum"] for j in clean] == [
-            j.params["stratum"] for j in biased
+    def test_subject_seeds_are_distinct(self):
+        # Seeded by population index, so no two jobs coalesce.
+        jobs = generate_population()
+        assert [j.subject_seed for j in jobs] == [
+            1_000_000 + fleet.SEED * 100_000 + i for i in range(len(jobs))
         ]
-        marked = [j for j in biased if "head_bias_m" in j.params]
-        assert 0.05 * 500 < len(marked) < 0.15 * 500
-        assert all(j.params["head_bias_m"] == 1e-3 for j in marked)
-        assert not any("head_bias_m" in j.params for j in clean)
+
+    def test_leading_subset_keeps_its_subjects(self):
+        subset = generate_population(DEFAULT_STRATA[:2])
+        full = generate_population()
+        assert [j.spec_key() for j in subset] == [
+            j.spec_key() for j in full[: len(subset)]
+        ]
 
     def test_validation(self):
         with pytest.raises(ReproError):
-            generate_population(0, 1)
+            generate_population([])
         with pytest.raises(ReproError):
-            generate_population(10, 1, bias_fraction=1.5)
+            generate_population([Stratum("a"), Stratum("a")])
         with pytest.raises(ReproError):
-            generate_population(10, 1, strata=[])
-        with pytest.raises(ReproError):
-            generate_population(
-                10, 1, strata=[Stratum("a", 0.5), Stratum("a", 0.5)]
-            )
-        with pytest.raises(ReproError):
-            generate_population(10, 1, strata=[Stratum(OVERALL, 1.0)])
-
-
-class TestSubjectMetrics:
-    SPEC = {
-        "job_id": "j", "subject_seed": 1_700_123,
-        "params": {"stratum": "clean"},
-    }
-
-    def test_pure_function_of_spec(self):
-        assert subject_metrics(self.SPEC) == subject_metrics(dict(self.SPEC))
-
-    def test_head_bias_shifts_error_additively(self):
-        biased = dict(self.SPEC)
-        biased["params"] = {"stratum": "clean", "head_bias_m": 1e-3}
-        clean = subject_metrics(self.SPEC)
-        shifted = subject_metrics(biased)
-        # 1 mm at ~4 deg/mm — additive, outside the rng stream.
-        assert shifted["error_deg"] - clean["error_deg"] == pytest.approx(
-            4.0, abs=1e-6
-        )
-        assert shifted["confidence"] < clean["confidence"]
-
-    def test_faulted_strata_degrade_on_average(self):
-        def mean_error(fault, fault_args, stratum):
-            return float(np.mean([
-                subject_metrics({
-                    "subject_seed": 1_700_000 + i, "fault": fault,
-                    "fault_args": fault_args,
-                    "params": {"stratum": stratum},
-                })["error_deg"]
-                for i in range(60)
-            ]))
-
-        clean = mean_error(None, {}, "clean")
-        noisy = mean_error("mic_noise", {"std": 0.01}, "noisy_room")
-        assert noisy > clean
-
-    def test_metrics_within_sketch_ladders(self):
-        for i in range(40):
-            payload = subject_metrics({
-                "subject_seed": 1_700_000 + i,
-                "params": {"stratum": "clean"},
-            })
-            assert 0.0 <= payload["error_deg"] <= 45.0
-            assert 0.0 <= payload["confidence"] <= 1.0
-            assert payload["latency_ms"] > 0.0
+            generate_population([Stratum(OVERALL)])
 
 
 class TestJobParams:
@@ -349,164 +183,273 @@ class TestJobParams:
     def test_params_round_trip_through_dict(self):
         job = Job(
             job_id="a", subject_seed=1,
-            params={"stratum": "clean", "head_bias_m": 1e-3},
+            params={"stratum": "clean", "cohort": 2},
         )
         clone = Job.from_dict(json.loads(json.dumps(job.to_dict())))
         assert clone.spec_key() == job.spec_key()
         assert dict(clone.params) == dict(job.params)
 
 
-# -- fleet runs through the serve layer ---------------------------------------
+# -- digests over scored results ----------------------------------------------
 
 
-class TestFleetRun:
-    def test_bit_identical_across_worker_counts(self):
-        one, _ = run_fleet(200, 3, workers=1)
-        two, _ = run_fleet(200, 3, workers=2)
-        assert json.dumps(one.to_dict(), sort_keys=True) == json.dumps(
-            two.to_dict(), sort_keys=True
-        )
+def _scored(job, error_deg, head_error_mm, confidence, salvaged=False,
+            attempts=1):
+    return JobResult(
+        job_id=job.job_id,
+        status="ok",
+        payload={
+            "error_deg": error_deg,
+            "head_error_mm": head_error_mm,
+            "confidence": [confidence],
+            "salvaged": salvaged,
+        },
+        attempts=attempts,
+    )
 
-    def test_failed_subjects_feed_the_failure_rate(self):
-        strata = (
-            Stratum("clean", 0.5),
-            Stratum("broken", 0.5, FAILING_FAULT),
-        )
-        report, _ = run_fleet(60, 3, workers=1, strata=strata)
-        assert report.statuses.get("failed", 0) > 0
-        digest = report.digest()
-        assert digest["broken"]["failure_rate"]["mean"] == 1.0
-        assert digest["clean"]["failure_rate"]["mean"] == 0.0
-        # Failed subjects contribute no metric samples.
-        assert "error_deg" not in digest["broken"]
 
-    def test_report_round_trips_and_digest_survives(self):
-        report, _ = run_fleet(120, 5, workers=1)
-        clone = FleetReport.from_dict(
-            json.loads(json.dumps(report.to_dict()))
-        )
-        assert clone.digest() == report.digest()
-        assert OVERALL in report.digest()
+class TestAggregate:
+    STRATA = (Stratum("clean"), Stratum("noisy", "mic_noise", {"std": 0.01}))
 
-    def test_report_save_is_canonical(self, tmp_path):
-        report, _ = run_fleet(60, 5, workers=1)
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        report.save(a)
-        report.save(b)
-        assert a.read_bytes() == b.read_bytes()
+    def _results(self):
+        jobs = generate_population(self.STRATA)
+        c0, c1, c2, n0, n1, n2 = jobs
+        results = [
+            _scored(c0, [1.0, 2.0], [3.0, 4.0, 5.0], 1.0),
+            _scored(c1, [0.5], [1.0, 1.0, 1.0], 0.9, salvaged=True),
+            _scored(c2, [4.0, 3.0], [2.0, 6.0, 0.0], 0.8, attempts=2),
+            _scored(n0, [7.0], [9.0, 9.0, 9.0], 0.5),
+            JobResult(job_id=n1.job_id, status="failed", error="boom"),
+            JobResult(job_id=n2.job_id, status="crashed", error="died",
+                      attempts=3),
+        ]
+        return jobs, results
 
-    def test_overall_row_equals_merged_strata(self):
-        report, _ = run_fleet(200, 3, workers=1)
-        digest = report.digest()
-        total = sum(
-            digest[s]["error_deg"]["count"]
-            for s in digest
-            if s != OVERALL
-        )
-        assert digest[OVERALL]["error_deg"]["count"] == total
+    def test_digest_is_exact_over_submission_order(self):
+        jobs, results = self._results()
+        digest = aggregate({}, jobs, results).digest
+        errors = np.array([1.0, 2.0, 0.5, 4.0, 3.0])
+        want = digest["clean"]["error_deg"]
+        assert want["count"] == 5
+        assert want["mean"] == round(float(errors.mean()), 6)
+        assert want["std"] == round(float(errors.std()), 6)
+        for name, q in zip(("p5", "p25", "p50", "p75", "p95"),
+                           np.percentile(errors, [5, 25, 50, 75, 95])):
+            assert want[name] == round(float(q), 6)
+        assert digest["clean"]["head_error_mm"]["count"] == 9
+        assert digest["clean"]["confidence"]["mean"] == 0.9
+        assert digest[OVERALL]["error_deg"]["count"] == 6
+
+    def test_rates_and_statuses(self):
+        jobs, results = self._results()
+        report = aggregate({}, jobs, results)
+        clean, noisy = report.digest["clean"], report.digest["noisy"]
+        assert clean["failure_rate"] == {"count": 3, "mean": 0.0}
+        assert clean["salvage_rate"]["mean"] == round(1 / 3, 6)
+        assert clean["retry_rate"]["mean"] == round(1 / 3, 6)
+        # failed and crashed both fail; only attempts > 1 is a retry.
+        assert noisy["failure_rate"]["mean"] == round(2 / 3, 6)
+        assert noisy["retry_rate"]["mean"] == round(1 / 3, 6)
+        assert noisy["error_deg"]["count"] == 1
+        assert report.digest[OVERALL]["failure_rate"] == {
+            "count": 6, "mean": round(2 / 6, 6)
+        }
+        assert report.statuses == {"ok": 4, "failed": 1, "crashed": 1}
+        assert report.n_unmeasured == 1
+
+    def test_unknown_result_is_rejected(self):
+        jobs, results = self._results()
+        stray = JobResult(job_id="stray", status="failed", error="x")
+        with pytest.raises(ReproError):
+            aggregate({}, jobs, [*results, stray])
 
 
 class TestBaselineCompare:
     def test_report_matches_itself(self):
-        report, _ = run_fleet(120, 5, workers=1)
-        violations, findings = compare_reports(
-            report.to_dict(), report.to_dict()
-        )
-        assert violations == [] and findings == []
+        baseline = json.load(open(BASELINE))
+        assert compare_reports(baseline, copy.deepcopy(baseline)) == ([], [])
 
     def test_config_mismatch_is_a_violation(self):
-        report, _ = run_fleet(60, 5, workers=1)
-        other = copy.deepcopy(report.to_dict())
-        other["config"]["subjects"] = 61
-        violations, _ = compare_reports(report.to_dict(), other)
-        assert any(v.startswith("config/subjects") for v in violations)
-
-    def test_bias_knobs_are_not_config_drift(self):
-        report, _ = run_fleet(60, 5, workers=1)
-        perturbed = copy.deepcopy(report.to_dict())
-        perturbed["config"]["bias_fraction"] = 0.1
-        perturbed["config"]["head_bias_m"] = 1e-3
-        violations, _ = compare_reports(report.to_dict(), perturbed)
-        assert not any(v.startswith("config/") for v in violations)
+        baseline = json.load(open(BASELINE))
+        other = copy.deepcopy(baseline)
+        other["config"]["subjects_per_stratum"] = 4
+        violations, _ = compare_reports(baseline, other)
+        assert any(v.startswith("config/subjects_per_stratum")
+                   for v in violations)
 
 
-# -- end to end through the CLI ----------------------------------------------
-
-
-BASELINE = os.path.join(golden_dir(), "fleet_baseline.json")
+# -- the real pipeline through the serve layer --------------------------------
 
 
 @pytest.fixture(scope="module")
-def cli_report(tmp_path_factory):
-    """One CLI fleet run at the pinned baseline configuration."""
-    path = tmp_path_factory.mktemp("fleet") / "report.json"
-    code = cli.main([
-        "fleet", "run", "--subjects", "1000", "--seed", "7",
-        "--output", str(path),
-    ])
-    assert code == 0
-    return path
+def fleet_run():
+    """The pinned population, personalized once: ``(report, ops)``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv(MAP_STORE_ENV, "")
+        return run_fleet(workers=2)
+
+
+@pytest.mark.slow
+class TestFleetRun:
+    def test_failed_subjects_feed_the_failure_rate(self, fleet_run):
+        # clipped_audio (level 0.02) raises CalibrationError on every
+        # pinned subject: a measured outcome, not an unmeasured one.
+        report, _ = fleet_run
+        clipped = report.digest["clipped_audio"]
+        assert clipped["failure_rate"]["mean"] == 1.0
+        assert not set(METRICS) & set(clipped)
+        assert report.digest["clean"]["failure_rate"]["mean"] == 0.0
+        assert report.statuses.get("failed", 0) >= SUBJECTS_PER_STRATUM
+        assert report.n_unmeasured == 0
+
+    def test_scores_are_real_measurements(self, fleet_run):
+        clean = fleet_run[0].digest["clean"]
+        # Fig. 17: every probe of every clean subject is scored, single-digit
+        # median error; three head parameters per subject.
+        assert clean["error_deg"]["count"] >= 10 * SUBJECTS_PER_STRATUM
+        assert clean["error_deg"]["p50"] < 8.0
+        assert clean["head_error_mm"]["count"] == 3 * SUBJECTS_PER_STRATUM
+
+    def test_overall_row_equals_merged_strata(self, fleet_run):
+        digest = fleet_run[0].digest
+        strata = [s for s in digest if s != OVERALL]
+        for metric in ("error_deg", "head_error_mm", "failure_rate"):
+            assert digest[OVERALL][metric]["count"] == sum(
+                digest[s][metric]["count"]
+                for s in strata
+                if metric in digest[s]
+            )
+
+    def test_report_save_is_canonical(self, fleet_run, tmp_path):
+        report, _ = fleet_run
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        report.save(a)
+        report.save(b)
+        assert a.read_bytes() == b.read_bytes()
+        assert json.loads(a.read_text())["digest"] == report.digest
+
+    def test_bit_identical_across_worker_counts(self, fleet_run):
+        # A leading subset keeps its subjects, so one worker must reproduce
+        # the two-worker run's rows for those strata to the bit.
+        two, _ = fleet_run
+        subset = DEFAULT_STRATA[:2]
+        one, _ = run_fleet(workers=1, strata=subset)
+        for stratum in (s.name for s in subset):
+            assert one.digest[stratum] == two.digest[stratum]
+            assert one.counters[stratum] == two.counters[stratum]
+
+
+# -- the fleet CLI ------------------------------------------------------------
+
+
+def _stub_run(monkeypatch, report):
+    calls = []
+
+    def run(*, workers=2, strata=None):
+        calls.append(workers)
+        return report, {
+            "wall_s": 1.0, "subjects_per_s": 21.0, "workers": workers,
+            "statuses": dict(report.statuses), "serve_latency": {},
+        }
+
+    monkeypatch.setattr(fleet, "run_fleet", run)
+    return calls
+
+
+def _pinned_report():
+    record = json.load(open(BASELINE))
+    return FleetReport(
+        config=record["config"],
+        statuses=record["statuses"],
+        counters=record["counters"],
+        digest=record["digest"],
+    )
 
 
 class TestFleetCli:
-    def test_runs_are_bit_identical(self, cli_report, tmp_path):
-        # The acceptance criterion verbatim: same config, different worker
-        # count, byte-equal report files.
-        again = tmp_path / "again.json"
-        code = cli.main([
-            "fleet", "run", "--subjects", "1000", "--seed", "7",
-            "--workers", "1", "--output", str(again),
-        ])
-        assert code == 0
-        assert again.read_bytes() == cli_report.read_bytes()
+    @pytest.mark.slow
+    def test_compare_against_pinned_baseline_is_clean(
+        self, fleet_run, tmp_path
+    ):
+        path = tmp_path / "report.json"
+        fleet_run[0].save(path)
+        assert cli.main(["fleet", "compare", "--report", str(path)]) == 0
 
-    def test_compare_against_pinned_baseline_is_clean(self, cli_report):
-        assert os.path.exists(BASELINE), (
-            f"missing pinned baseline {BASELINE} — run `python -m repro.cli "
-            f"fleet regen-baseline`"
+    @pytest.mark.slow
+    def test_shift_classification_via_api(self, monkeypatch):
+        # A real pipeline regression that Fig. 17 error alone misses: every
+        # left-ear delay one sample late.  Patched before the server forks,
+        # so the workers inherit it.
+        original = DiffractionAwareSensorFusion.extract_probe_delays
+
+        def late_left(self, session, bank=None, active=None):
+            t_left, t_right = original(self, session, bank, active)
+            return t_left + 1.0 / session.fs, t_right
+
+        monkeypatch.setattr(
+            DiffractionAwareSensorFusion, "extract_probe_delays", late_left
         )
-        code = cli.main(["fleet", "compare", "--report", str(cli_report)])
-        assert code == 0
-
-    def test_biased_population_trips_the_detector(self, capsys):
-        # The canonical fleet regression: +1 mm head half-width in 10% of
-        # subjects must exit non-zero with a rendered diff table and a
-        # `shift` classification on localization error.
-        code = cli.main([
-            "fleet", "compare", "--subjects", "1000", "--seed", "7",
-            "--bias-fraction", "0.1", "--head-bias-mm", "1.0",
-        ])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "shift" in err and "error_deg" in err
-        assert "stratum" in err and "baseline" in err  # the diff table
-
-    def test_shift_classification_via_api(self):
+        report, _ = run_fleet(strata=DEFAULT_STRATA[:1])
         baseline = json.load(open(BASELINE))
-        biased, _ = run_fleet(
-            1000, 7, workers=2, bias_fraction=0.1, head_bias_m=1e-3
-        )
-        violations, findings = compare_reports(baseline, biased.to_dict())
-        assert violations
+        _, findings = compare_reports(baseline, report.to_dict())
         by_key = {(f.stratum, f.metric): f.classification for f in findings}
-        assert by_key[("clean", "error_deg")] == "shift"
-        assert by_key[(OVERALL, "error_deg")] == "shift"
+        assert by_key[("clean", "head_error_mm")] == "shift"
+
+    def test_run_writes_the_report_and_passes_workers(
+        self, monkeypatch, tmp_path
+    ):
+        calls = _stub_run(monkeypatch, _pinned_report())
+        path = tmp_path / "report.json"
+        # The pinned population has failed subjects; they do not fail the run.
+        assert cli.main([
+            "fleet", "run", "--workers", "1", "--output", str(path),
+        ]) == 0
+        assert calls == [1]
+        with open(BASELINE, "rb") as handle:
+            assert path.read_bytes() == handle.read()
+
+    def test_regen_baseline_round_trips(self, monkeypatch, tmp_path):
+        _stub_run(monkeypatch, _pinned_report())
+        pinned = tmp_path / "baseline.json"
+        assert cli.main([
+            "fleet", "regen-baseline", "--output", str(pinned),
+        ]) == 0
+        with open(BASELINE, "rb") as handle:
+            assert pinned.read_bytes() == handle.read()
+
+    @pytest.mark.parametrize(
+        "status", ["crashed", "timeout", "interrupted", "rejected"]
+    )
+    def test_unmeasured_subjects_exit_3(self, monkeypatch, tmp_path, status):
+        report = _pinned_report()
+        report.statuses = dict(report.statuses, **{status: 1})
+        _stub_run(monkeypatch, report)
+        assert cli.main([
+            "fleet", "run", "--output", str(tmp_path / "r.json"),
+        ]) == 3
+        pinned = tmp_path / "baseline.json"
+        assert cli.main([
+            "fleet", "regen-baseline", "--output", str(pinned),
+        ]) == 3
+        assert not pinned.exists()
+
+    def test_drifted_report_trips_the_detector(self, monkeypatch, capsys):
+        report = _pinned_report()
+        drifted = copy.deepcopy(report.digest)
+        cell = drifted["clean"]["head_error_mm"]
+        cell["mean"] += 2.7
+        cell["p50"] += 3.0
+        report.digest = drifted
+        _stub_run(monkeypatch, report)
+        assert cli.main(["fleet", "compare"]) == 1
+        err = capsys.readouterr().err
+        assert "shift" in err and "head_error_mm" in err
+        assert "stratum" in err and "baseline" in err  # the diff table
 
     def test_unusable_inputs_exit_2(self, tmp_path):
         missing = tmp_path / "nope.json"
+        assert cli.main(["fleet", "compare", "--report", str(missing)]) == 2
         assert cli.main([
-            "fleet", "compare", "--report", str(missing),
+            "fleet", "compare", "--report", BASELINE,
+            "--baseline", str(missing),
         ]) == 2
-        assert cli.main([
-            "fleet", "run", "--subjects", "0", "--output",
-            str(tmp_path / "r.json"),
-        ]) == 2
-
-    def test_regen_baseline_round_trips(self, tmp_path, cli_report):
-        pinned = tmp_path / "baseline.json"
-        code = cli.main([
-            "fleet", "regen-baseline", "--subjects", "1000", "--seed", "7",
-            "--output", str(pinned),
-        ])
-        assert code == 0
-        assert pinned.read_bytes() == cli_report.read_bytes()
