@@ -8,6 +8,8 @@ personalization must stay interactive — "users can get their personalized
 HRTF ... in a couple of minutes" — which these budgets add up to.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -26,8 +28,9 @@ from repro.signals.channel import ProbeChannelBank
 from repro.core.aoa import KnownSourceAoAEstimator, UnknownSourceAoAEstimator
 from repro.core import mapstore
 from repro.core.localize import DelayMap, cached_delay_map, clear_delay_map_cache
+from repro.core.fusion import DiffractionAwareSensorFusion
 from repro.core.pipeline import Uniq, UniqConfig
-from repro.core.fusion import DiffractionAwareSensorFusion, clear_search_memo
+from repro.serve.worker import clear_capture_memo, personalize_spec
 
 FS = 48_000
 
@@ -113,19 +116,32 @@ def test_perf_delay_map_cached(benchmark, head):
     assert result.t_left.shape == (24, 88)
 
 
-def test_perf_fusion_search_memo_hit(benchmark, subject):
-    """fusion.run on an already-solved capture: what a re-render pays.
+def test_perf_served_rerender_memo_hit(benchmark, subject, tmp_path):
+    """A served re-render of a capture the worker has solved: what it pays.
 
-    The head search replays from the memo, so this is delay extraction out
-    of the session bank, the final localization and the sentinels.
+    The worker reads and hashes the capture file, then renders the
+    memoized solution at the new grid; loading, preflight, deconvolution
+    and fusion are skipped.  One cold miss of the same spec is timed first
+    for comparison.
     """
     session = MeasurementSession(subject, seed=3, probe_interval_s=0.8).run()
-    fusion = DiffractionAwareSensorFusion()
-    bank = ProbeChannelBank(session.probe_signal)
-    clear_search_memo()
-    solved = fusion.run(session, bank)
-    result = benchmark(fusion.run, session, bank)
-    assert result.head.parameters == solved.head.parameters
+    path = tmp_path / "capture.npz"
+    save_session(session, path)
+    spec = {"session_path": str(path), "angle_step_deg": 5.0}
+    hits = obs_metrics.counter("serve.capture_memo_hits")
+    clear_capture_memo()
+    personalize_spec({**spec, "angle_step_deg": 15.0})  # warm the DelayMaps
+    clear_capture_memo()
+    started = time.perf_counter()
+    _, solved = personalize_spec(spec)
+    miss_s = time.perf_counter() - started
+    hits_before = hits.value
+    _, result = benchmark(personalize_spec, spec)
+    assert hits.value > hits_before
+    assert result.table.n_angles == solved.table.n_angles
+    if benchmark.stats is not None:
+        assert benchmark.stats.stats.median < miss_s
+    clear_capture_memo()
 
 
 def test_perf_channel_bank_hit(benchmark, subject):
@@ -144,13 +160,12 @@ def test_perf_channel_bank_hit(benchmark, subject):
 def test_perf_personalize_end_to_end(benchmark, subject):
     """The whole pipeline on a short capture, cold first round.
 
-    The first round pays the DelayMap builds and the head search; later
-    rounds are re-renders, in which the head search replays from its memo.
+    The first round pays the DelayMap builds; later rounds solve again on
+    cached maps.
     """
     session = MeasurementSession(subject, seed=3, probe_interval_s=0.8).run()
     uniq = Uniq(UniqConfig(angle_grid_deg=tuple(np.arange(0.0, 181.0, 20.0))))
     clear_delay_map_cache()
-    clear_search_memo()
     result = benchmark.pedantic(
         uniq.personalize, args=(session,), rounds=3, iterations=1,
         warmup_rounds=0,
@@ -162,21 +177,20 @@ def test_perf_personalize_warm_solve(benchmark):
     """A warm in-process personalization that solves its head search.
 
     The CLI's default capture (subject seed 1, 50 probes) on a 5-degree
-    grid.  The warm-up round fills the DelayMap cache; every round forgets
-    the head search first, so each timed round runs Nelder-Mead on cached
-    maps.
+    grid.  The warm-up round fills the DelayMap cache; no store is active,
+    so each timed round runs Nelder-Mead on cached maps.
     """
     session = MeasurementSession(
         VirtualSubject.random(1), seed=0, probe_interval_s=0.4
     ).run()
     uniq = Uniq(UniqConfig(angle_grid_deg=tuple(np.arange(0.0, 181.0, 5.0))))
-    replays = obs_metrics.counter("fusion.search_memo_hits")
-    replays_before = replays.value
+    searches = obs_metrics.counter("fusion.iterations")
+    searches_before = searches.value
     result = benchmark.pedantic(
-        uniq.personalize, args=(session,), setup=clear_search_memo,
-        rounds=3, iterations=1, warmup_rounds=1,
+        uniq.personalize, args=(session,), rounds=3, iterations=1,
+        warmup_rounds=1,
     )
-    assert replays.value == replays_before
+    assert searches.value > searches_before
     assert np.isfinite(result.fusion.radii_m).all()
 
 
@@ -184,25 +198,20 @@ def test_perf_personalize_store_replay(benchmark, tmp_path, monkeypatch):
     """A cold in-process personalization whose head search the store replays.
 
     The capture and grid of the warm solve.  The store is baked once; every
-    round then clears the DelayMap cache and the search memo, so each timed
-    round reads the search outcome from disk and builds only its final map.
+    round then clears the DelayMap cache, so each timed round reads the
+    search outcome from disk and builds only its final map.
     """
     monkeypatch.setenv(mapstore.MAP_STORE_ENV, str(tmp_path / "searches"))
     session = MeasurementSession(
         VirtualSubject.random(1), seed=0, probe_interval_s=0.4
     ).run()
     uniq = Uniq(UniqConfig(angle_grid_deg=tuple(np.arange(0.0, 181.0, 5.0))))
-    clear_search_memo()
     uniq.personalize(session)  # bake
-
-    def cold():
-        clear_delay_map_cache()
-        clear_search_memo()
 
     evals = obs_metrics.counter("fusion.cost_evaluations")
     evals_before = evals.value
     result = benchmark.pedantic(
-        uniq.personalize, args=(session,), setup=cold,
+        uniq.personalize, args=(session,), setup=clear_delay_map_cache,
         rounds=3, iterations=1, warmup_rounds=1,
     )
     assert evals.value == evals_before

@@ -45,6 +45,7 @@ from repro.core.elevation import (
     capture_rings,
 )
 from repro.core.pipeline import (
+    CaptureSolution,
     PersonalizationResult,
     Uniq,
     UniqConfig,
@@ -74,6 +75,7 @@ __all__ = [
     "grid_from_step",
     "personalize_capture",
     "UniqConfig",
+    "CaptureSolution",
     "PersonalizationResult",
     "BinauralRenderer",
     "SpatialSource",

@@ -16,8 +16,6 @@ if* the head parameters ``E = (a, b, c)`` are known.  The fusion algorithm:
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,7 +65,7 @@ _BIAS_BAD_DPS = 4.5
 _SEARCH_TOLERANCES = {"xatol": 2e-4, "fatol": 0.05}
 
 #: Fields of :class:`DiffractionAwareSensorFusion` the head search reads;
-#: each one keys the search memo.
+#: each one keys its map-store entry.
 _SEARCH_FIELDS = (
     "fusion_boundary_samples",
     "map_radii",
@@ -79,7 +77,7 @@ _SEARCH_FIELDS = (
 )
 
 #: Fields the search does not read.  The first two shape the delays and the
-#: IMU angles, which key the memo by value; the final grid is read only
+#: IMU angles, which key the store by value; the final grid is read only
 #: after the search.
 _UNKEYED_FIELDS = (
     "channel_window_s",
@@ -93,7 +91,7 @@ _log = get_logger("core.fusion")
 
 @dataclass(frozen=True)
 class _SearchOutcome:
-    """What one Nelder-Mead head search returned; all the memo keeps."""
+    """What one Nelder-Mead head search returned; all the map store keeps."""
 
     x: np.ndarray
     nit: int
@@ -107,44 +105,12 @@ class _SearchOutcome:
         return cls(x=x, nit=int(nit), fun=float(fun), success=bool(success))
 
 
-#: LRU of head-search outcomes keyed on the exact bytes of everything the
-#: search reads.  A re-render of a capture at another angle grid feeds the
-#: search identical inputs, so it replays ``E_opt`` instead of re-running
-#: ~180 cost evaluations.  Entries are a few KB (the key holds the per-probe
-#: arrays), so the capacity costs well under a megabyte.
-_SEARCH_MEMO: OrderedDict[tuple, _SearchOutcome] = OrderedDict()
-_SEARCH_MEMO_MAX = 128
-_SEARCH_MEMO_LOCK = threading.Lock()
-
-
 def _exact(value) -> tuple | str:
     """A hashable form of one search input that is equal only bit for bit."""
     if isinstance(value, np.ndarray):
         return (value.dtype.str, value.shape, value.tobytes())
     # repr round-trips floats exactly (and tells 0.0 from -0.0).
     return repr(value)
-
-
-def _recall_search(key: tuple) -> _SearchOutcome | None:
-    with _SEARCH_MEMO_LOCK:
-        outcome = _SEARCH_MEMO.get(key)
-        if outcome is not None:
-            _SEARCH_MEMO.move_to_end(key)
-        return outcome
-
-
-def _remember_search(key: tuple, outcome: _SearchOutcome) -> None:
-    with _SEARCH_MEMO_LOCK:
-        _SEARCH_MEMO[key] = outcome
-        _SEARCH_MEMO.move_to_end(key)
-        while len(_SEARCH_MEMO) > _SEARCH_MEMO_MAX:
-            _SEARCH_MEMO.popitem(last=False)
-
-
-def clear_search_memo() -> None:
-    """Forget every memoized head search (the hit/miss counters are kept)."""
-    with _SEARCH_MEMO_LOCK:
-        _SEARCH_MEMO.clear()
 
 
 @dataclass(frozen=True)
@@ -340,17 +306,19 @@ class DiffractionAwareSensorFusion:
     def _search_key(
         self, search_args: tuple, x0: np.ndarray, simplex: np.ndarray
     ) -> tuple:
-        """Memo key of one head search: the exact bytes of all it reads.
+        """Store key of one head search: the exact bytes of all it reads.
 
-        That is the class (a subclass may override the cost), the cost
-        arguments (delays, IMU angles, probe times and weights), the start
-        simplex, the keyed fields, the module constants the cost function
-        reads and the optimizer tolerances.  Anything else (job ids, paths,
-        the requested angle grid) cannot change the search, so it does not
-        key it.
+        That is the class, by name so the key reads the same in every
+        process (a subclass may override the cost), the cost arguments
+        (delays, IMU angles, probe times and weights), the start simplex,
+        the keyed fields, the module constants the cost function reads and
+        the optimizer tolerances.  Anything else (job ids, paths, the
+        requested angle grid) cannot change the search, so it does not key
+        it.
         """
+        cls = type(self)
         return (
-            type(self),
+            f"{cls.__module__}.{cls.__qualname__}",
             tuple(_exact(arg) for arg in search_args),
             _exact(x0),
             _exact(simplex),
@@ -424,22 +392,14 @@ class DiffractionAwareSensorFusion:
             simplex = x0 + np.vstack([np.zeros(x0.shape[0]), simplex_step])
             search_args = (t_left, t_right, alphas, elapsed, weights)
             with obs_trace.span("fusion.optimize") as opt_span:
-                key = self._search_key(search_args, x0, simplex)
-                result = _recall_search(key)
-                memo_hit = result is not None
-                store = None if memo_hit else mapstore.active_store()
+                result = None
+                store = mapstore.active_store()
                 if store is not None:
-                    # Name the class: the key must read the same in every process.
-                    cls = type(self)
-                    disk_key = (f"{cls.__module__}.{cls.__qualname__}",) + key[1:]
+                    disk_key = self._search_key(search_args, x0, simplex)
                     stored = store.load(disk_key, x0.shape[0])
                     if stored is not None:
                         result = _SearchOutcome.of(*stored)
-                        _remember_search(key, result)
-                obs_metrics.counter(
-                    f"fusion.search_memo_{'hits' if memo_hit else 'misses'}"
-                ).inc()
-                # Replayed work is not counted as work: fusion.iterations
+                # A replayed search is not counted as work: fusion.iterations
                 # and fusion.cost_evaluations stay put.
                 cost_evaluations = 0
                 if result is None:
@@ -459,7 +419,6 @@ class DiffractionAwareSensorFusion:
                     result = _SearchOutcome.of(
                         raw.x, getattr(raw, "nit", 0), raw.fun, raw.success
                     )
-                    _remember_search(key, result)
                     if store is not None:
                         store.save(
                             disk_key, result.x, result.nit, result.fun, result.success
@@ -468,7 +427,6 @@ class DiffractionAwareSensorFusion:
                     cost_evaluations = int(evals.value - evals_before)
                 iterations = result.nit
                 opt_span.update(
-                    memo_hit=memo_hit,
                     iterations=iterations,
                     cost_evaluations=cost_evaluations,
                     final_cost=result.fun,

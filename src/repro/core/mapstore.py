@@ -2,10 +2,9 @@
 
 UNIQ estimates the head ``E_opt`` once per capture (paper §4.1); the angle
 grid enters only later.  :meth:`repro.core.fusion.DiffractionAwareSensorFusion.run`
-replays a search from its in-process memo, and this store carries the same
-replay across processes: a fresh serve worker, a CLI one-shot, or a
-re-render in a new process reads the outcome instead of re-running the
-Nelder-Mead search.
+asks this store before it searches, so a fresh serve worker, a CLI
+one-shot, or a re-render in a new process reads the outcome instead of
+re-running the Nelder-Mead search.
 
 An artifact is one small JSON file holding the search outcome ``(x, nit,
 fun, success)``.  JSON writes floats by ``repr``, which round-trips every

@@ -5,11 +5,18 @@ IMU recordings, the played probe) flow through Diffraction-Aware Sensor
 Fusion, Near-Field HRTF Interpolation, and Near-Far Conversion, producing
 the Section 4.4 lookup table that applications (binaural rendering, AoA)
 consume.
+
+A listener is personalized once and the result rendered at any grid:
+:meth:`Uniq.solve` does everything the capture determines (preflight,
+deconvolution, fusion, HRIR extraction) and :meth:`Uniq.render` does what
+the angle grid shapes (interpolation, near-far conversion, the table).
+:meth:`Uniq.personalize` is the two in sequence.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from typing import Any
 
 import numpy as np
 
@@ -20,7 +27,7 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.obs.logging import get_logger, kv
 from repro.obs.trace import Span
-from repro.quality.flags import QualityCollector
+from repro.quality.flags import QualityCollector, QualityFlag
 from repro.quality.preflight import (
     CaptureHealth,
     PreflightThresholds,
@@ -154,6 +161,94 @@ class PersonalizationResult:
         return float(self.quality.confidence) if self.quality is not None else 1.0
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """A read-only copy of ``array`` that owns its memory."""
+    out = np.array(array)
+    out.flags.writeable = False
+    return out
+
+
+@dataclass(frozen=True)
+class CaptureSolution:
+    """What one capture determines, before any angle grid is chosen.
+
+    :meth:`Uniq.solve` produces it and :meth:`Uniq.render` turns it into a
+    table at any grid: a listener is personalized once and the model is
+    rendered as often as needed.  Every array is a read-only copy that
+    owns its memory, so a held solution pins no deconvolved channel and no
+    render can change it.
+
+    Attributes
+    ----------
+    fs:
+        Sample rate of the capture.
+    fusion:
+        The kept sensor-fusion solve (head, fused probe positions).
+    measurements:
+        The per-probe near-field HRIR windows.
+    flags / components:
+        What the preflight, the deconvolution ladder and fusion reported,
+        in emission order (components as ``(name, score)`` pairs).
+    salvage:
+        The salvage record as ``(key, value)`` pairs, list values held as
+        tuples; :meth:`salvage_record` gives each report its own dict.
+    """
+
+    fs: int
+    fusion: FusionResult
+    measurements: tuple[NearFieldMeasurement, ...]
+    flags: tuple[QualityFlag, ...]
+    components: tuple[tuple[str, float], ...]
+    salvage: tuple[tuple[str, Any], ...]
+
+    @classmethod
+    def of(
+        cls,
+        fs: int,
+        fusion: FusionResult,
+        measurements: list[NearFieldMeasurement],
+        collector: QualityCollector,
+        salvage: dict,
+    ) -> CaptureSolution:
+        arrays = {
+            f.name: _read_only(getattr(fusion, f.name))
+            for f in fields(fusion)
+            if isinstance(getattr(fusion, f.name), np.ndarray)
+        }
+        return cls(
+            fs=int(fs),
+            fusion=replace(fusion, **arrays),
+            measurements=tuple(
+                replace(
+                    m,
+                    hrir=replace(
+                        m.hrir,
+                        left=_read_only(m.hrir.left),
+                        right=_read_only(m.hrir.right),
+                    ),
+                )
+                for m in measurements
+            ),
+            flags=collector.flags,
+            components=tuple(collector.components.items()),
+            salvage=tuple(
+                (key, tuple(value) if isinstance(value, list) else value)
+                for key, value in salvage.items()
+            ),
+        )
+
+    @property
+    def n_probes(self) -> int:
+        return self.fusion.n_probes
+
+    def salvage_record(self) -> dict:
+        """A fresh copy of the salvage record, lists and all."""
+        return {
+            key: list(value) if isinstance(value, tuple) else value
+            for key, value in self.salvage
+        }
+
+
 class Uniq:
     """The UNIQ personalization system.
 
@@ -192,6 +287,9 @@ class Uniq:
     ) -> PersonalizationResult:
         """Run the full pipeline on one measurement session.
 
+        Exactly ``render(solve(session, system_response))`` inside the
+        ``uniq.personalize`` root span, whose tree the result carries.
+
         Parameters
         ----------
         session:
@@ -210,110 +308,138 @@ class Uniq:
             or the gesture-quality check fails (and is enforced) even after
             the salvage retry.
         """
-        obs_metrics.counter("uniq.personalize.runs").inc()
-        root = obs_trace.span(
-            "uniq.personalize",
-            n_probes=session.n_probes,
-            n_grid=len(self.config.angle_grid_deg),
-            fs=session.fs,
-        )
-        collector = QualityCollector()
+        root = self.personalize_span(session.n_probes, session.fs)
         with root:
-            if system_response is not None:
-                with obs_trace.span("uniq.compensate", n_probes=session.n_probes):
-                    session = self._compensated(session, system_response)
+            result = self.render(self.solve(session, system_response))
+        return replace(result, trace=root if isinstance(root, Span) else None)
 
-            # One deconvolution cache for the whole run, built after
-            # compensation so cached impulses reflect the equalized
-            # recordings: the preflight sentinels, fusion's delay extraction
-            # and the interpolator's HRIR extraction all read through it.
-            bank = ProbeChannelBank(session.probe_signal)
-            health = preflight(
-                session, self.config.preflight_thresholds, collector, bank
-            )
-            if health.n_usable == 0:
-                raise SignalError(
-                    "capture preflight found no usable probe: "
-                    f"{health.n_dead} of {session.n_probes} recordings are "
-                    "dead/zeroed"
-                )
-            if health.n_usable < 5:
-                raise CalibrationError(
-                    f"only {health.n_usable} of {session.n_probes} probes "
-                    "survived the capture preflight (need >= 5); redo the sweep"
-                )
-            self._start_rung(bank, session, health)
-            weights = health.weights
-            # All-healthy captures must stay bit-identical to pre-quality
-            # runs, so the weighted solve only activates on degraded input.
-            weights_arg = None if bool(np.all(weights == 1.0)) else weights
-            salvage: dict = {
-                "downweighted": weights_arg is not None,
-                "suspect_probes": [
-                    p.index for p in health.probes if p.verdict == "suspect"
-                ],
-                "dropped_probes": [
-                    p.index for p in health.probes if p.verdict == "dead"
-                ],
-                "retried": False,
-            }
-            fusion, method, rung_path = self._solve_with_ladder(
-                session, bank, weights_arg, health, collector, salvage
-            )
-            rung = rung_of(method)
-            salvage["deconv_method"] = method
-            salvage["deconv_rung"] = rung
-            salvage["deconv_path"] = rung_path
-            if rung > 0 and self.config.deconv == "auto":
-                # Rung-aware confidence penalty; the sentinel/escalation
-                # flags that put the run above rung 0 are already recorded.
-                collector.component(
-                    "pipeline.deconv_rung", _RUNG_PENALTY[rung]
-                )
+    def personalize_span(self, n_probes: int, fs: int):
+        """Count one run and open its ``uniq.personalize`` root span.
 
-            grid = np.asarray(self.config.angle_grid_deg, dtype=float)
-            interpolator = NearFieldInterpolator(session.fs)
-            measurements = interpolator.extract_measurements(
-                session, fusion, bank=bank
-            )
-            near_entries = interpolator.build_grid(
-                measurements, fusion.head, grid, quality=collector
-            )
+        :meth:`personalize` runs inside it; a caller that solves and
+        renders separately opens it around both for the same trace.
+        """
+        obs_metrics.counter("uniq.personalize.runs").inc()
+        return obs_trace.span(
+            "uniq.personalize",
+            n_probes=n_probes,
+            n_grid=len(self.config.angle_grid_deg),
+            fs=fs,
+        )
 
-            converter = NearFarConverter(fs=session.fs)
-            far_entries = converter.convert(
-                measurements, fusion.head, grid, quality=collector
-            )
+    def solve(
+        self,
+        session: SessionData,
+        system_response: tuple[np.ndarray, np.ndarray] | None = None,
+    ) -> CaptureSolution:
+        """Everything the capture determines, before any angle grid.
 
-            table = HRTFTable(
-                angles_deg=grid, near=tuple(near_entries), far=tuple(far_entries)
+        Preflight, the deconvolution ladder with fusion and salvage, and
+        the per-probe near-field HRIR extraction (paper Sections 4.1 and
+        4.2).  The configured angle grid is not read.  Raises as
+        :meth:`personalize` does.
+        """
+        collector = QualityCollector()
+        if system_response is not None:
+            with obs_trace.span("uniq.compensate", n_probes=session.n_probes):
+                session = self._compensated(session, system_response)
+
+        # One deconvolution cache for the whole run, built after
+        # compensation so cached impulses reflect the equalized
+        # recordings: the preflight sentinels, fusion's delay extraction
+        # and the interpolator's HRIR extraction all read through it.
+        bank = ProbeChannelBank(session.probe_signal)
+        health = preflight(session, self.config.preflight_thresholds, collector, bank)
+        if health.n_usable == 0:
+            raise SignalError(
+                "capture preflight found no usable probe: "
+                f"{health.n_dead} of {session.n_probes} recordings are "
+                "dead/zeroed"
             )
-            report = QualityReport(
-                confidence=combine_components(collector.components),
-                components=collector.components,
-                flags=collector.flags,
-                salvage=salvage,
+        if health.n_usable < 5:
+            raise CalibrationError(
+                f"only {health.n_usable} of {session.n_probes} probes "
+                "survived the capture preflight (need >= 5); redo the sweep"
             )
-            obs_metrics.gauge("quality.confidence").set(report.confidence)
-            obs_metrics.histogram("quality.confidence_dist").observe(
-                report.confidence
+        self._start_rung(bank, session, health)
+        weights = health.weights
+        # All-healthy captures must stay bit-identical to pre-quality
+        # runs, so the weighted solve only activates on degraded input.
+        weights_arg = None if bool(np.all(weights == 1.0)) else weights
+        salvage: dict = {
+            "downweighted": weights_arg is not None,
+            "suspect_probes": [
+                p.index for p in health.probes if p.verdict == "suspect"
+            ],
+            "dropped_probes": [
+                p.index for p in health.probes if p.verdict == "dead"
+            ],
+            "retried": False,
+        }
+        fusion, method, rung_path = self._solve_with_ladder(
+            session, bank, weights_arg, health, collector, salvage
+        )
+        rung = rung_of(method)
+        salvage["deconv_method"] = method
+        salvage["deconv_rung"] = rung
+        salvage["deconv_path"] = rung_path
+        if rung > 0 and self.config.deconv == "auto":
+            # Rung-aware confidence penalty; the sentinel/escalation
+            # flags that put the run above rung 0 are already recorded.
+            collector.component("pipeline.deconv_rung", _RUNG_PENALTY[rung])
+
+        measurements = NearFieldInterpolator(session.fs).extract_measurements(
+            session, fusion, bank=bank
+        )
+        return CaptureSolution.of(
+            session.fs, fusion, measurements, collector, salvage
+        )
+
+    def render(self, solution: CaptureSolution) -> PersonalizationResult:
+        """The table and quality report of a solved capture at this grid.
+
+        Near-field interpolation onto the configured angle grid, near-far
+        conversion (paper Sections 4.2 and 4.3), and the report that joins
+        these stages' scores to the solve's.  Reads nothing but
+        ``solution`` and the grid, so one solution renders at any number
+        of grids.
+        """
+        collector = QualityCollector.resumed(solution.flags, solution.components)
+        measurements = list(solution.measurements)
+        head = solution.fusion.head
+        grid = np.asarray(self.config.angle_grid_deg, dtype=float)
+        near_entries = NearFieldInterpolator(solution.fs).build_grid(
+            measurements, head, grid, quality=collector
+        )
+        far_entries = NearFarConverter(fs=solution.fs).convert(
+            measurements, head, grid, quality=collector
+        )
+        table = HRTFTable(
+            angles_deg=grid, near=tuple(near_entries), far=tuple(far_entries)
+        )
+        report = QualityReport(
+            confidence=combine_components(collector.components),
+            components=collector.components,
+            flags=collector.flags,
+            salvage=solution.salvage_record(),
+        )
+        obs_metrics.gauge("quality.confidence").set(report.confidence)
+        obs_metrics.histogram("quality.confidence_dist").observe(report.confidence)
+        obs_metrics.counter("uniq.personalize.completed").inc()
+        _log.info(
+            kv(
+                "uniq.personalize.done",
+                n_probes=solution.n_probes,
+                n_angles=int(grid.shape[0]),
+                residual_deg=solution.fusion.residual_deg,
+                confidence=report.confidence,
+                n_flags=report.n_flags,
             )
-            obs_metrics.counter("uniq.personalize.completed").inc()
-            _log.info(
-                kv(
-                    "uniq.personalize.done",
-                    n_probes=session.n_probes,
-                    n_angles=int(grid.shape[0]),
-                    residual_deg=fusion.residual_deg,
-                    confidence=report.confidence,
-                    n_flags=report.n_flags,
-                )
-            )
+        )
         return PersonalizationResult(
             table=table,
-            fusion=fusion,
-            measurements=tuple(measurements),
-            trace=root if isinstance(root, Span) else None,
+            fusion=solution.fusion,
+            measurements=solution.measurements,
             quality=report,
         )
 
@@ -512,6 +638,19 @@ class Uniq:
             return self._solve(session, bank, retry_weights, collector)
 
 
+def capture_config(
+    angle_step_deg: float = 5.0,
+    enforce_gesture_check: bool = True,
+    deconv: str = "auto",
+) -> UniqConfig:
+    """The configuration a one-job personalization runs under."""
+    return UniqConfig(
+        angle_grid_deg=grid_from_step(angle_step_deg),
+        enforce_gesture_check=enforce_gesture_check,
+        deconv=deconv,
+    )
+
+
 def personalize_capture(
     subject_seed: int,
     session_seed: int = 0,
@@ -540,9 +679,5 @@ def personalize_capture(
             seed=int(session_seed),
             probe_interval_s=float(probe_interval_s),
         ).run()
-    config = UniqConfig(
-        angle_grid_deg=grid_from_step(angle_step_deg),
-        enforce_gesture_check=enforce_gesture_check,
-        deconv=deconv,
-    )
+    config = capture_config(angle_step_deg, enforce_gesture_check, deconv)
     return session, Uniq(config).personalize(session)

@@ -10,6 +10,9 @@ recordings, IMU trace, probe waveform, and the evaluation-only ground truth
 from __future__ import annotations
 
 import os
+import zipfile
+import zlib
+from typing import BinaryIO
 
 import numpy as np
 
@@ -98,49 +101,72 @@ def save_session(session: SessionData, path: str | os.PathLike) -> None:
     np.savez_compressed(os.fspath(path), **arrays)
 
 
-def load_session(path: str | os.PathLike) -> SessionData:
-    """Load a session previously written by :func:`save_session`."""
-    with np.load(os.fspath(path), allow_pickle=False) as data:
-        try:
-            version = int(data["version"][0])
-            if version != _FORMAT_VERSION:
-                raise TableError(f"unsupported session format version {version}")
-            fs = int(data["fs"][0])
-            # Every NpzFile access decompresses the whole member: read each
-            # once, then slice the probes out of the arrays.
-            lengths = data["probe_lengths"]
-            left, right = data["probes_left"], data["probes_right"]
-            probes = tuple(
-                ProbeMeasurement(
-                    time=float(t),
-                    left=left[i, : lengths[i]].copy(),
-                    right=right[i, : lengths[i]].copy(),
-                )
-                for i, t in enumerate(data["probe_times"])
-            )
-            imu = IMUTrace(
-                times=data["imu_times"].copy(),
-                rate_dps=data["imu_rate_dps"].copy(),
-            )
-            trajectory = Trajectory(
-                times=data["trajectory_times"].copy(),
-                angles_deg=data["trajectory_angles_deg"].copy(),
-                radii=data["trajectory_radii"].copy(),
-                facing_error_deg=data["trajectory_facing_error_deg"].copy(),
-            )
-            subject = _subject_from_arrays(data, str(data["subject_name"][0]))
-            truth = SessionTruth(
-                subject=subject,
-                trajectory=trajectory,
-                probe_sample_indices=data["probe_sample_indices"].copy(),
-            )
-            return SessionData(
-                fs=fs,
-                probe_signal=data["probe_signal"].copy(),
-                probes=probes,
-                imu=imu,
-                truth=truth,
-            )
-        except KeyError as missing:
-            raise TableError(f"session file missing field {missing}") from missing
+#: What numpy raises on a capture file that is missing, unreadable,
+#: truncated or corrupt (a bad CRC, a broken deflate stream, or bytes that
+#: are no npz at all).
+_UNREADABLE = (OSError, ValueError, EOFError, zipfile.BadZipFile, zlib.error)
 
+
+def load_session(source: str | os.PathLike | BinaryIO) -> SessionData:
+    """Load a session previously written by :func:`save_session`.
+
+    ``source`` is a path or a binary file object holding the file's bytes
+    (for example an :class:`io.BytesIO` of bytes already read).  A missing,
+    unreadable, truncated or corrupt file raises
+    :class:`repro.errors.TableError` naming it: the file object's ``name``
+    when it has one.
+    """
+    if isinstance(source, (str, os.PathLike)):
+        name = source = os.fspath(source)
+    else:
+        name = getattr(source, "name", "<session stream>")
+    try:
+        with np.load(source, allow_pickle=False) as data:
+            return _session_from(data)
+    except _UNREADABLE as error:
+        raise TableError(f"cannot read session file {name}: {error}") from error
+
+
+def _session_from(data) -> SessionData:
+    try:
+        version = int(data["version"][0])
+        if version != _FORMAT_VERSION:
+            raise TableError(f"unsupported session format version {version}")
+        fs = int(data["fs"][0])
+        # Every NpzFile access decompresses the whole member: read each
+        # once, then slice the probes out of the arrays.
+        lengths = data["probe_lengths"]
+        left, right = data["probes_left"], data["probes_right"]
+        probes = tuple(
+            ProbeMeasurement(
+                time=float(t),
+                left=left[i, : lengths[i]].copy(),
+                right=right[i, : lengths[i]].copy(),
+            )
+            for i, t in enumerate(data["probe_times"])
+        )
+        imu = IMUTrace(
+            times=data["imu_times"].copy(),
+            rate_dps=data["imu_rate_dps"].copy(),
+        )
+        trajectory = Trajectory(
+            times=data["trajectory_times"].copy(),
+            angles_deg=data["trajectory_angles_deg"].copy(),
+            radii=data["trajectory_radii"].copy(),
+            facing_error_deg=data["trajectory_facing_error_deg"].copy(),
+        )
+        subject = _subject_from_arrays(data, str(data["subject_name"][0]))
+        truth = SessionTruth(
+            subject=subject,
+            trajectory=trajectory,
+            probe_sample_indices=data["probe_sample_indices"].copy(),
+        )
+        return SessionData(
+            fs=fs,
+            probe_signal=data["probe_signal"].copy(),
+            probes=probes,
+            imu=imu,
+            truth=truth,
+        )
+    except KeyError as missing:
+        raise TableError(f"session file missing field {missing}") from missing

@@ -121,6 +121,23 @@ class QualityCollector:
         self._flags: list[QualityFlag] = []
         self._components: dict[str, float] = {}
 
+    @classmethod
+    def resumed(
+        cls,
+        flags: tuple[QualityFlag, ...],
+        components: tuple[tuple[str, float], ...],
+    ) -> "QualityCollector":
+        """A collector that carries on from stages that already reported.
+
+        ``flags`` and ``components`` are kept in their order, so the
+        confidence product comes out bit for bit as in one unbroken run.
+        They were metered when first raised and are not metered again.
+        """
+        collector = cls()
+        collector._flags = list(flags)
+        collector._components = dict(components)
+        return collector
+
     @property
     def flags(self) -> tuple[QualityFlag, ...]:
         return tuple(self._flags)

@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from repro.core.fusion import clear_search_memo
 from repro.core.mapstore import MAP_STORE_ENV
 from repro.geometry.head import HeadGeometry
+from repro.serve.worker import clear_capture_memo
 from repro.geometry.trajectory import circular_trajectory
 from repro.simulation.person import VirtualSubject
 from repro.simulation.session import MeasurementSession
@@ -43,18 +43,18 @@ settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(autouse=True)
-def _fresh_search_memo():
-    """An empty head-search memo for every test and the fixtures built for it.
+def _fresh_capture_memo():
+    """An empty capture memo for every test and the fixtures built for it.
 
-    Captures are session-scoped fixtures, so without this a search solved
-    (or faked through a monkeypatched ``optimize.minimize``) in one test
-    would be replayed in the next.  Clearing after the test as well keeps
-    class- and module-scoped fixtures, which are built before this one
-    runs, from replaying the previous test's searches.
+    Capture files written by one test would otherwise be rendered from a
+    solution another test computed (or faked through a monkeypatch).
+    Clearing after the test as well keeps class- and module-scoped
+    fixtures, which are built before this one runs, from replaying the
+    previous test's solves.
     """
-    clear_search_memo()
+    clear_capture_memo()
     yield
-    clear_search_memo()
+    clear_capture_memo()
 
 
 @pytest.fixture(autouse=True)

@@ -1,8 +1,6 @@
 """Tests for diffraction-aware sensor fusion."""
 
 import dataclasses
-import sys
-import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,12 +11,7 @@ from repro.core import fusion as fusion_module
 from repro.core.fusion import (
     MAX_GYRO_BIAS_DPS,
     DiffractionAwareSensorFusion,
-    clear_search_memo,
 )
-from repro.core.pipeline import Uniq, UniqConfig
-from repro.hrtf.io import table_digest
-from repro.obs import metrics as obs_metrics
-from repro.obs import trace as obs_trace
 from repro.signals.channel import ProbeChannelBank
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -175,68 +168,12 @@ class TestValidation:
             fusion.run(crippled)
 
 
-def _optimize_span(trace):
-    fusion_span = next(c for c in trace.children if c.name == "fusion.run")
-    return next(c for c in fusion_span.children if c.name == "fusion.optimize")
-
-
 def _assert_fusion_equal(expected, actual):
     for field in dataclasses.fields(expected):
         np.testing.assert_array_equal(
             getattr(actual, field.name), getattr(expected, field.name),
             err_msg=field.name,
         )
-
-
-class TestSearchMemoRerender:
-    def test_rerender_replays_search_bit_for_bit(self, small_session):
-        """A second personalize of one capture at another grid skips the
-        search, and its output equals a cold run at that grid exactly."""
-        coarse = Uniq(UniqConfig(angle_grid_deg=tuple(range(0, 181, 15))))
-        fine = Uniq(UniqConfig(angle_grid_deg=tuple(range(0, 181, 10))))
-        counters = {
-            name: obs_metrics.counter(name)
-            for name in (
-                "fusion.cost_evaluations",
-                "fusion.iterations",
-                "fusion.search_memo_hits",
-                "fusion.search_memo_misses",
-            )
-        }
-        coarse.personalize(small_session)
-
-        before = {name: c.value for name, c in counters.items()}
-        with obs_trace.capturing():
-            replayed = fine.personalize(small_session)
-        moved = {name: c.value - before[name] for name, c in counters.items()}
-        assert moved == {
-            "fusion.cost_evaluations": 0,
-            "fusion.iterations": 0,
-            "fusion.search_memo_hits": 1,
-            "fusion.search_memo_misses": 0,
-        }
-        span = _optimize_span(replayed.trace)
-        assert span.attributes["memo_hit"] is True
-        assert span.attributes["cost_evaluations"] == 0
-
-        clear_search_memo()
-        with obs_trace.capturing():
-            cold = fine.personalize(small_session)
-        span = _optimize_span(cold.trace)
-        assert span.attributes["memo_hit"] is False
-        assert span.attributes["cost_evaluations"] > 0
-        assert span.attributes["iterations"] == (
-            _optimize_span(replayed.trace).attributes["iterations"]
-        )
-
-        _assert_fusion_equal(cold.fusion, replayed.fusion)
-        assert table_digest(replayed.table) == table_digest(cold.table)
-        for cold_entry, entry in zip(
-            cold.table.near + cold.table.far, replayed.table.near + replayed.table.far
-        ):
-            np.testing.assert_array_equal(entry.left, cold_entry.left)
-            np.testing.assert_array_equal(entry.right, cold_entry.right)
-        assert replayed.quality == cold.quality
 
 
 class _CountingSearch:
@@ -254,6 +191,26 @@ class _CountingSearch:
         return len(self.starts)
 
 
+class _KeyRecorder:
+    """Stand-in map store that holds nothing and records each key asked
+    for, so every run searches and reports the key it would be stored
+    under."""
+
+    def __init__(self):
+        self.keys = []
+
+    def load(self, key, size):
+        self.keys.append(key)
+        return None
+
+    def save(self, key, x, nit, fun, success):
+        pass
+
+    @property
+    def distinct(self):
+        return len(set(self.keys))
+
+
 #: One changed value per keyed field.
 _KEYED_FIELD_CHANGES = {
     "fusion_boundary_samples": 200,
@@ -267,40 +224,57 @@ _KEYED_FIELD_CHANGES = {
 
 
 class TestSearchMemoKey:
+    """``_search_key`` keys the map store: equal inputs must give one key
+    (a store hit), and any change to what the search reads a new one."""
+
     @pytest.fixture
     def search(self, monkeypatch):
         fake = _CountingSearch()
         monkeypatch.setattr("repro.core.fusion.optimize.minimize", fake)
         return fake
 
+    @pytest.fixture
+    def store(self, monkeypatch):
+        recorder = _KeyRecorder()
+        monkeypatch.setattr(fusion_module.mapstore, "active_store", lambda: recorder)
+        return recorder
+
     @pytest.fixture(scope="class")
     def bank(self, small_session):
         return ProbeChannelBank(small_session.probe_signal)
 
-    def test_same_inputs_hit(self, search, small_session, bank):
-        fusion = DiffractionAwareSensorFusion()
-        first = fusion.run(small_session, bank)
+    def test_same_inputs_hit(self, search, store, small_session, bank):
+        first = DiffractionAwareSensorFusion().run(small_session, bank)
         again = DiffractionAwareSensorFusion().run(small_session, bank)
-        assert search.calls == 1
+        assert search.calls == 2
+        assert len(store.keys) == 2 and store.distinct == 1
         _assert_fusion_equal(first, again)
 
-    def test_final_grid_is_not_keyed(self, search, small_session, bank):
+    def test_key_names_the_class(self, search, store, small_session, bank):
+        """The key reads the same in every process: no class objects."""
+        DiffractionAwareSensorFusion().run(small_session, bank)
+        [key] = store.keys
+        assert key[0] == "repro.core.fusion.DiffractionAwareSensorFusion"
+
+    def test_final_grid_is_not_keyed(self, search, store, small_session, bank):
         """The final localization grid enters after the search."""
         DiffractionAwareSensorFusion().run(small_session, bank)
         DiffractionAwareSensorFusion(
             final_map_radii=(0.16, 1.2, 40), final_map_thetas=(-40.0, 220.0, 200)
         ).run(small_session, bank)
-        assert search.calls == 1
+        assert store.distinct == 1
 
     @pytest.mark.parametrize("name", sorted(_KEYED_FIELD_CHANGES))
-    def test_keyed_field_change_misses(self, search, small_session, bank, name):
+    def test_keyed_field_change_misses(
+        self, search, store, small_session, bank, name
+    ):
         base = DiffractionAwareSensorFusion()
         assert getattr(base, name) != _KEYED_FIELD_CHANGES[name]
         base.run(small_session, bank)
         dataclasses.replace(base, **{name: _KEYED_FIELD_CHANGES[name]}).run(
             small_session, bank
         )
-        assert search.calls == 2
+        assert store.distinct == 2
 
     @pytest.mark.parametrize(
         "name, value",
@@ -313,16 +287,16 @@ class TestSearchMemoKey:
         ],
     )
     def test_module_constant_change_misses(
-        self, search, small_session, bank, monkeypatch, name, value
+        self, search, store, small_session, bank, monkeypatch, name, value
     ):
         DiffractionAwareSensorFusion().run(small_session, bank)
         monkeypatch.setattr(fusion_module, name, value)
         DiffractionAwareSensorFusion().run(small_session, bank)
-        assert search.calls == 2
+        assert store.distinct == 2
         np.testing.assert_array_equal(search.starts[0], search.starts[1])
 
     def test_one_ulp_delay_nudge_misses(
-        self, search, small_session, bank, monkeypatch
+        self, search, store, small_session, bank, monkeypatch
     ):
         fusion = DiffractionAwareSensorFusion()
         fusion.run(small_session, bank)
@@ -337,69 +311,33 @@ class TestSearchMemoKey:
             DiffractionAwareSensorFusion, "extract_probe_delays", nudged
         )
         fusion.run(small_session, bank)
-        assert search.calls == 2
+        assert store.distinct == 2
 
-    def test_probe_weights_change_misses(self, search, small_session, bank):
+    def test_probe_weights_change_misses(self, search, store, small_session, bank):
         fusion = DiffractionAwareSensorFusion()
         weights = np.ones(small_session.n_probes)
         fusion.run(small_session, bank, probe_weights=weights)
         # All-ones weights run the unweighted path: the same search.
         fusion.run(small_session, bank)
-        assert search.calls == 1
+        assert store.distinct == 1
         weights[2] = 0.5
         fusion.run(small_session, bank, probe_weights=weights)
-        assert search.calls == 2
+        assert store.distinct == 2
         weights[2] = 0.25
         fusion.run(small_session, bank, probe_weights=weights)
-        assert search.calls == 3
+        assert store.distinct == 3
 
-    def test_memo_is_bounded_lru(self, search, small_session, bank, monkeypatch):
-        monkeypatch.setattr(fusion_module, "_SEARCH_MEMO_MAX", 2)
-        runs = [
-            DiffractionAwareSensorFusion(max_iterations=n) for n in (10, 20, 30)
-        ]
-        for fusion in runs:
-            fusion.run(small_session, bank)
-        runs[2].run(small_session, bank)  # newest: still held
-        assert search.calls == 3
-        runs[0].run(small_session, bank)  # oldest: evicted
-        assert search.calls == 4
+    def test_no_store_computes_no_key(self, search, small_session, bank, monkeypatch):
+        """Without a store a run searches and never builds the key."""
+        def fail(*args):
+            raise AssertionError("search key built without a store")
 
-    def test_concurrent_use_stays_bounded_and_consistent(self, monkeypatch):
-        """Threads sharing the memo never read another key's outcome, and
-        the LRU never grows past its capacity."""
-        monkeypatch.setattr(fusion_module, "_SEARCH_MEMO_MAX", 16)
-        errors = []
-
-        def worker(thread):
-            for i in range(300):
-                outcome = fusion_module._SearchOutcome(
-                    x=np.array([thread, i], dtype=float), nit=i,
-                    fun=float(thread), success=True,
-                )
-                fusion_module._remember_search((thread, i), outcome)
-                recalled = fusion_module._recall_search((thread, i))
-                if recalled is not None and recalled is not outcome:
-                    errors.append((thread, i))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [
-                threading.Thread(target=worker, args=(t,)) for t in range(6)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=30)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert errors == []
-        assert len(fusion_module._SEARCH_MEMO) == 16
+        monkeypatch.setattr(DiffractionAwareSensorFusion, "_search_key", fail)
+        DiffractionAwareSensorFusion().run(small_session, bank)
+        assert search.calls == 1
 
     def test_every_field_is_keyed_or_declared_unread(self):
-        """A new fusion field must be added to the memo key, or declared
+        """A new fusion field must be added to the store key, or declared
         as not read by the search, before it can ship."""
         keyed = set(fusion_module._SEARCH_FIELDS)
         unkeyed = set(fusion_module._UNKEYED_FIELDS)

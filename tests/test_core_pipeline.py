@@ -66,7 +66,6 @@ class TestSessionChannelBank:
     def test_cached_run_numerically_identical(self, small_session):
         """Cold (empty DelayMap cache) and warm runs agree bit-for-bit."""
         from repro.obs import metrics as obs_metrics
-        from repro.core.fusion import clear_search_memo
         from repro.core.localize import clear_delay_map_cache
 
         misses = obs_metrics.counter("localize.delay_map_cache_misses")
@@ -78,9 +77,8 @@ class TestSessionChannelBank:
         cold_misses = misses.value - m0
         assert cold_misses > 0
 
-        # Forget the head search so the warm run re-runs it against the
-        # DelayMap cache instead of replaying its outcome.
-        clear_search_memo()
+        # No store is active, so the warm run searches again, now against
+        # the DelayMap cache.
         m0, h0 = misses.value, hits.value
         warm = uniq.personalize(small_session)
         warm_misses = misses.value - m0

@@ -1,5 +1,6 @@
 """Tests for session serialization."""
 
+import io
 import json
 from collections import Counter
 
@@ -80,3 +81,53 @@ class TestSessionRoundtrip:
         with pytest.raises(TableError):
             load_session(path)
 
+
+
+class TestUnreadableCapture:
+    """A capture that cannot be read is a job failure, not a crash."""
+
+    @pytest.fixture(scope="class")
+    def saved(self, small_session, tmp_path_factory):
+        path = tmp_path_factory.mktemp("capture") / "session.npz"
+        save_session(small_session, path)
+        return path.read_bytes()
+
+    def _damaged(self, tmp_path, data):
+        path = tmp_path / "damaged.npz"
+        path.write_bytes(data)
+        return path
+
+    def test_garbage_bytes(self, tmp_path):
+        path = self._damaged(tmp_path, b"not a capture at all " * 100)
+        with pytest.raises(TableError, match=str(path)):
+            load_session(path)
+
+    def test_truncated_file(self, tmp_path, saved):
+        path = self._damaged(tmp_path, saved[: len(saved) // 2])
+        with pytest.raises(TableError, match=str(path)):
+            load_session(path)
+
+    def test_one_flipped_byte(self, tmp_path, saved):
+        data = bytearray(saved)
+        data[len(data) // 2] ^= 0xFF
+        path = self._damaged(tmp_path, bytes(data))
+        with pytest.raises(TableError, match=str(path)):
+            load_session(path)
+
+    def test_missing_file(self, tmp_path):
+        path = tmp_path / "absent.npz"
+        with pytest.raises(TableError, match=str(path)):
+            load_session(path)
+
+    def test_file_object_is_named_by_its_name(self, saved):
+        buffer = io.BytesIO(saved[:100])
+        buffer.name = "captures/listener.npz"
+        with pytest.raises(TableError, match="captures/listener.npz"):
+            load_session(buffer)
+
+    def test_file_object_loads_like_the_path(self, small_session, saved):
+        loaded = load_session(io.BytesIO(saved))
+        assert loaded.n_probes == small_session.n_probes
+        for got, want in zip(loaded.probes, small_session.probes):
+            assert np.array_equal(got.left, want.left)
+            assert np.array_equal(got.right, want.right)

@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from repro.errors import CalibrationError, SignalError
-from repro.core.fusion import clear_search_memo
 from repro.core.localize import clear_delay_map_cache
 from repro.core.pipeline import personalize_capture
 from repro.hrtf.io import table_digest
@@ -263,8 +262,7 @@ class TestCleanBitIdentity:
     )
 
     def _counted(self, deconv):
-        # Cold caches on both sides, so neither replays the other's search.
-        clear_search_memo()
+        # Cold caches on both sides, so neither reuses the other's maps.
         clear_delay_map_cache()
         counters = [obs_metrics.counter(name) for name in self.COUNTED]
         before = [c.value for c in counters]

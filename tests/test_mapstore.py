@@ -14,7 +14,7 @@ import pytest
 import repro
 from repro.constants import SPEED_OF_SOUND
 from repro.core import mapstore
-from repro.core.fusion import DiffractionAwareSensorFusion, clear_search_memo
+from repro.core.fusion import DiffractionAwareSensorFusion
 from repro.core.localize import (
     _map_cache_key,
     cached_delay_map,
@@ -33,7 +33,7 @@ def _counter(name):
 
 @pytest.fixture
 def store_path(tmp_path, monkeypatch):
-    """A fresh activated store; both memory caches cleared around the test."""
+    """A fresh activated store; the DelayMap cache cleared around the test."""
     path = str(tmp_path / "searches")
     monkeypatch.setenv(mapstore.MAP_STORE_ENV, path)
     clear_delay_map_cache()
@@ -46,8 +46,7 @@ def _artifacts(path):
 
 
 def _counted_run(session):
-    """One cold-memo fusion run and the store/search counter deltas it made."""
-    clear_search_memo()
+    """One fusion run and the store/search counter deltas it made."""
     names = ("mapstore.hits", "mapstore.misses", "mapstore.saved",
              "mapstore.corrupt", "fusion.cost_evaluations")
     before = [_counter(n).value for n in names]
@@ -70,7 +69,7 @@ class TestRoundTrip:
     def test_build_persists_and_reload_is_bit_identical(
         self, store_path, small_session
     ):
-        """A search persists its outcome; a cold memo replays it exactly."""
+        """A search persists its outcome; the next run replays it exactly."""
         searched, first = _counted_run(small_session)
         assert first["saved"] == 1 and first["misses"] == 1
         assert first["cost_evaluations"] > 0
@@ -295,11 +294,9 @@ class TestKillTheCache:
 
         monkeypatch.setenv(mapstore.MAP_STORE_ENV, str(tmp_path / "searches"))
         clear_delay_map_cache()
-        clear_search_memo()
         _, persisted = personalize_capture(subject_seed=3, **self.SPEC)
 
         clear_delay_map_cache()
-        clear_search_memo()
         names = ("fusion.cost_evaluations", "mapstore.misses", "mapstore.hits",
                  "localize.delay_map_builds")
         before = [_counter(n).value for n in names]
@@ -332,7 +329,6 @@ def _served_twice(tmp_path, jobs):
         # Workers fork from this process: cold memory caches, so the
         # store's contents are the only difference between the runs.
         clear_delay_map_cache()
-        clear_search_memo()
         with BatchServer(
             workers=1, map_store=store, telemetry=tmp_path / f"{run}.jsonl"
         ) as server:
@@ -380,7 +376,7 @@ class TestServedColdStart:
                   fault_args={"std": 0.5})
         (empty, baked), store = _served_twice(tmp_path, [job])
 
-        [searches] = _per_job(empty, "fusion.search_memo_misses")
+        [searches] = _per_job(empty, "fusion.runs")
         assert searches > 1
         assert empty.results[0].payload["quality"]["salvage"]["deconv_path"] == [
             "wiener", "tdls"
@@ -437,3 +433,39 @@ class TestWarmupCli:
         assert exit_info.value.code == 2
         assert "--jobs" in capsys.readouterr().err
         assert not (tmp_path / "maps").exists()
+
+    def test_bad_capture_fails_its_job_and_the_rest_bake(
+        self, tmp_path, capsys
+    ):
+        """One unreadable capture fails only its own job: the good capture
+        is baked and the exit code says a job failed."""
+        from repro.cli import main
+        from repro.datasets import save_session
+        from repro.simulation.person import VirtualSubject
+        from repro.simulation.session import MeasurementSession
+
+        good = tmp_path / "good.npz"
+        save_session(
+            MeasurementSession(
+                VirtualSubject.random(1), seed=0, probe_interval_s=0.6
+            ).run(),
+            good,
+        )
+        bad = tmp_path / "bad.npz"
+        bad.write_bytes(b"not a capture")
+        jobs = tmp_path / "jobs.jsonl"
+        jobs.write_text(
+            "".join(
+                json.dumps(
+                    {"job_id": name, "session_path": str(path),
+                     "angle_step_deg": 15.0}
+                ) + "\n"
+                for name, path in (("bad", bad), ("good", good))
+            )
+        )
+        store = tmp_path / "maps"
+        assert main(["warmup", "--store", str(store), "--jobs", str(jobs)]) == 1
+        err = capsys.readouterr().err
+        assert "bad: failed" in err and str(bad) in err
+        assert "good: failed" not in err
+        assert len(mapstore.MapStore(str(store))) == 1
