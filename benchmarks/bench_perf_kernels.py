@@ -29,7 +29,7 @@ from repro.core.aoa import KnownSourceAoAEstimator, UnknownSourceAoAEstimator
 from repro.core import mapstore
 from repro.core.localize import DelayMap, cached_delay_map, clear_delay_map_cache
 from repro.core.fusion import DiffractionAwareSensorFusion
-from repro.core.pipeline import Uniq, UniqConfig
+from repro.core.pipeline import Uniq, UniqConfig, grid_from_step
 from repro.serve.worker import clear_capture_memo, personalize_spec
 
 FS = 48_000
@@ -216,6 +216,23 @@ def test_perf_personalize_store_replay(benchmark, tmp_path, monkeypatch):
     )
     assert evals.value == evals_before
     assert np.isfinite(result.fusion.radii_m).all()
+
+
+def test_perf_render_fine_grid(benchmark):
+    """One render of a solved capture at 2 degrees (91 angles).
+
+    The re-render workload's unit of work: near-field interpolation and
+    near-far conversion as array kernels over the whole grid.  The capture
+    is solved once, outside the timing.
+    """
+    session = MeasurementSession(
+        VirtualSubject.random(1), seed=0, probe_interval_s=0.6
+    ).run()
+    solution = Uniq(UniqConfig()).solve(session)
+    uniq = Uniq(UniqConfig(angle_grid_deg=grid_from_step(2.0)))
+    result = benchmark(uniq.render, solution)
+    assert result.table.angles_deg.shape == (91,)
+    assert len(result.table.near) == len(result.table.far) == 91
 
 
 def test_perf_channel_estimation(benchmark, subject):

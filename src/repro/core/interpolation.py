@@ -23,11 +23,11 @@ from repro.constants import (
     SPEED_OF_SOUND,
 )
 from repro.errors import SignalError
+from repro.geometry.batch import near_field_paths
 from repro.geometry.head import Ear, HeadGeometry
-from repro.geometry.paths import propagation_path
 from repro.geometry.vec import polar_to_cartesian
 from repro.hrtf.hrir import BinauralIR
-from repro.hrtf.table import interpolate_hrir_pair
+from repro.hrtf.table import blend_aligned_batch
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.physics import near_field_first_tap_gain
@@ -36,10 +36,12 @@ from repro.quality.report import degradation_score
 from repro.signals.channel import (
     ProbeChannelBank,
     first_tap_index,
-    refine_tap_position,
+    first_tap_index_batch,
+    refine_tap_position_batch,
     truncate_after,
 )
-from repro.signals.delays import apply_fractional_delay
+from repro.signals.correlation import align_to_first_tap_batch
+from repro.signals.delays import apply_fractional_delay_batch, shift_rows
 from repro.simulation.session import SessionData
 from repro.core.fusion import FusionResult
 
@@ -64,6 +66,16 @@ class NearFieldMeasurement:
     angle_deg: float
     radius_m: float
     hrir: BinauralIR
+
+
+def hrir_length(measurements: list[NearFieldMeasurement]) -> int:
+    """The HRIR length every measurement shares; the grid kernels stack them."""
+    lengths = {m.hrir.n_samples for m in measurements}
+    if len(lengths) != 1:
+        raise SignalError(
+            f"near-field measurements must share one HRIR length, got {sorted(lengths)}"
+        )
+    return lengths.pop()
 
 
 class NearFieldInterpolator:
@@ -168,56 +180,6 @@ class NearFieldInterpolator:
             )
         return measurements
 
-    def correct_to_model(
-        self, hrir: BinauralIR, head: HeadGeometry, radius_m: float, angle_deg: float
-    ) -> BinauralIR:
-        """Adjust an HRIR pair's first-tap timing/levels to the diffraction model.
-
-        The paper's quality step: given the learned head parameters and the
-        (interpolated) location, the expected interaural time difference and
-        first-tap amplitudes are computable; the measured/interpolated taps
-        are nudged to match while the pinna multipath pattern is preserved.
-        """
-        position = polar_to_cartesian(radius_m, angle_deg)
-        expected = {}
-        for ear in Ear:
-            path = propagation_path(head, position, ear)
-            expected[ear] = (
-                path.length,
-                float(near_field_first_tap_gain(path.length, path.wrap_arc)),
-            )
-        # Model ITD (right minus left, in samples).
-        model_itd = (
-            (expected[Ear.RIGHT][0] - expected[Ear.LEFT][0])
-            / SPEED_OF_SOUND
-            * self.fs
-        )
-
-        taps = {}
-        amps = {}
-        for ear, signal in ((Ear.LEFT, hrir.left), (Ear.RIGHT, hrir.right)):
-            idx = first_tap_index(signal)
-            taps[ear] = refine_tap_position(signal, idx)
-            amps[ear] = float(np.abs(signal[idx]))
-            if amps[ear] == 0.0:
-                raise SignalError("zero first-tap amplitude; cannot correct")
-
-        # Rescale each ear so its first-tap amplitude matches the model.
-        left = hrir.left * (expected[Ear.LEFT][1] / amps[Ear.LEFT])
-        right = hrir.right * (expected[Ear.RIGHT][1] / amps[Ear.RIGHT])
-
-        # Re-time the right ear so the measured ITD equals the model ITD.
-        measured_itd = taps[Ear.RIGHT] - taps[Ear.LEFT]
-        shift = float(model_itd - measured_itd)
-        n = hrir.n_samples
-        if shift >= 0:
-            right = apply_fractional_delay(right, shift, output_length=n)
-        else:
-            advance = int(np.ceil(-shift))
-            right = np.concatenate([right[advance:], np.zeros(advance)])
-            right = apply_fractional_delay(right, shift + advance, output_length=n)
-        return BinauralIR(left=left, right=right, fs=self.fs)
-
     def build_grid(
         self,
         measurements: list[NearFieldMeasurement],
@@ -232,7 +194,8 @@ class NearFieldInterpolator:
         measurement (then get model-corrected for their own angle).
         ``quality`` collects the stage sentinels: the largest gap between
         neighbouring measurement angles and the fraction of the grid the
-        measurements do not span.
+        measurements do not span.  Every grid angle is computed at once, as
+        array kernels over the grid.
         """
         if len(measurements) < 2:
             raise SignalError("need >= 2 near-field measurements to interpolate")
@@ -246,33 +209,103 @@ class NearFieldInterpolator:
             else float(np.median([m.radius_m for m in ordered]))
         )
         grid = np.asarray(angle_grid_deg, dtype=float)
-        grid_entries = []
         with obs_trace.span(
             "interpolation.build_grid",
             n_measurements=len(ordered),
             n_grid=int(grid.shape[0]),
             reference_radius_m=radius,
         ):
-            for target in grid:
-                idx = int(np.searchsorted(angles, target))
-                if idx == 0:
-                    blended = ordered[0].hrir
-                elif idx >= angles.shape[0]:
-                    blended = ordered[-1].hrir
-                else:
-                    span = angles[idx] - angles[idx - 1]
-                    weight = (
-                        0.5 if span <= 0 else float((target - angles[idx - 1]) / span)
-                    )
-                    blended = interpolate_hrir_pair(
-                        ordered[idx - 1].hrir, ordered[idx].hrir, weight,
-                        pre_samples=_PRE_SAMPLES,
-                    )
-                grid_entries.append(
-                    self.correct_to_model(blended, head, radius, float(target))
-                )
+            ears = self._blend(ordered, angles, grid)
+            left, right = self._match_model(ears, head, radius, grid)
+            grid_entries = [
+                BinauralIR(left=l, right=r, fs=self.fs) for l, r in zip(left, right)
+            ]
             obs_metrics.counter("interpolation.grid_entries").inc(len(grid_entries))
         return grid_entries
+
+    def _blend(
+        self,
+        ordered: list[NearFieldMeasurement],
+        angles: np.ndarray,
+        grid: np.ndarray,
+    ) -> list[np.ndarray]:
+        """Per ear, ``(g, n)`` first-tap-aligned blends of each grid angle's neighbours.
+
+        :func:`repro.hrtf.table.interpolate_hrir_pair` row by row: a grid
+        angle outside the measured span, or with weight <= 0 or >= 1,
+        copies one measurement.
+        """
+        n = hrir_length(ordered)
+        k = angles.shape[0]
+        idx = np.searchsorted(angles, grid)
+        low = np.maximum(idx - 1, 0)
+        high = np.minimum(idx, k - 1)
+        between = (idx > 0) & (idx < k)
+        # searchsorted puts each interior grid angle strictly above its lower
+        # neighbour, so the span is positive even where angles repeat.
+        weight = np.divide(
+            grid - angles[low],
+            angles[high] - angles[low],
+            out=np.zeros(grid.shape),
+            where=between,
+        )
+        blend = np.flatnonzero(between & ~(weight <= 0.0) & ~(weight >= 1.0))
+        copy = np.where(between & (weight <= 0.0), low, high)
+        ears = []
+        for ear in Ear:
+            rows = np.stack([m.hrir.ear(ear) for m in ordered])
+            taps = refine_tap_position_batch(rows, first_tap_index_batch(rows))
+            aligned = align_to_first_tap_batch(rows, n, _PRE_SAMPLES)
+            out = rows[copy]
+            out[blend] = blend_aligned_batch(
+                aligned[low[blend]],
+                aligned[high[blend]],
+                taps[low[blend]],
+                taps[high[blend]],
+                weight[blend],
+                _PRE_SAMPLES,
+            )
+            ears.append(out)
+        return ears
+
+    def _match_model(
+        self,
+        ears: list[np.ndarray],
+        head: HeadGeometry,
+        radius_m: float,
+        grid: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Adjust each row pair's first-tap timing/levels to the diffraction model.
+
+        The paper's quality step: given the learned head parameters and the
+        (interpolated) location, the expected interaural time difference and
+        first-tap amplitudes are computable; the measured/interpolated taps
+        are nudged to match while the pinna multipath pattern is preserved.
+        """
+        lengths, wrap_arcs = near_field_paths(head, polar_to_cartesian(radius_m, grid))
+        gains = near_field_first_tap_gain(lengths, wrap_arcs)
+        # Model ITD (right minus left, in samples).
+        model_itd = (lengths[1] - lengths[0]) / SPEED_OF_SOUND * self.fs
+        scaled = []
+        taps = []
+        for signal, gain in zip(ears, gains):
+            idx = first_tap_index_batch(signal)
+            taps.append(refine_tap_position_batch(signal, idx))
+            # Rescale each ear so its first-tap amplitude matches the model.
+            amplitude = np.abs(signal[np.arange(signal.shape[0]), idx])
+            scaled.append(signal * (gain / amplitude)[:, None])
+        left, right = scaled
+        # Re-time the right ear so the measured ITD equals the model ITD.
+        shift = model_itd - (taps[1] - taps[0])
+        late = shift >= 0
+        advance = np.where(late, 0.0, np.ceil(-shift)).astype(np.intp)
+        n = right.shape[1]
+        right = apply_fractional_delay_batch(
+            shift_rows(right, advance, n),
+            np.where(late, shift, shift + advance),
+            output_length=n,
+        )
+        return left, right
 
     def _sentinels(
         self,

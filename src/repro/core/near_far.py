@@ -31,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import GeometryError, SignalError
+from repro.geometry.batch import plane_wave_arrivals
 from repro.geometry.head import Ear, HeadGeometry
-from repro.geometry.plane_wave import plane_wave_arrival
 from repro.geometry.vec import angle_deg_of, unit_from_angle_deg
 from repro.hrtf.hrir import BinauralIR
 from repro.obs import metrics as obs_metrics
@@ -40,9 +40,9 @@ from repro.obs import trace as obs_trace
 from repro.physics import far_field_first_tap_gain
 from repro.quality.flags import QualityCollector
 from repro.quality.report import degradation_score
-from repro.signals.correlation import align_to_first_tap
-from repro.signals.delays import apply_fractional_delay
-from repro.core.interpolation import NearFieldMeasurement
+from repro.signals.correlation import align_to_first_tap_batch
+from repro.signals.delays import apply_fractional_delay_batch
+from repro.core.interpolation import NearFieldMeasurement, hrir_length
 
 _PRE_SAMPLES = 12
 
@@ -54,61 +54,58 @@ _PRE_SAMPLES = 12
 _FALLBACK_GOOD = 0.35
 _FALLBACK_BAD = 0.9
 
+#: Grid angles per block of the facing search for Q.
+_FACING_BLOCK = 256
 
-def _backtrack_to_radius(anchor: np.ndarray, u: np.ndarray, radius: float) -> np.ndarray:
-    """The point ``anchor - s*u`` (s > 0) lying on the circle of ``radius``.
 
-    ``u`` is the propagation direction, so walking ``-u`` from the anchor
-    retraces the incoming ray toward the source side of the trajectory.
+def _backtrack_angles(anchors: np.ndarray, u: np.ndarray, radius: float) -> np.ndarray:
+    """Trajectory angle of ``anchor - s*u`` (s > 0) on the circle of ``radius``.
+
+    One row per target angle.  ``u`` is the propagation direction, so
+    walking ``-u`` from the anchor retraces the incoming ray toward the
+    source side of the trajectory.
     """
-    b = float(np.dot(anchor, u))
-    disc = b * b - float(np.dot(anchor, anchor)) + radius * radius
-    if disc < 0:
+    b = np.vecdot(anchors, u)
+    disc = b * b - np.vecdot(anchors, anchors) + radius * radius
+    short = disc < 0
+    if np.any(short):
         raise GeometryError(
-            f"trajectory radius {radius} too small to intersect ray at {anchor}"
+            f"trajectory radius {radius} too small to intersect ray at "
+            f"{anchors[short][0]}"
         )
     s = b + np.sqrt(disc)
-    return anchor - s * u
+    return angle_deg_of(anchors - s[:, None] * u)
 
 
-def critical_trajectory_angles(
+def _critical_angles(
     head: HeadGeometry,
-    theta_deg: float,
+    theta_deg: np.ndarray,
     trajectory_radius_m: float,
-    arrivals: dict | None = None,
-) -> tuple[float, float, float]:
-    """The Figure 12 anchor angles ``(phi_B, phi_C, phi_D)`` on the trajectory.
+    anchors: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Figure 12 anchor angles ``(phi_B, phi_C, phi_D)`` per target angle.
 
     ``phi_B`` bounds the arc feeding the left ear, ``phi_D`` the right,
-    ``phi_C`` is the normal-incidence divider.  ``arrivals`` maps each ear
-    to its :func:`plane_wave_arrival` at ``theta_deg`` when the caller has
-    already solved them.
+    ``phi_C`` is the normal-incidence divider.  ``anchors`` are the
+    per-ear plane-wave anchors of
+    :func:`repro.geometry.batch.plane_wave_arrivals`.
     """
-    if arrivals is None:
-        arrivals = {ear: plane_wave_arrival(head, theta_deg, ear) for ear in Ear}
-    u = -unit_from_angle_deg(theta_deg)  # propagation direction
+    u = -unit_from_angle_deg(theta_deg)  # propagation directions
     boundary = head.boundary
-    # Q: boundary point most squarely facing the incoming wave.
-    facing = -np.einsum("ij,j->i", boundary.normals, u)
-    q_point = boundary.points[int(np.argmax(facing))]
-    phi_c = float(angle_deg_of(_backtrack_to_radius(q_point, u, trajectory_radius_m)))
-
-    anchors = {}
-    for ear, arrival in arrivals.items():
-        anchor = (
-            head.ear_position(ear)
-            if arrival.grazing_point is None
-            else arrival.grazing_point
-        )
-        anchors[ear] = float(
-            angle_deg_of(_backtrack_to_radius(anchor, u, trajectory_radius_m))
-        )
-    return anchors[Ear.LEFT], phi_c, anchors[Ear.RIGHT]
-
-
-def _arc_interval(phi_from: float, phi_to: float) -> tuple[float, float]:
-    """Normalized (lo, hi) interval between two trajectory angles."""
-    return (phi_from, phi_to) if phi_from <= phi_to else (phi_to, phi_from)
+    # Q: boundary point most squarely facing the incoming wave.  Blocks of
+    # angles bound the (angles, n_boundary) temporaries on fine grids.
+    nx, ny = boundary.normals.T
+    q_index = np.empty(u.shape[0], dtype=np.intp)
+    for start in range(0, u.shape[0], _FACING_BLOCK):
+        ub = u[start : start + _FACING_BLOCK]
+        facing = -(nx[None, :] * ub[:, :1] + ny[None, :] * ub[:, 1:])
+        q_index[start : start + ub.shape[0]] = np.argmax(facing, axis=1)
+    q_points = boundary.points[q_index]
+    phi_c = _backtrack_angles(q_points, u, trajectory_radius_m)
+    phi_b, phi_d = (
+        _backtrack_angles(anchor, u, trajectory_radius_m) for anchor in anchors
+    )
+    return phi_b, phi_c, phi_d
 
 
 @dataclass
@@ -127,73 +124,6 @@ class NearFarConverter:
     fs: int
     min_arc_measurements: int = 1
 
-    def convert_angle(
-        self,
-        measurements: list[NearFieldMeasurement],
-        head: HeadGeometry,
-        theta_deg: float,
-        trajectory_radius_m: float,
-        fallbacks: list[int] | None = None,
-        aligned: dict | None = None,
-    ) -> BinauralIR:
-        """Far-field HRIR pair for one target angle.
-
-        When ``fallbacks`` is given, the number of arcs (0–2) that had no
-        in-arc measurements and fell back to nearest-measurement selection
-        is appended to it — :meth:`convert` aggregates these counts into
-        the stage's arc-support sentinel.  ``aligned`` memoizes the
-        first-tap aligned HRIR per ``(measurement index, ear)`` across the
-        angles of one :meth:`convert` call.
-        """
-        if not measurements:
-            raise SignalError("no near-field measurements to convert")
-        n = measurements[0].hrir.n_samples
-        angles = np.array([m.angle_deg for m in measurements])
-
-        arrivals = {ear: plane_wave_arrival(head, theta_deg, ear) for ear in Ear}
-        phi_b, phi_c, phi_d = critical_trajectory_angles(
-            head, theta_deg, trajectory_radius_m, arrivals
-        )
-        arcs = {Ear.LEFT: _arc_interval(phi_c, phi_b), Ear.RIGHT: _arc_interval(phi_c, phi_d)}
-
-        aligned = {} if aligned is None else aligned
-        averaged = {}
-        n_fallback = 0
-        for ear, (lo, hi) in arcs.items():
-            in_arc = np.flatnonzero((angles >= lo) & (angles <= hi))
-            if in_arc.shape[0] < self.min_arc_measurements:
-                n_fallback += 1
-                midpoint = 0.5 * (lo + hi)
-                order = np.argsort(np.abs(angles - midpoint))
-                in_arc = order[: max(self.min_arc_measurements, 1)]
-            for i in in_arc:
-                if (i, ear) not in aligned:
-                    aligned[i, ear] = align_to_first_tap(
-                        measurements[i].hrir.ear(ear), n, _PRE_SAMPLES
-                    )
-            averaged[ear] = np.mean([aligned[i, ear] for i in in_arc], axis=0)
-
-        # Fine-tune interaural delay and amplitudes from the plane-wave
-        # model with the learned head parameters.  Scaling anchors on the
-        # *first tap* (which the model predicts), not the strongest tap —
-        # a pinna echo can exceed the first tap, and normalizing by it
-        # would corrupt the interaural level difference.
-        reference = min(a.delay for a in arrivals.values())
-        tuned = {}
-        for ear in Ear:
-            signal = averaged[ear]
-            first_tap = float(
-                np.max(np.abs(signal[_PRE_SAMPLES - 1 : _PRE_SAMPLES + 2]))
-            )
-            if first_tap == 0.0:
-                raise SignalError("averaged near-field HRIR has no first tap")
-            gain = float(far_field_first_tap_gain(arrivals[ear].wrap_arc)) / first_tap
-            shift = (arrivals[ear].delay - reference) * self.fs
-            tuned[ear] = apply_fractional_delay(signal * gain, shift, output_length=n)
-        if fallbacks is not None:
-            fallbacks.append(n_fallback)
-        return BinauralIR(left=tuned[Ear.LEFT], right=tuned[Ear.RIGHT], fs=self.fs)
-
     def convert(
         self,
         measurements: list[NearFieldMeasurement],
@@ -204,35 +134,36 @@ class NearFarConverter:
     ) -> list[BinauralIR]:
         """Far-field HRIRs for every angle in ``angle_grid_deg``.
 
-        ``quality`` collects the arc-support sentinel: the fraction of
-        (angle, ear) arcs that were empty and fell back to
+        Every grid angle is computed at once, as array kernels over the
+        grid.  ``quality`` collects the arc-support sentinel: the fraction
+        of (angle, ear) arcs that were empty and fell back to
         nearest-measurement averaging.
         """
+        if not measurements:
+            raise SignalError("no near-field measurements to convert")
         radius = (
             trajectory_radius_m
             if trajectory_radius_m is not None
             else float(np.median([m.radius_m for m in measurements]))
         )
         grid = np.asarray(angle_grid_deg, dtype=float)
-        fallbacks: list[int] = []
-        aligned: dict = {}
         with obs_trace.span(
             "near_far.convert",
             n_angles=int(grid.shape[0]),
             n_measurements=len(measurements),
             trajectory_radius_m=radius,
         ) as convert_span:
+            left, right, n_fallback = self._convert_grid(
+                measurements, head, grid, radius
+            )
             converted = [
-                self.convert_angle(
-                    measurements, head, float(theta), radius, fallbacks, aligned
-                )
-                for theta in grid
+                BinauralIR(left=l, right=r, fs=self.fs) for l, r in zip(left, right)
             ]
             obs_metrics.counter("near_far.angles_converted").inc(len(converted))
             fallback_fraction = (
-                float(sum(fallbacks)) / (2.0 * grid.shape[0]) if grid.shape[0] else 0.0
+                float(n_fallback) / (2.0 * grid.shape[0]) if grid.shape[0] else 0.0
             )
-            obs_metrics.counter("near_far.arc_fallbacks").inc(int(sum(fallbacks)))
+            obs_metrics.counter("near_far.arc_fallbacks").inc(n_fallback)
             convert_span.update(fallback_fraction=fallback_fraction)
             if quality is not None:
                 quality.component(
@@ -253,6 +184,76 @@ class NearFarConverter:
                         threshold=_FALLBACK_GOOD,
                     )
         return converted
+
+    def _convert_grid(
+        self,
+        measurements: list[NearFieldMeasurement],
+        head: HeadGeometry,
+        grid: np.ndarray,
+        radius: float,
+    ) -> tuple[np.ndarray, np.ndarray, int]:
+        """Far-field ``(left, right)`` rows per grid angle, and the arc fallbacks."""
+        n = hrir_length(measurements)
+        angles = np.array([m.angle_deg for m in measurements])
+        delays, wrap_arcs, anchors = plane_wave_arrivals(head, grid)
+        phi_b, phi_c, phi_d = _critical_angles(head, grid, radius, anchors)
+        # Fine-tune interaural delay and amplitudes from the plane-wave
+        # model with the learned head parameters.  Scaling anchors on the
+        # *first tap* (which the model predicts), not the strongest tap —
+        # a pinna echo can exceed the first tap, and normalizing by it
+        # would corrupt the interaural level difference.
+        reference = np.where(delays[1] < delays[0], delays[1], delays[0])
+        n_fallback = 0
+        tuned = []
+        for ear, phi, delay, wrap_arc in zip(Ear, (phi_b, phi_d), delays, wrap_arcs):
+            aligned = align_to_first_tap_batch(
+                np.stack([m.hrir.ear(ear) for m in measurements]), n, _PRE_SAMPLES
+            )
+            averaged, fallbacks = self._arc_means(aligned, angles, phi_c, phi)
+            n_fallback += fallbacks
+            first_tap = np.max(
+                np.abs(averaged[:, _PRE_SAMPLES - 1 : _PRE_SAMPLES + 2]), axis=1
+            )
+            if np.any(first_tap == 0.0):
+                raise SignalError("averaged near-field HRIR has no first tap")
+            gain = far_field_first_tap_gain(wrap_arc) / first_tap
+            tuned.append(
+                apply_fractional_delay_batch(
+                    averaged * gain[:, None],
+                    (delay - reference) * self.fs,
+                    output_length=n,
+                )
+            )
+        return tuned[0], tuned[1], n_fallback
+
+    def _arc_means(
+        self,
+        aligned: np.ndarray,
+        angles: np.ndarray,
+        phi_from: np.ndarray,
+        phi_to: np.ndarray,
+    ) -> tuple[np.ndarray, int]:
+        """Per grid angle, the mean of the aligned rows measured on its arc.
+
+        Rows are averaged in measurement order.  An arc with fewer than
+        ``min_arc_measurements`` measurements uses the ones nearest its
+        midpoint instead and counts as a fallback.
+        """
+        ordered = phi_from <= phi_to
+        lo = np.where(ordered, phi_from, phi_to)
+        hi = np.where(ordered, phi_to, phi_from)
+        inside = (angles[None, :] >= lo[:, None]) & (angles[None, :] <= hi[:, None])
+        averaged = np.empty((lo.shape[0], aligned.shape[1]))
+        n_fallback = 0
+        for i, in_arc in enumerate(inside):
+            rows = np.flatnonzero(in_arc)
+            if rows.shape[0] < self.min_arc_measurements:
+                n_fallback += 1
+                midpoint = 0.5 * (lo[i] + hi[i])
+                order = np.argsort(np.abs(angles - midpoint))
+                rows = order[: max(self.min_arc_measurements, 1)]
+            averaged[i] = np.mean(aligned[rows], axis=0)
+        return averaged, n_fallback
 
 
 def ray_decomposition_attempt(

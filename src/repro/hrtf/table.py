@@ -19,7 +19,7 @@ import numpy as np
 from repro.errors import TableError
 from repro.hrtf.hrir import BinauralIR
 from repro.signals.channel import first_tap_index, refine_tap_position
-from repro.signals.delays import apply_fractional_delay
+from repro.signals.delays import apply_fractional_delay_batch, shift_rows
 from repro.signals.correlation import align_to_first_tap
 
 #: The two distance regimes the table distinguishes.
@@ -34,7 +34,8 @@ def interpolate_hrir_pair(
     Each ear's responses are aligned to their first taps, blended linearly,
     and the blended response is re-delayed to the linearly interpolated
     first-tap time — preventing the "spurious echoes" the paper warns about
-    when misaligned impulse responses are averaged.
+    when misaligned impulse responses are averaged.  The one-row case of
+    :func:`blend_aligned_batch`.
     """
     if low.fs != high.fs:
         raise TableError("cannot interpolate HRIRs with different sample rates")
@@ -47,22 +48,47 @@ def interpolate_hrir_pair(
     for a, b in ((low.left, high.left), (low.right, high.right)):
         tap_a = refine_tap_position(a, first_tap_index(a))
         tap_b = refine_tap_position(b, first_tap_index(b))
-        # Alignment shifts by the *integer* tap position, so each aligned
-        # response keeps its sub-sample residue; account for the blended
-        # residue when re-delaying or the fraction would be counted twice.
-        aligned_a = align_to_first_tap(a, n, pre_samples)
-        aligned_b = align_to_first_tap(b, n, pre_samples)
-        blended = (1.0 - weight) * aligned_a + weight * aligned_b
-        residue = (1.0 - weight) * (tap_a % 1.0) + weight * (tap_b % 1.0)
-        target_tap = (1.0 - weight) * tap_a + weight * tap_b
-        shift = target_tap - pre_samples - residue
-        if shift < 0:
-            # Target tap earlier than the alignment point: trim leading zeros.
-            lead = int(np.ceil(-shift))
-            blended = np.concatenate([blended[lead:], np.zeros(lead)])
-            shift += lead
-        ears.append(apply_fractional_delay(blended, shift, output_length=n))
+        blended = blend_aligned_batch(
+            align_to_first_tap(a, n, pre_samples)[None, :],
+            align_to_first_tap(b, n, pre_samples)[None, :],
+            np.array([tap_a]),
+            np.array([tap_b]),
+            np.array([float(weight)]),
+            pre_samples,
+        )
+        ears.append(blended[0])
     return BinauralIR(left=ears[0], right=ears[1], fs=low.fs)
+
+
+def blend_aligned_batch(
+    aligned_low: np.ndarray,
+    aligned_high: np.ndarray,
+    taps_low: np.ndarray,
+    taps_high: np.ndarray,
+    weights: np.ndarray,
+    pre_samples: int,
+) -> np.ndarray:
+    """Row-wise blends of first-tap-aligned responses, re-delayed to the blended tap.
+
+    ``aligned_*`` are ``(m, n)`` responses whose first taps sit at
+    ``pre_samples``; ``taps_*`` are their sub-sample first-tap positions
+    before alignment, and ``weights`` lie in ``(0, 1)``.
+    """
+    w = weights[:, None]
+    blended = (1.0 - w) * aligned_low + w * aligned_high
+    # Alignment shifts by the *integer* tap position, so each aligned
+    # response keeps its sub-sample residue; account for the blended
+    # residue when re-delaying or the fraction would be counted twice.
+    residue = (1.0 - weights) * (taps_low % 1.0) + weights * (taps_high % 1.0)
+    target_tap = (1.0 - weights) * taps_low + weights * taps_high
+    shift = target_tap - pre_samples - residue
+    # Target tap earlier than the alignment point: trim leading zeros.
+    early = shift < 0
+    lead = np.where(early, np.ceil(-shift), 0.0).astype(np.intp)
+    blended = shift_rows(blended, lead, blended.shape[1])
+    return apply_fractional_delay_batch(
+        blended, np.where(early, shift + lead, shift), output_length=blended.shape[1]
+    )
 
 
 @dataclass(frozen=True)

@@ -157,20 +157,45 @@ def first_tap_index(
     (bounded by ``search_ahead`` samples).  Climbing to the first local max
     — not the strongest within a window — matters when a strong pinna echo
     follows the first tap within a few samples: the first tap, not the
-    echo, is the diffraction-path arrival that localization needs.
+    echo, is the diffraction-path arrival that localization needs.  The
+    one-row case of :func:`first_tap_index_batch`.
     """
     impulse = np.asarray(impulse, dtype=float)
     if impulse.ndim != 1 or impulse.shape[0] == 0:
         raise SignalError("first_tap_index expects a non-empty 1D array")
-    magnitude = np.abs(impulse)
-    peak = magnitude.max()
-    if peak == 0.0:
+    taps = first_tap_index_batch(impulse[None, :], threshold_ratio, search_ahead)
+    return int(taps[0])
+
+
+def first_tap_index_batch(
+    impulses: np.ndarray,
+    threshold_ratio: float = 0.25,
+    search_ahead: int = 3,
+) -> np.ndarray:
+    """:func:`first_tap_index` of each row of an ``(m, n)`` array."""
+    impulses = np.asarray(impulses, dtype=float)
+    if impulses.ndim != 2 or impulses.shape[1] == 0:
+        raise SignalError("first_tap_index_batch expects a non-empty (m, n) array")
+    magnitude = np.abs(impulses)
+    peak = magnitude.max(axis=1)
+    if np.any(peak == 0.0):
         raise SignalError("impulse response is all zeros; no tap to find")
-    above = np.flatnonzero(magnitude >= threshold_ratio * peak)
-    index = int(above[0])
-    stop = min(index + max(1, search_ahead), magnitude.shape[0] - 1)
-    while index < stop and magnitude[index + 1] > magnitude[index]:
-        index += 1
+    above = magnitude >= threshold_ratio * peak[:, None]
+    if not above.any(axis=1).all():
+        # A NaN peak, or a threshold ratio above 1.
+        raise SignalError("no sample reaches the tap threshold; no tap to find")
+    index = np.argmax(above, axis=1)
+    rows = np.arange(impulses.shape[0])
+    last = magnitude.shape[1] - 1
+    stop = np.minimum(index + max(1, search_ahead), last)
+    # A row that stops climbing never resumes: its index and test stay put.
+    for _ in range(max(1, search_ahead)):
+        climb = (index < stop) & (
+            magnitude[rows, np.minimum(index + 1, last)] > magnitude[rows, index]
+        )
+        if not climb.any():
+            break
+        index = index + climb
     return index
 
 
@@ -178,18 +203,31 @@ def refine_tap_position(impulse: np.ndarray, index: int) -> float:
     """Sub-sample tap position via parabolic interpolation of the magnitude.
 
     Returns a fractional index; falls back to ``index`` at the array edges.
+    The one-row case of :func:`refine_tap_position_batch`.
     """
-    magnitude = np.abs(np.asarray(impulse, dtype=float))
-    if not 0 <= index < magnitude.shape[0]:
-        raise SignalError(f"index {index} outside impulse response")
-    if index == 0 or index == magnitude.shape[0] - 1:
-        return float(index)
-    left, center, right = magnitude[index - 1 : index + 2]
+    impulse = np.asarray(impulse, dtype=float)
+    return float(refine_tap_position_batch(impulse[None, :], np.array([index]))[0])
+
+
+def refine_tap_position_batch(impulses: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """:func:`refine_tap_position` of each row at its own tap index."""
+    impulses = np.asarray(impulses, dtype=float)
+    indices = np.asarray(indices)
+    n = impulses.shape[1]
+    outside = (indices < 0) | (indices >= n)
+    if outside.any():
+        raise SignalError(f"index {indices[outside][0]} outside impulse response")
+    rows = np.arange(impulses.shape[0])
+    neighbours = np.clip(indices[:, None] + np.array([-1, 0, 1]), 0, n - 1)
+    left, center, right = np.abs(impulses[rows[:, None], neighbours]).T
     denom = left - 2 * center + right
-    if denom >= 0:  # not a local max / flat: no refinement possible
-        return float(index)
-    shift = 0.5 * (left - right) / denom
-    return float(index + np.clip(shift, -0.5, 0.5))
+    # Edges and non-maxima (denom >= 0: flat or not a local max) keep the
+    # integer index; no refinement is possible there.
+    refine = (indices > 0) & (indices < n - 1) & ~(denom >= 0)
+    shift = np.divide(
+        0.5 * (left - right), denom, out=np.zeros(rows.shape), where=refine
+    )
+    return np.where(refine, indices + np.clip(shift, -0.5, 0.5), indices.astype(float))
 
 
 def find_taps(

@@ -16,7 +16,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import SignalError
-from repro.signals.channel import first_tap_index
+from repro.signals.channel import first_tap_index_batch
+from repro.signals.delays import shift_rows
 
 
 #: Above this many samples, cross-correlation switches to the FFT algorithm
@@ -80,20 +81,28 @@ def align_to_first_tap(
 
     Returns a new array of ``length`` samples.  Content shifted before the
     start is dropped (there should be none: the first tap is by definition
-    the earliest significant content).
+    the earliest significant content).  The one-row case of
+    :func:`align_to_first_tap_batch`.
     """
     impulse = np.asarray(impulse, dtype=float)
+    if impulse.ndim != 1:
+        raise SignalError("align_to_first_tap expects a 1D impulse response")
+    return align_to_first_tap_batch(
+        impulse[None, :], length, pre_samples, threshold_ratio
+    )[0]
+
+
+def align_to_first_tap_batch(
+    impulses: np.ndarray,
+    length: int,
+    pre_samples: int = 4,
+    threshold_ratio: float = 0.25,
+) -> np.ndarray:
+    """:func:`align_to_first_tap` of each row of an ``(m, n)`` array."""
+    impulses = np.asarray(impulses, dtype=float)
     if length < 1:
         raise SignalError(f"length must be >= 1, got {length}")
     if pre_samples < 0 or pre_samples >= length:
         raise SignalError(f"pre_samples must be in [0, {length}), got {pre_samples}")
-    tap = first_tap_index(impulse, threshold_ratio=threshold_ratio)
-    out = np.zeros(length)
-    source_start = max(0, tap - pre_samples)
-    dest_start = pre_samples - (tap - source_start)
-    n_copy = min(impulse.shape[0] - source_start, length - dest_start)
-    if n_copy > 0:
-        out[dest_start : dest_start + n_copy] = impulse[
-            source_start : source_start + n_copy
-        ]
-    return out
+    taps = first_tap_index_batch(impulses, threshold_ratio=threshold_ratio)
+    return shift_rows(impulses, taps - pre_samples, length)

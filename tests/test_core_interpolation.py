@@ -60,13 +60,20 @@ class TestExtraction:
         )
 
 
+def _corrected_at_measurement(measurements, head, index, radius_m=0.45):
+    """One-angle grid on measurement ``index``: its HRIR, model-corrected there."""
+    m = measurements[index]
+    (corrected,) = NearFieldInterpolator(FS).build_grid(
+        measurements, head, np.array([m.angle_deg]), reference_radius_m=radius_m
+    )
+    return m, corrected
+
+
 class TestModelCorrection:
     def test_correct_to_model_sets_itd(self, fusion_result, measurements):
-        interpolator = NearFieldInterpolator(FS)
         head = fusion_result.head
-        m = measurements[len(measurements) // 4]
-        corrected = interpolator.correct_to_model(
-            m.hrir, head, radius_m=0.45, angle_deg=m.angle_deg
+        m, corrected = _corrected_at_measurement(
+            measurements, head, len(measurements) // 4
         )
         expected = (
             propagation_path(head, polar_to_cartesian(0.45, m.angle_deg), Ear.LEFT).length
@@ -75,10 +82,8 @@ class TestModelCorrection:
         assert corrected.interaural_delay_s() == pytest.approx(expected, abs=4e-5)
 
     def test_correction_preserves_shape(self, fusion_result, measurements):
-        interpolator = NearFieldInterpolator(FS)
-        m = measurements[len(measurements) // 4]
-        corrected = interpolator.correct_to_model(
-            m.hrir, fusion_result.head, 0.45, m.angle_deg
+        m, corrected = _corrected_at_measurement(
+            measurements, fusion_result.head, len(measurements) // 4
         )
         c_left, c_right = hrir_correlation(corrected, m.hrir)
         assert c_left > 0.95
@@ -87,8 +92,14 @@ class TestModelCorrection:
     def test_zero_amplitude_raises(self, fusion_result):
         interpolator = NearFieldInterpolator(FS)
         silent = BinauralIR(left=np.zeros(144), right=np.zeros(144), fs=FS)
+        measurements = [
+            NearFieldMeasurement(angle_deg=angle, radius_m=0.45, hrir=silent)
+            for angle in (40.0, 50.0)
+        ]
         with pytest.raises(SignalError):
-            interpolator.correct_to_model(silent, fusion_result.head, 0.45, 45.0)
+            interpolator.build_grid(
+                measurements, fusion_result.head, np.array([45.0]), 0.45
+            )
 
 
 class TestGridBuilding:

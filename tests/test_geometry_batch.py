@@ -12,10 +12,14 @@ from repro.geometry.batch import (
     _path_lengths,
     _vertex_table,
     binaural_delays_batch,
+    near_field_paths,
+    plane_wave_arrivals,
 )
 from repro.geometry.head import Ear, HeadGeometry
 from repro.geometry.paths import binaural_delays, propagation_path
+from repro.geometry.plane_wave import plane_wave_arrival
 from repro.geometry.vec import polar_to_cartesian
+from repro.simulation.person import VirtualSubject
 
 # The fusion optimizer's head search box: it contains every head it builds
 # a DelayMap for and VirtualSubject's population (mean +- 4 sigma per axis).
@@ -144,3 +148,58 @@ class TestHorizonSearch:
         assert head.contains(inside).all()
         t_left, t_right = binaural_delays_batch(head, inside)
         assert np.isnan(t_left).all() and np.isnan(t_right).all()
+
+
+#: Render's grid: 0-180 degrees in 0.25-degree steps.
+_RENDER_THETA = np.arange(0.0, 180.0 + 1e-9, 0.25)
+
+
+def _render_heads():
+    # Front-back symmetric heads put exact ties between the two wrap
+    # candidates of a source at 90 degrees.
+    symmetric = [HeadGeometry(0.08, 0.1, 0.1), HeadGeometry(0.08, 0.09, 0.09)]
+    return (
+        [HeadGeometry.average()]
+        + [VirtualSubject.random(seed).head for seed in range(5)]
+        + symmetric
+    )
+
+
+class TestRenderKernelsExact:
+    """The render kernels equal the scalar solvers bit for bit, not to 1e-12."""
+
+    @pytest.mark.parametrize("radius", [0.3, 0.45, 0.6])
+    def test_near_field_paths_equal_propagation_path(self, radius):
+        for head in _render_heads():
+            lengths, wrap_arcs = near_field_paths(
+                head, polar_to_cartesian(radius, _RENDER_THETA)
+            )
+            for i, theta in enumerate(_RENDER_THETA):
+                source = polar_to_cartesian(radius, float(theta))
+                for row, ear in enumerate((Ear.LEFT, Ear.RIGHT)):
+                    path = propagation_path(head, source, ear)
+                    assert lengths[row, i] == path.length
+                    assert wrap_arcs[row, i] == path.wrap_arc
+
+    def test_plane_wave_arrivals_equal_scalar(self):
+        for head in _render_heads():
+            delays, wrap_arcs, anchors = plane_wave_arrivals(head, _RENDER_THETA)
+            for i, theta in enumerate(_RENDER_THETA):
+                for row, ear in enumerate((Ear.LEFT, Ear.RIGHT)):
+                    arrival = plane_wave_arrival(head, float(theta), ear)
+                    assert delays[row, i] == arrival.delay
+                    assert wrap_arcs[row, i] == arrival.wrap_arc
+                    grazing = (
+                        head.ear_position(ear)
+                        if arrival.grazing_point is None
+                        else arrival.grazing_point
+                    )
+                    assert np.array_equal(anchors[row, i], grazing)
+
+    def test_near_field_paths_reject_inside_sources(self, average_head):
+        with pytest.raises(GeometryError):
+            near_field_paths(average_head, np.array([[0.5, 0.0], [0.0, 0.01]]))
+
+    def test_plane_wave_arrivals_reject_non_finite_angles(self, average_head):
+        with pytest.raises(GeometryError):
+            plane_wave_arrivals(average_head, np.array([10.0, np.nan]))

@@ -11,11 +11,19 @@ from __future__ import annotations
 
 import copy
 import os
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from repro.core.pipeline import Uniq, UniqConfig, grid_from_step
+from repro.hrtf.io import table_digest
+from repro.simulation.person import VirtualSubject
+from repro.simulation.session import MeasurementSession, ProbeMeasurement
+from repro.testing.faults import apply_fault
 from repro.testing.golden import (
     ADVERSE_CASES,
+    CASE_CONFIG,
     DEFAULT_CASES,
     DEFAULT_TOLERANCES,
     adverse_fixture_path,
@@ -105,6 +113,75 @@ class TestAdverseGoldenCases:
             pytest.skip("exact-digest check is opt-in (REPRO_GOLDEN_EXACT=1)")
         expected, actual = adverse_case
         assert actual["table_digest"] == expected["table_digest"]
+
+
+#: ``table_digest`` of ``Uniq.render`` at fine grids, recorded with the
+#: per-angle render loop before the array kernels replaced it.  The golden
+#: fixtures pin 15-degree tables only; these pin the 0.5- and 2-degree grids
+#: too, for a clean case, an adverse case on rung 1 and a salvaged solve.
+FINE_GRID_DIGESTS = {
+    "case_subject1_session0": {
+        0.5: "54fa8ce35250f68cf724ad79d44f9b5eaaf001b73b0268f6ee7cc3d5cc18ba2e",
+        2.0: "5e1843af4fc17c9b1433efec8a4b0465bd5b3c2947905216880275b85588323c",
+        15.0: "607752efc5f61bcbe564d108e0c2132fb3c5443a004009f68f8b52884bb4bf1f",
+    },
+    "adverse_noisy_reverberant": {
+        0.5: "21ccb4674766c7eac927570ee7d0c25ac5fa3b444f20b45c86c6947272d183b8",
+        2.0: "07741e5a24a64c53b17c7a55565a87713b2918e7032cec154cdaf6541790e629",
+        15.0: "8f38358c6e17e375ffebb7eecdc8b4a2f7642f7b639d211fd909c550d287df09",
+    },
+    "salvaged_subject1_session0": {
+        0.5: "a942ad89599b062ccb915af1a5ce6142b999389c4dfafd49e53ecda6d0770022",
+        2.0: "209f6213a43353b4ec41965fcbd9e0e9f676479e19b79d53eaeb4d55e55e0fbe",
+        15.0: "3b7afa5bc931a0011437bd21d7198da44dece64abc46e7d14d68c93a2b086f87",
+    },
+}
+
+
+def _fine_grid_capture(name: str):
+    """The capture behind one :data:`FINE_GRID_DIGESTS` entry."""
+    session = MeasurementSession(
+        VirtualSubject.random(1),
+        seed=0,
+        probe_interval_s=float(CASE_CONFIG["probe_interval_s"]),
+    ).run()
+    if name == "adverse_noisy_reverberant":
+        spec = ADVERSE_CASES["noisy_reverberant"]
+        return apply_fault(session, spec["fault"], **dict(spec["fault_args"]))
+    if name == "salvaged_subject1_session0":
+        # Hard-clip the first half of the probes: the solve drops them and
+        # retries (tests/test_quality.py, TestProbeSalvage).
+        level = 0.03 * max(float(np.max(np.abs(p.left))) for p in session.probes)
+        probes = list(session.probes)
+        for i in range(session.n_probes // 2):
+            p = probes[i]
+            probes[i] = ProbeMeasurement(
+                time=p.time,
+                left=np.clip(p.left, -level, level),
+                right=np.clip(p.right, -level, level),
+            )
+        return replace(session, probes=tuple(probes))
+    return session
+
+
+@pytest.fixture(scope="module", params=sorted(FINE_GRID_DIGESTS))
+def fine_grid_case(request):
+    if os.environ.get("REPRO_GOLDEN_EXACT", "") != "1":
+        pytest.skip("exact-digest check is opt-in (REPRO_GOLDEN_EXACT=1)")
+    solution = Uniq(UniqConfig()).solve(_fine_grid_capture(request.param))
+    return request.param, solution
+
+
+class TestFineGridRenderDigests:
+    def test_render_digests_match_at_fine_grids(self, fine_grid_case):
+        name, solution = fine_grid_case
+        if name == "adverse_noisy_reverberant":
+            assert dict(solution.salvage)["deconv_rung"] >= 1
+        if name == "salvaged_subject1_session0":
+            assert dict(solution.salvage)["retried"] is True
+        for step, digest in FINE_GRID_DIGESTS[name].items():
+            config = UniqConfig(angle_grid_deg=grid_from_step(step))
+            assert table_digest(Uniq(config).render(solution).table) == digest, step
 
 
 class TestComparatorSensitivity:
