@@ -22,13 +22,15 @@ and the real :func:`repro.serve.worker.execute_job` runner:
    every deterministic field (status, payload, table digest, error), the
    dead letter must appear exactly once with one attempt, and no spec done
    before the kill may have been re-executed.
-5. **timeline** — every run records a ``--telemetry`` flight-recorder
-   stream; the victim's (fsync'd, so it survives the SIGKILL) must render
-   through ``repro.cli timeline`` into a per-worker Gantt chart.
+5. **timeline** — the victim's journal, copied to ``victim.journal`` right
+   after the SIGKILL (the resume compacts ``batch.journal`` and drops its
+   ``started`` records), must render through ``repro.cli timeline`` into a
+   per-worker Gantt chart with at least one open bar: a job the kill
+   caught in flight.
 
-The report, both journals, the telemetry streams, and the rendered timeline
-are uploaded as CI artifacts, so every commit carries a reviewable record
-of an actual kill-and-recover cycle.
+The report, the journals, and the rendered timeline are uploaded as CI
+artifacts, so every commit carries a reviewable record of an actual
+kill-and-recover cycle.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -65,7 +68,6 @@ def _batch_cmd(
     report_path: str,
     journal: str,
     resume: bool = False,
-    telemetry: str | None = None,
 ) -> list[str]:
     cmd = [
         sys.executable, "-m", "repro.cli", "batch",
@@ -74,9 +76,8 @@ def _batch_cmd(
         "--journal", journal,
         "--report", report_path,
         "--retries", "3",
+        "--telemetry",
     ]
-    if telemetry is not None:
-        cmd += ["--telemetry", telemetry]
     if resume:
         cmd.append("--resume")
     return cmd
@@ -106,11 +107,9 @@ def run_scenario(workdir: str) -> dict:
     # Act 1: the uninterrupted reference run.
     ref_report = os.path.join(workdir, "reference_report.json")
     ref_journal = os.path.join(workdir, "reference.journal")
-    ref_stream = os.path.join(workdir, "reference.telemetry.jsonl")
     print("kill_resume: reference run ...", flush=True)
     reference = subprocess.run(
-        _batch_cmd(jobs_path, ref_report, ref_journal, telemetry=ref_stream),
-        check=False,
+        _batch_cmd(jobs_path, ref_report, ref_journal), check=False,
     )
     check(
         reference.returncode == EXIT_DEAD_LETTERS,
@@ -121,15 +120,13 @@ def run_scenario(workdir: str) -> dict:
     # Act 2: SIGKILL at ~50% done.
     victim_report = os.path.join(workdir, "victim_report.json")
     victim_journal = os.path.join(workdir, "batch.journal")
-    victim_stream = os.path.join(workdir, "victim.telemetry.jsonl")
+    victim_copy = os.path.join(workdir, "victim.journal")
     print("kill_resume: victim run (will be SIGKILLed) ...", flush=True)
     # Own process group: SIGKILLing the group takes the CLI *and* its
     # forked workers down together — otherwise orphaned workers outlive
     # the kill, blocked forever on their dead executor's call queue.
     victim = subprocess.Popen(
-        _batch_cmd(
-            jobs_path, victim_report, victim_journal, telemetry=victim_stream
-        ),
+        _batch_cmd(jobs_path, victim_report, victim_journal),
         start_new_session=True,
     )
     half = len({job.spec_key() for job in JOBS}) // 2
@@ -143,6 +140,8 @@ def run_scenario(workdir: str) -> dict:
     except ProcessLookupError:  # pragma: no cover - batch won the race
         pass
     victim.wait(timeout=60)
+    # The resume compacts batch.journal; keep the journal the kill left.
+    shutil.copyfile(victim_journal, victim_copy)
     check(victim.returncode != 0, f"victim was killed (rc {victim.returncode})")
     done_before = set(replay_journal(victim_journal).done)
     check(
@@ -152,13 +151,9 @@ def run_scenario(workdir: str) -> dict:
 
     # Act 3: resume from the survivor journal.
     resumed_report = os.path.join(workdir, "resumed_report.json")
-    resume_stream = os.path.join(workdir, "resume.telemetry.jsonl")
     print("kill_resume: resume run ...", flush=True)
     resumed = subprocess.run(
-        _batch_cmd(
-            jobs_path, resumed_report, victim_journal, resume=True,
-            telemetry=resume_stream,
-        ),
+        _batch_cmd(jobs_path, resumed_report, victim_journal, resume=True),
         check=False,
     )
     check(
@@ -204,19 +199,29 @@ def run_scenario(workdir: str) -> dict:
     check(full["dead_letters"] == ["poison"], "report names the dead letter")
 
     # Act 5: the observability drill riding on the chaos drill — the
-    # victim's fsync'd flight-recorder stream survived the SIGKILL (with at
-    # worst one torn final line) and must render as a per-worker timeline.
+    # victim's fsync'd journal survived the SIGKILL (with at worst one torn
+    # final line) and must render as a per-worker timeline in which the
+    # jobs the kill caught in flight are open bars.
     timeline_txt = os.path.join(workdir, "victim_timeline.txt")
-    print("kill_resume: rendering the victim's telemetry timeline ...",
+    print("kill_resume: rendering the victim's journal timeline ...",
           flush=True)
     rendered = subprocess.run(
-        [sys.executable, "-m", "repro.cli", "timeline", victim_stream,
+        [sys.executable, "-m", "repro.cli", "timeline", victim_copy,
          "--output", timeline_txt],
         check=False,
     )
     check(
         rendered.returncode == 0 and os.path.exists(timeline_txt),
-        "timeline renders from the SIGKILLed run's telemetry stream",
+        "timeline renders from the SIGKILLed run's journal",
+    )
+    lanes = []
+    if os.path.exists(timeline_txt):
+        with open(timeline_txt) as handle:
+            # Lane rows only: the legend shows every glyph too.
+            lanes = [line for line in handle if " |" in line]
+    check(
+        any("─" in line for line in lanes),
+        "timeline shows an open bar (a job in flight at the kill)",
     )
 
     return {
@@ -228,10 +233,10 @@ def run_scenario(workdir: str) -> dict:
         "replayed_jobs": sorted(replayed),
         "dead_letters": full["dead_letters"],
         "table_digests": digests,
-        "telemetry_streams": {
-            "reference": ref_stream,
-            "victim": victim_stream,
-            "resume": resume_stream,
+        "journals": {
+            "reference": ref_journal,
+            "victim": victim_copy,
+            "resumed": victim_journal,
         },
         "victim_timeline": timeline_txt,
         "failures": failures,

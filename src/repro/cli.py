@@ -10,9 +10,9 @@ usable by :func:`repro.hrtf.io.load_table`.
 :class:`repro.serve.BatchServer` — the managed-workload counterpart of the
 one-shot command.
 
-``python -m repro.cli timeline`` renders a flight-recorder stream (the
-``batch --telemetry`` output) as a per-worker Gantt chart with a
-critical-path summary and the batch's SLO statistics.
+``python -m repro.cli timeline`` renders a batch's write-ahead journal
+(``batch --journal``) as a per-worker Gantt chart with a critical-path
+summary of the worker span trees ``batch --telemetry`` journals.
 
 ``python -m repro.cli warmup`` pre-bakes head-search outcomes into a
 :mod:`repro.core.mapstore` directory so serve workers start warm (see
@@ -30,9 +30,9 @@ Examples::
     uniq-personalize --subject-seed 7 --output my_hrtf.npz --evaluate
     python -m repro.cli warmup --store /var/cache/repro-maps --jobs jobs.jsonl
     python -m repro.cli batch --jobs jobs.jsonl --workers 4 \
-        --map-store /var/cache/repro-maps \
-        --telemetry telemetry.jsonl --report batch_report.json
-    python -m repro.cli timeline telemetry.jsonl
+        --map-store /var/cache/repro-maps --journal batch.journal \
+        --telemetry --report batch_report.json
+    python -m repro.cli timeline batch.journal
     python -m repro.cli fleet run --output fleet_report.json
     python -m repro.cli fleet compare --report fleet_report.json
 """
@@ -234,11 +234,10 @@ def build_batch_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--telemetry",
-        metavar="PATH",
-        default=None,
-        help="record the serve flight-recorder event stream (JSONL) at "
-        "PATH and capture per-job cross-process traces; render it later "
-        "with `python -m repro.cli timeline PATH`",
+        action="store_true",
+        help="capture each job's span tree in its worker: the report's "
+        "results carry cross-process traces, and the --journal keeps the "
+        "worker trees `python -m repro.cli timeline JOURNAL` ranks",
     )
     parser.add_argument(
         "--map-store",
@@ -254,7 +253,7 @@ def build_batch_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         default=None,
         help="JSON file of declarative SLO thresholds (max_*/min_* over "
-        "the serve statistics); violations print and exit 5",
+        "statistics of the batch report); violations print and exit 5",
     )
     parser.add_argument(
         "--report",
@@ -287,6 +286,7 @@ def main_batch(argv: list[str] | None = None) -> int:
     and is resumable from the journal, 5 the batch completed ok but
     violated a declared --slo objective.
     """
+    import dataclasses
     import signal
 
     from repro.serve import BatchServer, RetryPolicy, load_jobs
@@ -329,7 +329,6 @@ def main_batch(argv: list[str] | None = None) -> int:
             resume=args.resume,
             heartbeat_deadline_s=args.heartbeat_deadline,
             telemetry=args.telemetry,
-            slo=slo_policy,
             map_store=args.map_store,
         )
     except ReproError as error:
@@ -360,6 +359,8 @@ def main_batch(argv: list[str] | None = None) -> int:
             for signum, handler in previous_handlers.items():
                 signal.signal(signum, handler)
 
+    if slo_policy is not None:
+        report = dataclasses.replace(report, slo=slo_policy.judge(report))
     counts = ", ".join(
         f"{status} {count}" for status, count in sorted(report.counts.items())
     )
@@ -405,10 +406,9 @@ def main_batch(argv: list[str] | None = None) -> int:
         print(f"resumed          : {report.n_replayed} jobs replayed from "
               f"the journal, {len(report.results) - report.n_replayed} "
               f"executed")
-    if args.telemetry is not None:
-        print(f"telemetry        : {args.telemetry} "
-              f"(render with `python -m repro.cli timeline "
-              f"{args.telemetry}`)")
+    if args.journal is not None:
+        print(f"timeline         : python -m repro.cli timeline "
+              f"{args.journal}")
     violations = report.slo_violations
     for violation in violations:
         print(f"SLO violated     : {violation['threshold']} "
@@ -442,28 +442,29 @@ def build_timeline_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.cli timeline",
         description=(
-            "Render a serve flight-recorder stream (batch --telemetry "
-            "output) as a per-worker Gantt chart, a critical-path summary "
-            "of span self-times, and the batch's SLO statistics."
+            "Render a batch's write-ahead journal (batch --journal) as a "
+            "per-worker Gantt chart, and the span self-times of the worker "
+            "trees its done records carry (batch --telemetry) as a "
+            "critical-path table."
         ),
     )
     parser.add_argument(
-        "stream",
-        metavar="TELEMETRY_JSONL",
-        help="the flight-recorder JSONL stream to render",
+        "journal",
+        metavar="JOURNAL",
+        help="the batch journal to render",
     )
     parser.add_argument(
         "--width",
         type=int,
         default=72,
-        help="Gantt chart width in columns (default: 72)",
+        help="Gantt chart width in columns, at least 8 (default: 72)",
     )
     parser.add_argument(
         "--top",
         type=int,
         default=8,
         metavar="N",
-        help="show the N largest span self-times (default: 8)",
+        help="show the N largest span self-times, N >= 1 (default: 8)",
     )
     parser.add_argument(
         "--output",
@@ -474,97 +475,117 @@ def build_timeline_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: Bar glyph per attempt status on the timeline.
+#: Bar glyph per attempt status on the timeline (``failed`` is how the
+#: journal names a single attempt that raised).
 _TIMELINE_BARS = {
-    "ok": "█", "error": "▓", "timeout": "▒", "crashed": "░", "open": "─",
+    "ok": "█", "error": "▓", "failed": "▓", "timeout": "▒", "crashed": "░",
+    "open": "─",
 }
 
 
 def main_timeline(argv: list[str] | None = None) -> int:
-    """Render a flight-recorder stream as a per-worker timeline.
+    """Render a batch journal as a per-worker timeline.
 
-    Exit codes: 0 rendered, 2 the stream could not be read or holds no
-    events.
+    Each terminal record draws its attempts (the ``attempt_log`` of a
+    retried job, else one bar of ``run_s`` ending at ``t``) in the lane of
+    the worker pid that ran them; a ``started`` record no terminal record
+    answers — a job in flight when the journal stopped — is an open bar.
+
+    Exit codes: 0 rendered, 2 the journal could not be read or holds no
+    timestamped records.
     """
     from repro.obs.report import self_durations
     from repro.obs.trace import Span
-    from repro.serve.telemetry import SloTracker, iter_attempt_bars, read_events
+    from repro.serve.journal import read_records
     from repro.textplot import gantt
 
-    args = build_timeline_parser().parse_args(argv)
+    parser = build_timeline_parser()
+    args = parser.parse_args(argv)
+    if args.width < 8:
+        parser.error(f"--width must be >= 8, got {args.width}")
+    if args.top < 1:
+        parser.error(f"--top must be >= 1, got {args.top}")
     try:
-        events = read_events(args.stream)
+        records, corrupt = read_records(args.journal)
     except OSError as error:
-        print(f"error: cannot read telemetry stream: {error}", file=sys.stderr)
-        return 2
-    if not events:
-        print(f"error: {args.stream} holds no telemetry events", file=sys.stderr)
+        print(f"error: cannot read journal: {error}", file=sys.stderr)
         return 2
 
-    times = [
-        e["t"] for e in events if isinstance(e.get("t"), (int, float))
-    ]
-    t0, t1 = min(times), max(times)
-    if t1 <= t0:
-        t1 = t0 + 1e-3
-
-    # One lane per worker pid (attempt bars + kill marks), plus a server
-    # lane carrying dispatch/retry/dead-letter/drain marks.
+    # One lane per worker pid, plus a server lane of retry/dead-letter marks.
     lanes_map: dict[str, tuple[list, list]] = {}
 
     def lane(pid) -> tuple[list, list]:
         label = f"pid {pid}" if pid is not None else "pid ?"
         return lanes_map.setdefault(label, ([], []))
 
-    n_attempts = 0
-    for bar in iter_attempt_bars(events):
-        n_attempts += 1
-        bars, _ = lane(bar["worker_pid"])
-        char = _TIMELINE_BARS.get(bar["status"] or "ok", "█")
-        bars.append((bar["start_t"], bar["end_t"], char))
     server_marks: list[tuple[float, str]] = []
-    for event in events:
-        kind = event.get("event")
-        t = event.get("t")
+    in_flight: dict[str, list[float]] = {}
+    totals: dict[str, float] = {}
+    n_jobs = n_attempts = n_traces = 0
+    for record in records:
+        t = record.get("t")
         if not isinstance(t, (int, float)):
+            continue  # checkpoint headers, compacted or older records
+        key = record.get("spec_key")
+        if record["event"] == "started":
+            in_flight.setdefault(key, []).append(t)
             continue
-        if kind == "watchdog_kill":
-            lane(event.get("worker_pid"))[1].append((t, "K"))
-        elif kind == "retry":
-            server_marks.append((t, "r"))
-        elif kind == "dead_letter":
+        n_jobs += 1
+        if in_flight.get(key):
+            in_flight[key].pop(0)
+        attempts = record.get("attempt_log") or [{
+            "start_t": t - float(record.get("run_s") or 0.0),
+            "end_t": t,
+            "status": record.get("status"),
+            "worker_pid": record.get("worker_pid"),
+        }]
+        for attempt in attempts:
+            n_attempts += 1
+            lane(attempt["worker_pid"])[0].append((
+                attempt["start_t"], attempt["end_t"],
+                _TIMELINE_BARS.get(attempt["status"], "█"),
+            ))
+            if "backoff_s" in attempt:
+                server_marks.append((attempt["end_t"], "r"))
+        if record.get("classification") == "permanent":
             server_marks.append((t, "D"))
-        elif kind == "drain":
-            server_marks.append((t, "!"))
-        elif kind == "dispatch":
-            server_marks.append((t, "·"))
+        # Critical path: per-span-name self time summed over the worker
+        # trees the done payloads carry.
+        trace = ((record.get("payload") or {}).get("_telemetry") or {}).get(
+            "trace"
+        )
+        if trace:
+            n_traces += 1
+            for name, own in self_durations(Span.from_dict(trace)).items():
+                totals[name] = totals.get(name, 0.0) + own
+    open_starts = [start for starts in in_flight.values() for start in starts]
+    for start in open_starts:
+        lane(None)[0].append((start, None, _TIMELINE_BARS["open"]))
 
-    lines: list[str] = []
-    n_jobs = sum(1 for e in events if e.get("event") == "done")
-    lines.append(
-        f"timeline: {len(events)} events, {n_jobs} jobs, "
-        f"{n_attempts} attempts, {t1 - t0:.2f} s window ({args.stream})"
-    )
-    lines.append("")
+    bars = [bar for bars, _ in lanes_map.values() for bar in bars]
+    if not bars:
+        print(f"error: {args.journal} holds no timestamped serve records",
+              file=sys.stderr)
+        return 2
+    t0 = min(start for start, _, _ in bars)
+    t1 = max(start if end is None else end for start, end, _ in bars)
+    if t1 <= t0:
+        t1 = t0 + 1e-3
+
+    lines = [
+        f"timeline: {len(records)} records, {n_jobs} jobs, {n_attempts} "
+        f"attempts, {len(open_starts)} open, {t1 - t0:.2f} s window "
+        f"({args.journal})"
+        + (f", {len(corrupt)} corrupt lines skipped" if corrupt else ""),
+        "",
+    ]
     lanes = [("server", [], server_marks)]
     lanes.extend((label,) + lanes_map[label] for label in sorted(lanes_map))
     lines.append(gantt(lanes, t0, t1, width=args.width))
     lines.append(
-        "legend: █ ok  ▓ error  ▒ timeout  ░ crashed  ─ open  "
-        "K watchdog kill  r retry  D dead letter  ! drain  · dispatch"
+        "legend: █ ok  ▓ error  ▒ timeout  ░ crashed  ─ open (no outcome)  "
+        "r retry  D dead letter"
     )
-
-    # Critical path: per-span-name self time summed over every job trace
-    # shipped home in the done events.
-    totals: dict[str, float] = {}
-    n_traces = 0
-    for event in events:
-        if event.get("event") == "done" and event.get("trace"):
-            n_traces += 1
-            for name, own in self_durations(
-                Span.from_dict(event["trace"])
-            ).items():
-                totals[name] = totals.get(name, 0.0) + own
     if totals:
         lines.append("")
         lines.append(f"critical path (span self-time over {n_traces} traces):")
@@ -572,22 +593,6 @@ def main_timeline(argv: list[str] | None = None) -> int:
         name_width = max(len(name) for name, _ in ranked)
         for name, total in ranked:
             lines.append(f"  {name.ljust(name_width)}  {total:8.3f} s")
-
-    tracker = SloTracker()
-    for event in events:
-        tracker.observe(event)
-    stats = tracker.stats()
-    lines.append("")
-    lines.append(
-        f"slo stats: job p50 {stats['job_p50_s']:.3f} s "
-        f"p95 {stats['job_p95_s']:.3f} s, "
-        f"queue wait p95 {stats['queue_wait_p95_s']:.3f} s, "
-        f"depth peak {stats['queue_depth_peak']}, "
-        f"throughput {stats['throughput_jobs_per_s']:.2f} jobs/s, "
-        f"retry rate {stats['retry_rate']:.2f}, "
-        f"dead-letter rate {stats['dead_letter_rate']:.2f}, "
-        f"cold-start fraction {stats['cold_start_fraction']:.2f}"
-    )
 
     text = "\n".join(lines)
     print(text)

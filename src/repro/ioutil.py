@@ -1,4 +1,4 @@
-"""Crash-safe filesystem helpers: atomic writes and durable appends.
+"""Crash-safe filesystem helpers: atomic writes.
 
 Every artifact this repo leaves on disk — golden fixtures, batch reports,
 benchmark/metrics exports, journal checkpoints — goes through
@@ -19,10 +19,9 @@ import contextlib
 import json
 import os
 import tempfile
-import threading
 from typing import Any, IO, Iterator
 
-__all__ = ["JsonlAppender", "atomic_write", "atomic_write_json", "fsync_dir"]
+__all__ = ["atomic_write", "atomic_write_json", "fsync_dir"]
 
 
 def fsync_dir(path: str | os.PathLike) -> None:
@@ -77,52 +76,6 @@ def atomic_write(
         with contextlib.suppress(OSError):
             os.unlink(tmp)
         raise
-
-
-class JsonlAppender:
-    """A durable append-only JSONL stream (one JSON object per line).
-
-    The telemetry flight recorder's storage primitive: every
-    :meth:`append` writes one compact JSON line, flushes, and (by default)
-    ``fsync``\\ s, so the stream is exactly as crash-complete as the
-    write-ahead journal it sits beside — a reader sees every event that
-    :meth:`append` returned for, and at worst one torn final line.
-
-    Thread-safe; usable as a context manager.
-    """
-
-    def __init__(self, path: str | os.PathLike, *, fsync: bool = True) -> None:
-        self.path = os.fspath(path)
-        self.fsync = bool(fsync)
-        self._lock = threading.Lock()
-        self._handle: IO | None = open(self.path, "a")
-        self.n_appended = 0
-
-    def append(self, record: Any) -> None:
-        line = json.dumps(record, sort_keys=True, separators=(",", ":"))
-        with self._lock:
-            if self._handle is None:
-                raise ValueError(f"JsonlAppender {self.path} is closed")
-            self._handle.write(line + "\n")
-            self._handle.flush()
-            if self.fsync:
-                os.fsync(self._handle.fileno())
-            self.n_appended += 1
-
-    def close(self) -> None:
-        with self._lock:
-            if self._handle is not None:
-                self._handle.flush()
-                if self.fsync:
-                    os.fsync(self._handle.fileno())
-                self._handle.close()
-                self._handle = None
-
-    def __enter__(self) -> "JsonlAppender":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
 
 def atomic_write_json(

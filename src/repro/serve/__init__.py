@@ -15,10 +15,10 @@ one managed batch out.  The pieces:
   checksummed write-ahead log that makes batches crash-safe and resumable;
 - :mod:`repro.serve.worker`  — the worker-side runner
   (:func:`execute_job`): job spec in, deterministic payload out;
-- :mod:`repro.serve.telemetry` — the flight recorder (fsync'd JSONL event
-  stream + rollups), :class:`SloTracker`/:class:`SloPolicy`, and
-  :class:`ServeTelemetry`, which grafts worker-captured span trees into
-  per-job cross-process traces (rendered by ``repro.cli timeline``);
+- :mod:`repro.serve.telemetry` — per-job cross-process traces (worker
+  span trees grafted under the server's queue/attempt/retry spans) and
+  :class:`SloPolicy`, which judges statistics computed from a finished
+  :class:`BatchReport`;
 - :mod:`repro.serve.server`  — :class:`BatchServer`: one bounded priority
   queue with backpressure, one worker pool, per-job timeouts, classified
   retries, request coalescing, journaling/resume, graceful drain,
@@ -53,20 +53,13 @@ from repro.serve.journal import Journal, JournalState, replay_journal
 from repro.serve.pool import TaskOutcome, WorkerPool
 from repro.serve.retry import RetryPolicy
 from repro.serve.server import DEFAULT_QUEUE_SIZE, BatchReport, BatchServer
-from repro.serve.telemetry import (
-    FlightRecorder,
-    ServeTelemetry,
-    SloPolicy,
-    SloTracker,
-    read_events,
-)
+from repro.serve.telemetry import ServeTelemetry, SloPolicy
 from repro.serve.worker import execute_job, run_with_telemetry
 
 __all__ = [
     "BatchReport",
     "BatchServer",
     "DEFAULT_QUEUE_SIZE",
-    "FlightRecorder",
     "Job",
     "JobResult",
     "Journal",
@@ -76,13 +69,11 @@ __all__ = [
     "STATUSES",
     "ServeTelemetry",
     "SloPolicy",
-    "SloTracker",
     "TaskOutcome",
     "WorkerPool",
     "dump_jobs",
     "execute_job",
     "load_jobs",
-    "read_events",
     "replay_journal",
     "run_with_telemetry",
 ]

@@ -10,7 +10,10 @@ write-ahead contract:
   are ``submitted`` / ``started`` / ``done`` / ``failed``, keyed by
   :meth:`repro.serve.job.Job.spec_key` — the stable identity of the
   *computation*, so a resumed batch recognizes finished work even if job
-  ids were renumbered;
+  ids were renumbered.  ``started`` and the terminal records also carry
+  wall-clock times, run time and worker pid (see
+  :class:`repro.serve.BatchServer`), the one durable record ``repro.cli
+  timeline`` draws a batch from;
 - **fsync per append** (the default): once :meth:`append` returns, the
   event survives power loss.  ``fsync=False`` keeps the format and
   atomicity guarantees but trades durability for speed (tests, tmpfs);
@@ -44,7 +47,9 @@ from repro.ioutil import atomic_write, fsync_dir
 from repro.obs import metrics as obs_metrics
 from repro.obs.logging import get_logger, kv
 
-__all__ = ["EVENTS", "Journal", "JournalState", "replay_journal"]
+__all__ = [
+    "EVENTS", "Journal", "JournalState", "read_records", "replay_journal",
+]
 
 _log = get_logger("serve.journal")
 
@@ -56,15 +61,22 @@ EVENTS = ("submitted", "started", "done", "failed", "checkpoint")
 _CRC_HEX = 16
 
 
-def _crc(record: Mapping[str, Any]) -> str:
-    blob = json.dumps(record, sort_keys=True, separators=(",", ":"))
+def _canonical(record: Mapping[str, Any]) -> str:
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
+def _crc(blob: str) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:_CRC_HEX]
 
 
 def _encode(record: Mapping[str, Any]) -> str:
-    sealed = dict(record)
-    sealed["crc"] = _crc(record)
-    return json.dumps(sealed, sort_keys=True, separators=(",", ":"))
+    """The canonical serialization with its checksum appended as a last key.
+
+    Serializing once keeps an append's cost flat; readers parse the line,
+    so the checksum's position does not matter to :func:`_decode`.
+    """
+    blob = _canonical(record)
+    return f'{blob[:-1]},"crc":"{_crc(blob)}"}}'
 
 
 def _decode(line: str) -> dict[str, Any]:
@@ -75,7 +87,7 @@ def _decode(line: str) -> dict[str, Any]:
     stated = record.pop("crc", None)
     if stated is None:
         raise ValueError("journal line has no checksum")
-    actual = _crc(record)
+    actual = _crc(_canonical(record))
     if stated != actual:
         raise ValueError(f"checksum mismatch ({stated} != {actual})")
     if record.get("event") not in EVENTS:
@@ -144,6 +156,29 @@ class JournalState:
                 self.transient[key] = dict(record)
 
 
+def read_records(
+    path: str | os.PathLike,
+) -> tuple[list[dict[str, Any]], list[tuple[int, str, str]]]:
+    """A journal file's verified records, and its corrupt lines.
+
+    Each corrupt or truncated line comes back as ``(lineno, error,
+    line)`` instead of a record.  Read-only: nothing is quarantined.
+    Raises ``OSError`` when the file cannot be read.
+    """
+    records: list[dict[str, Any]] = []
+    corrupt: list[tuple[int, str, str]] = []
+    with open(os.fspath(path)) as handle:
+        for lineno, line in enumerate(handle, start=1):
+            stripped = line.strip()
+            if not stripped:
+                continue
+            try:
+                records.append(_decode(stripped))
+            except (ValueError, json.JSONDecodeError) as error:
+                corrupt.append((lineno, str(error), stripped))
+    return records, corrupt
+
+
 def replay_journal(path: str | os.PathLike) -> JournalState:
     """Replay a journal file into a :class:`JournalState`.
 
@@ -155,31 +190,23 @@ def replay_journal(path: str | os.PathLike) -> JournalState:
     target = os.fspath(path)
     if not os.path.exists(target):
         return state
-    quarantined: list[tuple[int, str]] = []
-    with open(target) as handle:
-        for lineno, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            try:
-                record = _decode(stripped)
-            except (ValueError, json.JSONDecodeError) as error:
-                state.corrupt.append((lineno, str(error)))
-                quarantined.append((lineno, stripped))
-                obs_metrics.counter("serve.journal.corrupt_lines").inc()
-                _log.warning(
-                    kv(
-                        "serve.journal.corrupt_line",
-                        path=target,
-                        lineno=lineno,
-                        error=str(error),
-                    )
-                )
-                continue
-            state.apply(record)
-    if quarantined:
+    records, corrupt = read_records(target)
+    for lineno, error, _ in corrupt:
+        state.corrupt.append((lineno, error))
+        obs_metrics.counter("serve.journal.corrupt_lines").inc()
+        _log.warning(
+            kv(
+                "serve.journal.corrupt_line",
+                path=target,
+                lineno=lineno,
+                error=error,
+            )
+        )
+    for record in records:
+        state.apply(record)
+    if corrupt:
         with open(target + ".quarantine", "a") as handle:
-            for lineno, line in quarantined:
+            for lineno, _, line in corrupt:
                 handle.write(f"# line {lineno}\n{line}\n")
     return state
 

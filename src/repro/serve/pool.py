@@ -42,7 +42,7 @@ import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Any, Callable, Iterable
 
@@ -74,16 +74,21 @@ class TaskOutcome:
     exception: BaseException | None = None
     attempts: int = 1
     duration_s: float = 0.0
+    #: One record per attempt, oldest first: wall-clock ``start_t`` and
+    #: ``end_t``, the attempt's ``status``, its ``worker_pid`` (``None``
+    #: when unknown) and, on an attempt that was retried, the
+    #: ``backoff_s`` slept before the next one.
+    attempt_log: list[dict[str, Any]] = field(default_factory=list)
 
 
 class _Task:
     __slots__ = (
         "fn", "arg", "timeout_s", "on_done", "attempts", "resolved",
         "started", "timer", "executor", "token", "task_id", "hb_path",
-        "hung", "dispatched_at", "event_key",
+        "hung", "dispatched_at", "log",
     )
 
-    def __init__(self, fn, arg, timeout_s, on_done, token, task_id, event_key):
+    def __init__(self, fn, arg, timeout_s, on_done, token, task_id):
         self.fn = fn
         self.arg = arg
         self.timeout_s = timeout_s
@@ -98,7 +103,16 @@ class _Task:
         self.hb_path: str | None = None
         self.hung = False
         self.dispatched_at = 0.0
-        self.event_key = event_key
+        self.log: list[dict[str, Any]] = []
+
+    def end_attempt(self, status: str, worker_pid: int | None) -> None:
+        """Log the attempt that started at ``dispatched_at`` as ended now."""
+        self.log.append({
+            "start_t": self.dispatched_at,
+            "end_t": time.time(),
+            "status": status,
+            "worker_pid": worker_pid,
+        })
 
 
 def _noop() -> None:
@@ -159,12 +173,6 @@ class WorkerPool:
     heartbeat_interval_s:
         How often workers touch their heartbeat file (only meaningful with
         a deadline; keep the deadline several intervals wide).
-    on_event:
-        Optional telemetry sink: called with one flat dict per attempt
-        lifecycle event (``attempt_start``, ``attempt_end``, ``retry``,
-        ``watchdog_kill``), each carrying the ``event_key`` the dispatcher
-        supplied.  Exceptions from the sink are swallowed — telemetry must
-        never take the pool down.
     map_store:
         Head-search outcome store directory (:mod:`repro.core.mapstore`),
         activated as ``REPRO_MAP_STORE`` in every worker process (and in
@@ -181,7 +189,6 @@ class WorkerPool:
         retry_policy: RetryPolicy | None = None,
         heartbeat_deadline_s: float | None = None,
         heartbeat_interval_s: float = 0.2,
-        on_event: Callable[[dict[str, Any]], None] | None = None,
         map_store: str | os.PathLike | None = None,
     ) -> None:
         self.workers = max(1, int(workers if workers is not None else os.cpu_count() or 1))
@@ -197,7 +204,6 @@ class WorkerPool:
             retry_policy if retry_policy is not None
             else RetryPolicy(**DEFAULT_RETRY)
         )
-        self._on_event = on_event
         self.heartbeat_deadline_s = heartbeat_deadline_s
         self.heartbeat_interval_s = float(heartbeat_interval_s)
         self._lock = threading.Lock()
@@ -269,22 +275,6 @@ class WorkerPool:
     def __exit__(self, *exc_info) -> None:
         self.shutdown()
 
-    # -- telemetry ----------------------------------------------------------
-
-    def _emit(self, event: str, task: "_Task | None" = None, **fields: Any) -> None:
-        """Deliver one attempt-lifecycle event to the telemetry sink."""
-        if self._on_event is None:
-            return
-        record: dict[str, Any] = {"event": event}
-        if task is not None:
-            record["event_key"] = task.event_key
-            record["attempt"] = task.attempts
-        record.update(fields)
-        try:
-            self._on_event(record)
-        except Exception:  # noqa: BLE001 - telemetry must not break the pool
-            pass
-
     def _attempt_pid(self, task: "_Task") -> int | None:
         """This attempt's worker pid, when the heartbeat has revealed it."""
         if task.hb_path is None:
@@ -301,7 +291,6 @@ class WorkerPool:
         timeout_s: float | None = None,
         on_done: Callable[[TaskOutcome], None],
         retry_token: str | None = None,
-        event_key: str | None = None,
     ) -> None:
         """Run ``fn(arg)`` on the pool; deliver a :class:`TaskOutcome`.
 
@@ -310,22 +299,19 @@ class WorkerPool:
         clock starts at dispatch and covers executor handoff plus
         execution; inline mode cannot preempt, so timeouts are ignored
         there.  ``retry_token`` seeds the deterministic backoff jitter
-        (the batch server passes the job's spec key); ``event_key`` labels
-        this task's telemetry events (the server passes the leader job's
-        id — distinct from the retry token, which collides across jobs
-        sharing a spec).
+        (the batch server passes the job's spec key).  The outcome's
+        ``attempt_log`` records every attempt.
         """
         obs_metrics.counter("serve.pool.dispatched").inc()
         task = _Task(
             fn, arg, timeout_s, on_done,
             retry_token if retry_token is not None else "",
             next(self._task_ids),
-            event_key,
         )
         if self.inline:
             task.attempts = 1
+            task.dispatched_at = time.time()
             started = time.perf_counter()
-            self._emit("attempt_start", task)
             try:
                 value = fn(arg)
             except Exception as error:  # noqa: BLE001 - outcome carries it
@@ -337,6 +323,7 @@ class WorkerPool:
                     exception=error,
                     attempts=1,
                     duration_s=time.perf_counter() - started,
+                    attempt_log=task.log,
                 )
             else:
                 outcome = TaskOutcome(
@@ -344,13 +331,9 @@ class WorkerPool:
                     value=value,
                     attempts=1,
                     duration_s=time.perf_counter() - started,
+                    attempt_log=task.log,
                 )
-            self._emit(
-                "attempt_end", task,
-                status=outcome.status,
-                duration_s=outcome.duration_s,
-                worker_pid=os.getpid(),
-            )
+            task.end_attempt(outcome.status, os.getpid())
             on_done(outcome)
             return
         self._submit(task)
@@ -384,7 +367,6 @@ class WorkerPool:
             # caller (server / outcomes) and must not run under pool state.
             self._resolve_closed(task)
             return
-        self._emit("attempt_start", task)
         if task.timeout_s is not None:
             timer = threading.Timer(task.timeout_s, self._timed_out, (task, future))
             timer.daemon = True
@@ -404,6 +386,7 @@ class WorkerPool:
                 error=error,
                 exception=WorkerDiedError(error),
                 attempts=task.attempts,
+                attempt_log=task.log,
             )
         )
 
@@ -445,7 +428,6 @@ class WorkerPool:
             try:
                 os.kill(target, signal.SIGKILL)
                 obs_metrics.counter("serve.watchdog.kills").inc()
-                self._emit("watchdog_kill", task, worker_pid=target)
             except (OSError, ProcessLookupError):  # pragma: no cover
                 pass
 
@@ -477,18 +459,14 @@ class WorkerPool:
         obs_metrics.counter("serve.pool.timeouts").inc()
         policy.classify("timeout")
         duration = time.perf_counter() - task.started
-        self._emit(
-            "attempt_end", task,
-            status="timeout",
-            duration_s=duration,
-            worker_pid=self._attempt_pid(task),
-        )
+        task.end_attempt("timeout", self._attempt_pid(task))
         task.on_done(
             TaskOutcome(
                 status="timeout",
                 error=f"task exceeded {task.timeout_s:.3f} s",
                 attempts=task.attempts,
                 duration_s=duration,
+                attempt_log=task.log,
             )
         )
 
@@ -516,12 +494,7 @@ class WorkerPool:
                 task.resolved = True
             obs_metrics.counter("serve.pool.errors").inc()
             self.retry_policy.classify("error", error)
-            self._emit(
-                "attempt_end", task,
-                status="error",
-                duration_s=duration,
-                worker_pid=self._attempt_pid(task),
-            )
+            task.end_attempt("error", self._attempt_pid(task))
             task.on_done(
                 TaskOutcome(
                     status="error",
@@ -529,6 +502,7 @@ class WorkerPool:
                     exception=error,
                     attempts=task.attempts,
                     duration_s=duration,
+                    attempt_log=task.log,
                 )
             )
             return
@@ -543,18 +517,14 @@ class WorkerPool:
             # Telemetry-wrapped runners report their pid in the payload —
             # more reliable than the heartbeat file, which needs a watchdog.
             pid = (value.get("_telemetry") or {}).get("worker_pid")
-        self._emit(
-            "attempt_end", task,
-            status="ok",
-            duration_s=duration,
-            worker_pid=pid,
-        )
+        task.end_attempt("ok", pid)
         task.on_done(
             TaskOutcome(
                 status="ok",
                 value=value,
                 attempts=task.attempts,
                 duration_s=duration,
+                attempt_log=task.log,
             )
         )
 
@@ -570,20 +540,14 @@ class WorkerPool:
             closed = self._closed
         obs_metrics.counter("serve.pool.crashes").inc()
         policy.classify("crashed")
-        self._emit(
-            "attempt_end", task,
-            status="crashed",
-            duration_s=duration,
-            hung=hung,
-            worker_pid=self._attempt_pid(task),
-        )
+        task.end_attempt("crashed", self._attempt_pid(task))
         if not closed and policy.should_retry("crashed", task.attempts):
             obs_metrics.counter("serve.pool.crash_retries").inc()
             delay = policy.backoff_s(task.attempts, task.token)
             obs_metrics.histogram(
                 "serve.retry.backoff_s", _BACKOFF_BUCKETS_S
             ).observe(delay)
-            self._emit("retry", task, backoff_s=delay)
+            task.log[-1]["backoff_s"] = delay
             if delay > 0:
                 timer = threading.Timer(delay, self._submit, (task,))
                 timer.daemon = True
@@ -615,6 +579,7 @@ class WorkerPool:
                 exception=exception,
                 attempts=task.attempts,
                 duration_s=duration,
+                attempt_log=task.log,
             )
         )
 

@@ -61,7 +61,7 @@ from repro.serve.job import Job, JobResult
 from repro.serve.journal import Journal
 from repro.serve.pool import TaskOutcome, WorkerPool
 from repro.serve.retry import RetryPolicy
-from repro.serve.telemetry import ServeTelemetry, SloPolicy, _percentile
+from repro.serve.telemetry import ServeTelemetry, _percentile, build_job_trace
 from repro.serve.worker import execute_job, run_with_telemetry
 
 __all__ = [
@@ -99,9 +99,10 @@ class BatchReport:
     resumed: bool = False
     journal_path: str | None = None
     interrupted: bool = field(default=False)
-    #: The telemetry SLO report (``{"summary", "thresholds", "violations"}``)
-    #: when the server ran with telemetry or an SLO policy; ``None`` keeps
-    #: :meth:`to_dict` bit-identical to a pre-telemetry report.
+    #: The SLO verdict (``{"summary", "thresholds", "violations"}``) once
+    #: judged: ``dataclasses.replace(report, slo=policy.judge(report))``
+    #: with a :class:`repro.serve.telemetry.SloPolicy`.  ``None`` keeps
+    #: :meth:`to_dict` free of ``slo_*`` keys.
     slo: Mapping[str, Any] | None = None
 
     @property
@@ -296,20 +297,14 @@ class BatchServer:
         one silent for longer than ``deadline`` is killed and its job
         retried as a transient failure.
     telemetry:
-        A :class:`repro.serve.telemetry.ServeTelemetry` (stays the
-        caller's to close), or a path to write the flight-recorder JSONL
-        stream at (typically beside the journal).  Enables per-event
-        recording, worker span-tree capture (jobs run under
+        ``True`` (or a :class:`repro.serve.telemetry.ServeTelemetry`)
+        turns on worker span capture: jobs run under
         :func:`repro.serve.worker.run_with_telemetry` and ship their trace
-        and metrics delta home), per-job merged traces on results, and the
-        SLO report on the batch report.  ``None`` (default) records
-        nothing and leaves every output bit-identical to a telemetry-less
-        build.
-    slo:
-        Declarative objectives (a :class:`repro.serve.telemetry.SloPolicy`
-        or a flat ``max_*``/``min_*`` thresholds mapping) evaluated over
-        the batch; usable without a telemetry path (statistics are then
-        tracked in memory only).
+        and metrics delta home, the delta merges into this process's
+        registry, and each result carries its merged cross-process trace.
+        Off by default, which leaves every output bit-identical to a
+        telemetry-less build.  A path is refused: the journal is the one
+        durable serve record.
     map_store:
         Head-search outcome store directory (:mod:`repro.core.mapstore`),
         exported as ``REPRO_MAP_STORE`` to every worker so cold workers
@@ -332,8 +327,7 @@ class BatchServer:
         resume: bool = False,
         heartbeat_deadline_s: float | None = None,
         heartbeat_interval_s: float = 0.2,
-        telemetry: ServeTelemetry | str | os.PathLike | None = None,
-        slo: SloPolicy | Mapping[str, float] | None = None,
+        telemetry: bool | ServeTelemetry | None = None,
         map_store: str | os.PathLike | None = None,
     ) -> None:
         if queue_size < 1:
@@ -345,18 +339,15 @@ class BatchServer:
         self.coalesce = bool(coalesce)
         self.resume = bool(resume)
         self._runner = runner if runner is not None else execute_job
-        self._owns_telemetry = not isinstance(telemetry, ServeTelemetry)
-        if self._owns_telemetry and (telemetry is not None or slo is not None):
-            telemetry = ServeTelemetry(telemetry, slo=slo)
-        elif telemetry is not None and slo is not None and telemetry.policy is None:
-            telemetry.policy = slo if isinstance(slo, SloPolicy) else SloPolicy(slo)
-        self._telemetry: ServeTelemetry | None = telemetry
+        if isinstance(telemetry, (str, os.PathLike)):
+            ServeTelemetry(telemetry)  # refuses the path, naming the journal
+        self._telemetry = bool(telemetry)
         # With telemetry on, jobs execute under the worker-side capture
         # wrapper (span tree + metrics delta shipped back in the payload).
         # functools.partial of two top-level functions pickles cleanly.
         self._dispatch_runner = (
             functools.partial(run_with_telemetry, self._runner)
-            if self._telemetry is not None
+            if self._telemetry
             else self._runner
         )
         if journal is not None and not isinstance(journal, Journal):
@@ -395,10 +386,6 @@ class BatchServer:
             retry_policy=retry_policy,
             heartbeat_deadline_s=heartbeat_deadline_s,
             heartbeat_interval_s=heartbeat_interval_s,
-            on_event=(
-                self._telemetry.pool_event
-                if self._telemetry is not None else None
-            ),
             map_store=map_store,
         )
         self.workers = self._pool.workers
@@ -431,17 +418,12 @@ class BatchServer:
 
     # -- public API ---------------------------------------------------------
 
-    def _record(self, event: str, **fields: Any) -> None:
-        """Forward one event to the telemetry hub (no-op when disabled)."""
-        if self._telemetry is not None:
-            self._telemetry.record(event, **fields)
-
     def submit(self, job: Job, block: bool = True) -> bool:
         """Accept one job.  Returns ``True`` if it was queued.
 
         ``block=True`` makes a full queue exert backpressure (the call
         waits for room); with ``block=False`` a full queue *rejects*: a
-        typed ``queue_full`` result is recorded, ``serve.rejected`` bumps,
+        typed ``queue_full`` result is recorded, ``serve.jobs_rejected`` bumps,
         and ``False`` returns.  During a graceful drain new submissions
         resolve ``interrupted`` without executing (their journal record
         makes them resumable).
@@ -476,7 +458,6 @@ class BatchServer:
                 return
             self._draining = True
         obs_metrics.counter("serve.interrupts").inc()
-        self._record("drain", queue_depth=self._queue.qsize())
         _log.warning(kv("serve.interrupted", journal=self.journal_path))
 
     @property
@@ -503,7 +484,6 @@ class BatchServer:
         if self._journal is not None:
             with obs_trace.span("serve.journal.checkpoint"):
                 self._journal.checkpoint()
-            self._record("checkpoint", journal=self._journal.path)
 
     def run_batch(self, jobs: Iterable[Job]) -> BatchReport:
         """Submit ``jobs`` (backpressured), wait, checkpoint, and report.
@@ -514,7 +494,6 @@ class BatchServer:
         """
         jobs = list(jobs)
         started = time.perf_counter()
-        self._record("batch_start", n_jobs=len(jobs), workers=self.workers)
         with obs_trace.span(
             "serve.run_batch",
             n_jobs=len(jobs),
@@ -529,14 +508,6 @@ class BatchServer:
         with self._state:
             results = tuple(self._results[job.job_id] for job in jobs)
             interrupted = self._draining
-        slo_report = (
-            self._telemetry.slo_report()
-            if self._telemetry is not None else None
-        )
-        self._record(
-            "batch_done", n_jobs=len(jobs), wall_s=wall,
-            interrupted=interrupted,
-        )
         _log.info(
             kv(
                 "serve.batch_done",
@@ -555,7 +526,6 @@ class BatchServer:
             resumed=self.resume,
             journal_path=self.journal_path,
             interrupted=interrupted,
-            slo=slo_report,
         )
 
     def close(self) -> None:
@@ -580,8 +550,6 @@ class BatchServer:
             self._resolve(self._interrupted_result(job.job_id, enqueued))
         if self._journal is not None:
             self._journal.close()
-        if self._telemetry is not None and self._owns_telemetry:
-            self._telemetry.close()
 
     def __enter__(self) -> "BatchServer":
         return self
@@ -605,23 +573,14 @@ class BatchServer:
             self._resolve(self._interrupted_result(job.job_id))
             return False
         obs_metrics.counter("serve.jobs_submitted").inc()
-        self._record(
-            "enqueue", job_id=job.job_id, priority=int(job.priority),
-            queue_depth=self._queue.qsize(),
-        )
         item = (-int(job.priority), seq, job, time.perf_counter(), key)
         try:
             self._queue.put(item, block=block)
         except queue.Full:
             # A turned-away job must be as observable as a served one:
-            # typed result reason, a dedicated metric, and a flight-recorder
-            # event — backpressure that is invisible reads as lost load.
+            # a typed result reason and a metric — backpressure that is
+            # invisible reads as lost load.
             obs_metrics.counter("serve.jobs_rejected").inc()
-            obs_metrics.counter("serve.rejected").inc()
-            self._record(
-                "rejected", job_id=job.job_id, reason="queue_full",
-                queue_depth=self._queue.qsize(),
-            )
             self._resolve(
                 JobResult(
                     job_id=job.job_id, status="rejected",
@@ -685,7 +644,6 @@ class BatchServer:
                         "serve.journal.replayed_done" if status == "ok"
                         else "serve.journal.replayed_dead_letters"
                     ).inc()
-                    self._record("replay", job_id=job.job_id, status=status)
                     self._resolve(
                         JobResult(
                             job_id=job.job_id, status=status,
@@ -706,7 +664,6 @@ class BatchServer:
                             continue
                         self._inflight[key] = []
                 if cached is not None:
-                    self._record("coalesced", job_id=job.job_id)
                     self._resolve(
                         self._coalesced_result(job.job_id, enqueued, *cached)
                     )
@@ -728,17 +685,13 @@ class BatchServer:
                 queue_wait
             )
             if self._journal is not None:
-                self._journal.append("started", spec_key=key)
-            self._record(
-                "dispatch", job_id=job.job_id, queue_wait_s=queue_wait,
-            )
+                self._journal.append("started", spec_key=key, t=time.time())
             timeout = job.timeout_s if job.timeout_s is not None else self.default_timeout_s
             self._pool.dispatch(
                 self._dispatch_runner,
                 job.to_dict(),
                 timeout_s=timeout,
                 retry_token=key,
-                event_key=job.job_id,
                 on_done=lambda outcome, j=job, k=key, w=queue_wait: (
                     self._job_done(j, k, w, outcome)
                 ),
@@ -747,14 +700,31 @@ class BatchServer:
     def _journal_outcome(
         self, job: Job, key: str | None, status: str, outcome: TaskOutcome,
     ) -> None:
-        """Durably record one execution outcome before results propagate."""
+        """Durably record one execution outcome before results propagate.
+
+        Besides the outcome, each terminal record carries the wall-clock
+        ``t`` it was written at, the final attempt's ``run_s`` and
+        ``worker_pid`` (``None`` when unknown) and, for a retried job,
+        the pool's whole ``attempt_log``: what ``repro.cli timeline``
+        draws.
+        """
         journal = self._journal
         if journal is None:
             return
+        timing: dict[str, Any] = {
+            "t": time.time(),
+            "run_s": outcome.duration_s,
+            "worker_pid": (
+                outcome.attempt_log[-1]["worker_pid"]
+                if outcome.attempt_log else None
+            ),
+        }
+        if outcome.attempts > 1:
+            timing["attempt_log"] = outcome.attempt_log
         if status == "ok":
             journal.append(
                 "done", spec_key=key, job_id=job.job_id, status="ok",
-                payload=outcome.value, attempts=outcome.attempts,
+                payload=outcome.value, attempts=outcome.attempts, **timing,
             )
             return
         # A permanent failure means the spec itself is bad: its dead-letter
@@ -767,7 +737,7 @@ class BatchServer:
             classification=(
                 "transient" if status in _TRANSIENT_RESULTS else "permanent"
             ),
-            error=outcome.error, attempts=outcome.attempts,
+            error=outcome.error, attempts=outcome.attempts, **timing,
         )
 
     def _job_telemetry(
@@ -778,15 +748,14 @@ class BatchServer:
         queue_wait: float,
         outcome: TaskOutcome,
     ) -> Mapping[str, Any] | None:
-        """Fold one finished job into the telemetry hub; returns its trace.
+        """Merge one finished job's worker telemetry; returns its trace.
 
-        Merges the worker's metrics delta into this process's registry,
+        Merges the worker's metrics delta into this process's registry and
         grafts the worker-captured span tree under the server-side per-job
-        spans, records the ``done`` (and possibly ``dead_letter``) events,
-        and releases the per-job accumulation.  Returns the merged trace as
-        nested dicts, or ``None`` when telemetry is off.
+        spans.  Returns the merged trace as nested dicts, or ``None`` when
+        telemetry is off.
         """
-        if self._telemetry is None:
+        if not self._telemetry:
             return None
         worker_telemetry: Mapping[str, Any] = {}
         if isinstance(payload, Mapping):
@@ -794,37 +763,18 @@ class BatchServer:
         delta = worker_telemetry.get("metrics_delta")
         if delta:
             obs_metrics.registry().merge_delta(delta)
-        trace_dict: Mapping[str, Any] | None = None
         try:
-            span = self._telemetry.build_job_trace(
+            return build_job_trace(
                 job.job_id,
                 status=status,
-                attempts=outcome.attempts,
                 queue_wait_s=queue_wait,
                 run_s=outcome.duration_s,
+                attempt_log=outcome.attempt_log,
                 worker_trace=worker_telemetry.get("trace"),
-                worker_pid=worker_telemetry.get("worker_pid"),
                 cold_start=worker_telemetry.get("cold_start"),
-            )
-            trace_dict = span.to_dict()
+            ).to_dict()
         except Exception:  # noqa: BLE001 - telemetry must not fail the job
-            trace_dict = None
-        self._record(
-            "done",
-            job_id=job.job_id,
-            status=status,
-            attempts=outcome.attempts,
-            queue_wait_s=queue_wait,
-            run_s=outcome.duration_s,
-            cold_start=worker_telemetry.get("cold_start"),
-            trace=trace_dict,
-        )
-        if status == "failed":
-            self._record(
-                "dead_letter", job_id=job.job_id, error=outcome.error,
-            )
-        self._telemetry.forget_job(job.job_id)
-        return trace_dict
+            return None
 
     def _job_done(
         self, job: Job, key: str | None, queue_wait: float,
@@ -873,9 +823,6 @@ class BatchServer:
             )
         self._resolve(result)
         for follower, enqueued in followers:
-            self._record(
-                "coalesced", job_id=follower.job_id, leader=job.job_id,
-            )
             self._resolve(
                 self._coalesced_result(
                     follower.job_id, enqueued, status, payload, outcome.error

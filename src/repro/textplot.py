@@ -3,8 +3,8 @@
 The offline environment has no plotting stack, and a personalization CLI
 should be able to *show* its results anyway.  These helpers render compact
 unicode plots — waveform panels, CDFs, Gantt charts and aligned tables —
-used by ``uniq-personalize --show``, ``repro.cli timeline`` and the
-fleet drift table.
+used by ``uniq-personalize --show``, ``repro.cli timeline`` (a batch
+journal as a per-worker Gantt chart) and the fleet drift table.
 """
 
 from __future__ import annotations
@@ -77,8 +77,9 @@ def gantt(lanes, t0: float, t1: float, width: int = 72) -> str:
     is ``(start, end, char)`` drawn as a filled run (``end=None`` extends
     to the window edge — an interval still open when recording stopped);
     each mark is ``(t, char)`` stamped on a single column on top of any
-    bar.  Used by ``repro.cli timeline`` to draw one lane per worker pid —
-    attempt bars, retry gaps, and watchdog-kill marks on one time axis.
+    bar.  Used by ``repro.cli timeline`` to draw a batch journal with one
+    lane per worker pid — attempt bars, open bars for jobs in flight when
+    the journal stopped, and retry / dead-letter marks on one time axis.
     """
     lanes = list(lanes)
     if not lanes:

@@ -180,7 +180,7 @@ class TestServedRerender:
                 angle_step_deg=step)
             for step in (15.0, 10.0, 30.0)
         ]
-        with BatchServer(workers=1, telemetry=tmp_path / "t.jsonl") as server:
+        with BatchServer(workers=1, telemetry=True) as server:
             report = server.run_batch(jobs)
         assert report.counts == {"ok": 3}
         names = ("fusion.runs", "channel.bank_deconvolutions", *MEMO_COUNTERS)

@@ -38,6 +38,7 @@ from repro.serve import (
     execute_job,
     replay_journal,
 )
+from repro.serve import journal as journal_module
 from repro.testing.workloads import digest_runner, sleepy_runner
 
 #: The golden-case pipeline configuration, shared with tests/test_serve.py
@@ -173,6 +174,20 @@ class TestJournal:
         assert state.submitted == {_spec(1): ["a"]}
         assert state.pending() == []
         assert state.corrupt == []
+
+    def test_checksum_key_position_does_not_matter(self, tmp_path):
+        # Journals whose lines keep the checksum in sorted-key position
+        # (fully canonical lines) replay like ones that append it last.
+        record = {"event": "done", "seq": 1, "spec_key": _spec(1),
+                  "job_id": "a", "status": "ok", "payload": {"x": 1.5}}
+        crc = json.loads(journal_module._encode(record))["crc"]
+        sorted_line = json.dumps({**record, "crc": crc}, sort_keys=True,
+                                 separators=(",", ":"))
+        path = tmp_path / "j"
+        path.write_text(sorted_line + "\n")
+        state = replay_journal(path)
+        assert state.corrupt == []
+        assert state.done[_spec(1)]["payload"] == {"x": 1.5}
 
     def test_rejects_unknown_event(self, tmp_path):
         with Journal(tmp_path / "j", fsync=False) as journal:

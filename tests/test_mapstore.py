@@ -329,9 +329,7 @@ def _served_twice(tmp_path, jobs):
         # Workers fork from this process: cold memory caches, so the
         # store's contents are the only difference between the runs.
         clear_delay_map_cache()
-        with BatchServer(
-            workers=1, map_store=store, telemetry=tmp_path / f"{run}.jsonl"
-        ) as server:
+        with BatchServer(workers=1, map_store=store, telemetry=True) as server:
             reports.append(server.run_batch(jobs))
     return reports, store
 

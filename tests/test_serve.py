@@ -28,7 +28,6 @@ from repro.serve import (
     dump_jobs,
     execute_job,
     load_jobs,
-    read_events,
 )
 from repro.testing.workloads import FAILING_FAULT, digest_runner, sleepy_runner
 
@@ -316,19 +315,18 @@ class TestBatchServerSemantics:
                 assert result.attempts == 0
                 assert "queue full" in result.error
 
-    def test_rejections_are_visible_everywhere(self, tmp_path):
-        # A non-blocking rejection must be observable in all three planes:
-        # the metrics counter, the telemetry event stream, and the batch
-        # report — silent drops read as lost load.
+    def test_rejections_are_visible_everywhere(self):
+        # A non-blocking rejection must be observable in both planes: the
+        # metrics counter and the batch report — silent drops read as lost
+        # load.
         from repro.obs import metrics as obs_metrics
         from repro.serve import BatchReport
 
-        before = obs_metrics.counter("serve.rejected").value
-        telemetry = tmp_path / "events.jsonl"
+        before = obs_metrics.counter("serve.jobs_rejected").value
         blocker = _job("blocker", seed=0, fault_args={"sleep_s": 0.8})
         burst = [_job(f"b{i}", seed=100 + i) for i in range(6)]
         with BatchServer(workers=1, queue_size=1, runner=sleepy_runner,
-                         coalesce=False, telemetry=telemetry) as server:
+                         coalesce=False) as server:
             assert server.submit(blocker, block=True)
             accepted = [server.submit(job, block=False) for job in burst]
             server.drain()
@@ -337,16 +335,11 @@ class TestBatchServerSemantics:
         n_rejected = accepted.count(False)
         assert n_rejected > 0
 
-        # Metrics plane: the dedicated rejection counter moved in lockstep.
-        assert obs_metrics.counter("serve.rejected").value == before + n_rejected
-
-        # Telemetry plane: one typed "rejected" event per rejection, each
-        # carrying the reason and observed queue depth.
-        events = [e for e in read_events(telemetry) if e.get("event") == "rejected"]
-        assert len(events) == n_rejected
-        for event in events:
-            assert event["reason"] == "queue_full"
-            assert event["queue_depth"] >= 0
+        # Metrics plane: the rejection counter moved in lockstep.
+        assert (
+            obs_metrics.counter("serve.jobs_rejected").value
+            == before + n_rejected
+        )
 
         # Report plane: rejections surface in counts, typed reasons, and
         # the serialized record (only when rejections actually happened).
@@ -490,9 +483,7 @@ class TestRetriedJobTrace:
     def test_crashed_then_retried_trace_holds_both_attempts(self, tmp_path):
         # The telemetry acceptance scenario: a job whose worker dies on the
         # first attempt must produce a cross-process trace holding both
-        # attempts with the retry (and its backoff delay) between them,
-        # plus matching retry/attempt events in the flight-recorder stream.
-        path = tmp_path / "telemetry.jsonl"
+        # attempts with the retry (and its backoff delay) between them.
         jobs = [
             _job("crashy", crash_marker=str(tmp_path / "crash.marker")),
         ]
@@ -502,7 +493,7 @@ class TestRetriedJobTrace:
         )
         with BatchServer(
             workers=1, runner=digest_runner, retry_policy=policy,
-            telemetry=path,
+            telemetry=True,
         ) as server:
             report = server.run_batch(jobs)
         result = report.results[0]
@@ -520,7 +511,32 @@ class TestRetriedJobTrace:
             c for c in result.trace["children"] if c["name"] == "serve.retry"
         )
         assert retry["attributes"]["backoff_s"] == pytest.approx(0.05)
-        events = read_events(path)
-        assert [e["event"] for e in events if e["event"] == "retry"] == ["retry"]
-        ends = [e for e in events if e["event"] == "attempt_end"]
-        assert [e["status"] for e in ends] == ["crashed", "ok"]
+
+    def test_retried_job_journals_its_attempts(self, tmp_path):
+        # The journal's terminal record keeps the pool's attempt log when a
+        # job ran more than once: the crashed attempt, the backoff slept
+        # after it, and the attempt that finished.
+        from repro.serve import Journal
+        from repro.serve.journal import read_records
+
+        path = tmp_path / "batch.journal"
+        policy = RetryPolicy(
+            max_transient_retries=2, base_backoff_s=0.05,
+            backoff_factor=1.0, jitter_frac=0.0,
+        )
+        with BatchServer(
+            workers=1, runner=digest_runner, retry_policy=policy,
+            journal=Journal(path, fsync=False),
+        ) as server:
+            server.run_batch(
+                [_job("crashy", crash_marker=str(tmp_path / "crash.marker"))]
+            )
+        done = [r for r in read_records(path)[0] if r["event"] == "done"]
+        assert len(done) == 1 and done[0]["attempts"] == 2
+        first, second = done[0]["attempt_log"]
+        assert first["status"] == "crashed"
+        assert first["backoff_s"] == pytest.approx(0.05)
+        assert second["status"] == "ok" and "backoff_s" not in second
+        assert first["end_t"] <= second["start_t"] <= second["end_t"]
+        assert done[0]["t"] >= second["end_t"]
+        assert done[0]["run_s"] > 0

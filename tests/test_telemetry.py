@@ -1,17 +1,19 @@
-"""Serve telemetry tests: span export, flight recorder, SLO gate, timeline.
+"""Serve telemetry tests: span export, SLO gate, journal-fed timeline.
 
-The cross-process tentpole is exercised end to end with the millisecond
+The cross-process path is exercised end to end with the millisecond
 runners from :mod:`repro.testing.workloads`: a telemetry-enabled batch must
-produce a causally-complete trace per job (server-side submit → queue →
-attempt spans with the worker-captured tree grafted under the final
-attempt), a replayable flight-recorder stream, merged worker metrics, and
-an SLO verdict — while a telemetry-off batch stays bit-identical to the
-pre-telemetry outputs.
+produce a causally-complete trace per job (server-side queue → attempt
+spans with the worker-captured tree grafted under the final attempt) and
+merged worker metrics; its journal must carry what the timeline draws;
+SLO statistics come from the batch report alone — while a telemetry-off
+batch stays bit-identical on its deterministic fields.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 import os
 import threading
 
@@ -19,19 +21,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import ReproError, SignalError
-from repro.ioutil import JsonlAppender
 from repro.obs import metrics as obs_metrics
 from repro.obs.metrics import Counter, MetricsRegistry, diff_snapshots
 from repro.obs.report import self_durations
 from repro.obs.trace import Span
-from repro.serve import BatchServer, Job
+from repro.serve import BatchReport, BatchServer, Job, JobResult, Journal
+from repro.serve.journal import read_records
 from repro.serve.telemetry import (
-    FlightRecorder,
+    SLO_STATS,
     ServeTelemetry,
     SloPolicy,
-    SloTracker,
-    iter_attempt_bars,
-    read_events,
+    slo_stats,
 )
 from repro.serve.worker import execute_job
 from repro.testing.golden import CASE_CONFIG
@@ -187,88 +187,55 @@ class TestSnapshotDeltas:
 
 
 # ---------------------------------------------------------------------------
-# Flight recorder
+# SLO statistics and policy
 # ---------------------------------------------------------------------------
 
-class TestFlightRecorder:
-    def test_events_round_trip_with_seq_and_t(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        with FlightRecorder(path) as recorder:
-            recorder.record("enqueue", job_id="a", queue_depth=1)
-            recorder.record("dispatch", job_id="a")
-        events = read_events(path)
-        assert [e["event"] for e in events] == ["enqueue", "dispatch"]
-        assert [e["seq"] for e in events] == [1, 2]
-        assert all(e["t"] > 0 for e in events)
-
-    def test_torn_final_line_is_tolerated(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        with FlightRecorder(path) as recorder:
-            recorder.record("enqueue", job_id="a")
-        with open(path, "a") as handle:
-            handle.write('{"event": "dispa')  # crash mid-append
-        assert [e["event"] for e in read_events(path)] == ["enqueue"]
-
-    def test_rollup_snapshot_is_written(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        recorder = FlightRecorder(path, rollup_every=2)
-        recorder.record("enqueue")
-        assert not recorder.due_for_rollup()
-        recorder.record("dispatch")
-        assert recorder.due_for_rollup()
-        recorder.close({"extra": 1})
-        rollup = json.loads((tmp_path / "t.jsonl.rollup.json").read_text())
-        assert rollup["n_events"] == 2
-        assert rollup["by_event"] == {"dispatch": 1, "enqueue": 1}
-        assert rollup["summary"] == {"extra": 1}
-
-    def test_appender_refuses_after_close(self, tmp_path):
-        appender = JsonlAppender(tmp_path / "a.jsonl")
-        appender.append({"x": 1})
-        appender.close()
-        with pytest.raises(ValueError):
-            appender.append({"x": 2})
+def _result(job_id: str, status: str = "ok", **kw) -> JobResult:
+    return JobResult(job_id=job_id, status=status, **kw)
 
 
-# ---------------------------------------------------------------------------
-# SLO tracker and policy
-# ---------------------------------------------------------------------------
-
-def _done(job_id: str, t: float, run_s: float = 0.1, **kw) -> dict:
-    record = {"event": "done", "job_id": job_id, "t": t, "status": "ok",
-              "attempts": 1, "queue_wait_s": 0.01, "run_s": run_s}
-    record.update(kw)
-    return record
+def _report(results, wall_s: float = 1.0) -> BatchReport:
+    return BatchReport(results=tuple(results), wall_s=wall_s, workers=2,
+                       queue_size=8, coalesce=True)
 
 
-class TestSloTracker:
-    def test_stats_over_a_synthetic_stream(self):
-        tracker = SloTracker()
-        tracker.observe({"event": "enqueue", "t": 0.0, "queue_depth": 2})
-        tracker.observe({"event": "enqueue", "t": 0.1, "queue_depth": 4})
-        tracker.observe({"event": "dispatch", "t": 0.2, "queue_wait_s": 0.2})
-        tracker.observe(_done("a", 1.0, run_s=0.5, cold_start=True))
-        tracker.observe(_done("b", 2.0, run_s=1.5, attempts=3,
-                              cold_start=False))
-        tracker.observe({"event": "done", "job_id": "c", "t": 2.5,
-                         "status": "failed", "attempts": 1, "run_s": 0.1})
-        tracker.observe({"event": "dead_letter", "job_id": "c", "t": 2.5})
-        stats = tracker.stats()
-        assert stats["n_jobs"] == 3
-        assert stats["counts"] == {"failed": 1, "ok": 2}
-        assert stats["queue_depth_peak"] == 4
+class TestSloStats:
+    def test_stats_over_a_synthetic_report(self):
+        report = _report([
+            _result("a", run_s=0.5, queue_wait_s=0.2,
+                    payload={"_telemetry": {"cold_start": True}}),
+            _result("b", run_s=1.5, attempts=3, queue_wait_s=0.4,
+                    payload={"_telemetry": {"cold_start": False}}),
+            _result("c", "failed", run_s=0.1),
+            _result("d", attempts=0, coalesced=True, queue_wait_s=9.0),
+            _result("e", "rejected", attempts=0, reason="queue_full"),
+        ], wall_s=2.0)
+        stats = slo_stats(report)
+        assert stats["n_jobs"] == 5
+        assert stats["n_executed"] == 3
+        assert stats["counts"] == {"failed": 1, "ok": 3, "rejected": 1}
+        assert stats["total_attempts"] == 5
+        # Latency over executed ok jobs, queue wait over executed jobs:
+        # the coalesced follower's long wait is the leader's run.
         assert stats["job_p50_s"] == pytest.approx(1.0)
+        assert stats["queue_wait_p50_s"] == pytest.approx(0.2)
         assert stats["retry_rate"] == pytest.approx(1 / 3)
         assert stats["dead_letter_rate"] == pytest.approx(1 / 3)
         assert stats["cold_start_fraction"] == pytest.approx(0.5)
-        assert stats["throughput_jobs_per_s"] == pytest.approx(3 / 2.5)
+        # Throughput: jobs with an outcome over the report's wall time.
+        assert stats["throughput_jobs_per_s"] == pytest.approx(4 / 2.0)
+        assert stats["n_rejected"] == 1
+        assert stats["reject_rate"] == pytest.approx(1 / 5)
+        assert set(stats) >= set(SLO_STATS)
 
     def test_replayed_jobs_do_not_pollute_latency(self):
-        tracker = SloTracker()
-        tracker.observe(_done("replayed", 1.0, attempts=0, run_s=0.0))
-        stats = tracker.stats()
+        stats = slo_stats(
+            _report([_result("replayed", attempts=0, replayed=True)])
+        )
         assert stats["n_jobs"] == 1
         assert stats["n_executed"] == 0
+        assert math.isnan(stats["job_p50_s"])
+        assert math.isnan(stats["cold_start_fraction"])
 
 
 class TestSloPolicy:
@@ -298,12 +265,74 @@ class TestSloPolicy:
             SloPolicy({"max_job_p42_s": 1.0})
         with pytest.raises(ReproError, match="max_ or min_"):
             SloPolicy({"job_p95_s": 1.0})
+        # Nothing samples the queue depth, so no statistic describes it.
+        with pytest.raises(ReproError, match="unknown statistic"):
+            SloPolicy({"max_queue_depth_peak": 1})
+
+    @pytest.mark.parametrize(
+        "limit",
+        [None, "nan", "1.0", True, False, float("nan"), float("inf"), [1]],
+        ids=repr,
+    )
+    def test_limits_must_be_finite_numbers(self, limit):
+        # A null limit cannot be compared, a NaN one never fires and a
+        # boolean is not a limit: each is a typo to reject, not to run.
+        with pytest.raises(ReproError, match="finite number"):
+            SloPolicy({"max_job_p95_s": limit})
 
     def test_json_file_round_trip(self, tmp_path):
         path = tmp_path / "slo.json"
-        path.write_text('{"max_retry_rate": 0.25}\n')
+        path.write_text('{"max_retry_rate": 0.25, "max_n_rejected": 0}\n')
         policy = SloPolicy.from_json_file(path)
-        assert policy.thresholds == {"max_retry_rate": 0.25}
+        assert policy.thresholds == {"max_retry_rate": 0.25,
+                                     "max_n_rejected": 0.0}
+
+
+class TestSloCli:
+    @pytest.mark.parametrize(
+        "body", ['{"max_job_p95_s": null}', '{"max_job_p95_s": "nan"}',
+                 '{"max_job_p95_s": true}', '[1]'],
+    )
+    def test_bad_policy_is_a_usage_error(self, tmp_path, capsys, body):
+        from repro.cli import main_batch
+
+        jobs = tmp_path / "jobs.jsonl"
+        jobs.write_text('{"job_id": "a", "subject_seed": 1}\n')
+        slo = tmp_path / "slo.json"
+        slo.write_text(body)
+        assert main_batch(["--jobs", str(jobs), "--slo", str(slo)]) == 2
+        assert "cannot load SLO policy" in capsys.readouterr().err
+
+    @pytest.mark.slow
+    def test_batch_writes_one_jsonl_file_and_exits_5(self, tmp_path, capsys):
+        # The whole serve CLI surface at once: journal, telemetry, SLO and
+        # report.  The journal is the only file the batch appends to.
+        from repro.cli import main_batch
+
+        jobs = tmp_path / "jobs.jsonl"
+        jobs.write_text(json.dumps({"job_id": "a", "subject_seed": 1,
+                                    **CASE_CONFIG}) + "\n")
+        slo = tmp_path / "slo.json"
+        slo.write_text('{"max_job_p50_s": 0.0}')
+        report_path = tmp_path / "report.json"
+        journal = tmp_path / "batch.journal"
+        rc = main_batch([
+            "--jobs", str(jobs), "--workers", "1", "--journal", str(journal),
+            "--telemetry", "--slo", str(slo), "--report", str(report_path),
+        ])
+        assert rc == 5
+        assert "SLO violated" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == [
+            "batch.journal", "jobs.jsonl", "report.json", "slo.json",
+        ]
+        record = json.loads(report_path.read_text())
+        assert record["slo_thresholds"] == {"max_job_p50_s": 0.0}
+        assert [v["stat"] for v in record["slo_violations"]] == ["job_p50_s"]
+        assert record["slo_summary"]["n_executed"] == 1
+        done = [r for r in read_records(journal)[0] if r["event"] == "done"]
+        assert done[0]["payload"]["_telemetry"]["trace"]["name"] == (
+            "serve.worker.job"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -312,27 +341,42 @@ class TestSloPolicy:
 
 class TestBatchTelemetry:
     @pytest.fixture()
-    def run(self, tmp_path):
-        path = tmp_path / "telemetry.jsonl"
+    def run(self):
         with BatchServer(
-            workers=2, runner=digest_runner, telemetry=path,
-            slo={"max_dead_letter_rate": 0.0},
+            workers=2, runner=digest_runner, telemetry=True,
         ) as server:
-            report = server.run_batch(_jobs(5))
-        return report, path
+            return server.run_batch(_jobs(5))
 
-    def test_stream_holds_the_whole_job_lifecycle(self, run):
-        report, path = run
-        events = read_events(path)
-        kinds = {e["event"] for e in events}
-        assert {"batch_start", "enqueue", "dispatch", "attempt_start",
-                "attempt_end", "done", "batch_done"} <= kinds
-        done = [e for e in events if e["event"] == "done"]
-        assert {e["job_id"] for e in done} == {f"j{i}" for i in range(5)}
-        assert report.counts == {"ok": 5}
+    def test_stream_holds_the_whole_job_lifecycle(self, tmp_path):
+        # The journal is the one durable serve stream.  Before its
+        # checkpoint compaction it holds every job's submission, dispatch
+        # (with a wall-clock t) and outcome (with t, run time and pid).
+        path = tmp_path / "batch.journal"
+        with BatchServer(workers=2, runner=digest_runner, telemetry=True,
+                         journal=Journal(path, fsync=False)) as server:
+            for job in _jobs(5):
+                server.submit(job)
+            server.drain()
+            records, corrupt = read_records(path)
+        assert corrupt == []
+        by_event: dict[str, list[dict]] = {}
+        for record in records:
+            by_event.setdefault(record["event"], []).append(record)
+        assert sorted(by_event) == ["done", "started", "submitted"]
+        assert {r["job_id"] for r in by_event["done"]} == {
+            f"j{i}" for i in range(5)
+        }
+        assert len(by_event["started"]) == 5
+        assert all(r["t"] > 0 for r in by_event["started"])
+        for done in by_event["done"]:
+            assert done["t"] >= min(r["t"] for r in by_event["started"])
+            assert done["run_s"] > 0
+            assert done["worker_pid"] > 0
+            assert "attempt_log" not in done  # only retried jobs carry one
+        assert [r["seq"] for r in records] == list(range(1, 16))
 
     def test_results_carry_cross_process_traces(self, run):
-        report, _ = run
+        report = run
         for result in report.results:
             names = [child["name"] for child in result.trace["children"]]
             assert names[0] == "serve.queue"
@@ -346,12 +390,11 @@ class TestBatchTelemetry:
             assert grafted == ["serve.worker.job"]
             assert attempt["attributes"]["worker_pid"] > 0
 
-    def test_worker_metrics_merge_into_the_parent_registry(self, tmp_path):
+    def test_worker_metrics_merge_into_the_parent_registry(self):
         registry = obs_metrics.registry()
         before = registry.snapshot()
         with BatchServer(
-            workers=2, runner=digest_runner,
-            telemetry=tmp_path / "t.jsonl",
+            workers=2, runner=digest_runner, telemetry=True,
         ) as server:
             server.run_batch(_jobs(3))
         delta = diff_snapshots(before, registry.snapshot())
@@ -360,15 +403,19 @@ class TestBatchTelemetry:
         assert delta["counters"].get("workload.digest_jobs") == 3.0
 
     def test_slo_report_lands_in_the_batch_report(self, run):
-        report, _ = run
+        report = dataclasses.replace(
+            run, slo=SloPolicy({"max_dead_letter_rate": 0.0}).judge(run)
+        )
         assert report.slo is not None
         assert report.slo_violations == []
         record = report.to_dict()
         assert record["slo_violations"] == []
+        assert record["slo_thresholds"] == {"max_dead_letter_rate": 0.0}
         assert record["slo_summary"]["n_jobs"] == 5
+        assert record["slo_summary"]["cold_start_fraction"] > 0
 
     @pytest.mark.slow
-    def test_telemetry_off_outputs_are_bit_identical(self, tmp_path):
+    def test_telemetry_off_outputs_are_bit_identical(self):
         # The millisecond runner, then the real pipeline on short captures.
         for runner, jobs in (
             (digest_runner, _jobs(4)),
@@ -376,10 +423,8 @@ class TestBatchTelemetry:
         ):
             with BatchServer(workers=2, runner=runner) as server:
                 plain = server.run_batch(jobs)
-            with BatchServer(
-                workers=2, runner=runner,
-                telemetry=tmp_path / f"{runner.__name__}.jsonl",
-            ) as server:
+            with BatchServer(workers=2, runner=runner,
+                             telemetry=True) as server:
                 traced = server.run_batch(jobs)
             # Same deterministic results either way...
             assert plain.counts == {"ok": len(jobs)}
@@ -393,12 +438,41 @@ class TestBatchTelemetry:
             assert plain.slo is None and plain.slo_violations == []
 
     def test_slo_without_telemetry_path_still_judges(self):
-        with BatchServer(
-            workers=1, runner=digest_runner,
-            slo={"max_queue_depth_peak": -1.0},
-        ) as server:
+        # SLO statistics come from the report: no telemetry needed.
+        with BatchServer(workers=1, runner=digest_runner) as server:
             report = server.run_batch(_jobs(2))
-        assert report.slo_violations  # depth >= 0 > -1 by construction
+        verdict = SloPolicy({"max_job_p50_s": -1.0}).judge(report)
+        assert [v["stat"] for v in verdict["violations"]] == ["job_p50_s"]
+        assert math.isnan(verdict["summary"]["cold_start_fraction"])
+
+    @pytest.mark.parametrize("telemetry", [False, True])
+    def test_journal_appends_per_job_are_pinned(self, tmp_path, telemetry):
+        # A retry-free batch appends submitted + started + one terminal
+        # record per job; the checkpoint rewrites rather than appends.
+        # Timing fields ride on those records, adding none.
+        appends = obs_metrics.counter("serve.journal.appends")
+        checkpoints = obs_metrics.counter("serve.journal.checkpoints")
+        before = appends.value, checkpoints.value
+        with BatchServer(workers=2, runner=digest_runner, telemetry=telemetry,
+                         journal=Journal(tmp_path / "j", fsync=False)) as server:
+            report = server.run_batch(_jobs(6))
+        assert report.counts == {"ok": 6}
+        assert appends.value - before[0] == 3 * 6
+        assert checkpoints.value - before[1] == 1
+        assert os.listdir(tmp_path) == ["j"]
+
+    def test_a_path_is_refused_and_none_turns_capture_on(self, tmp_path):
+        # perfbench passes ServeTelemetry(None): capture on, no stream.
+        with pytest.raises(ReproError, match="--journal"):
+            ServeTelemetry(tmp_path / "t.jsonl")
+        with pytest.raises(ReproError, match="--journal"):
+            BatchServer(workers=1, runner=digest_runner,
+                        telemetry=str(tmp_path / "t.jsonl"))
+        with BatchServer(workers=1, runner=digest_runner,
+                         telemetry=ServeTelemetry(None)) as server:
+            report = server.run_batch(_jobs(1))
+        assert report.results[0].trace["name"] == "serve.job"
+        assert os.listdir(tmp_path) == []
 
 
 # ---------------------------------------------------------------------------
@@ -431,46 +505,116 @@ class TestGantt:
             gantt([("w", [], [])], 0.0, 1.0, width=4)
 
 
-class TestIterAttemptBars:
-    def test_pairs_starts_with_ends_and_flags_open(self):
-        events = [
-            {"event": "attempt_start", "event_key": "a", "attempt": 1, "t": 0.0},
-            {"event": "attempt_end", "event_key": "a", "attempt": 1, "t": 1.0,
-             "status": "crashed", "worker_pid": 11},
-            {"event": "attempt_start", "event_key": "a", "attempt": 2, "t": 2.0},
+def _timeline(capsys, *argv) -> tuple[int, str]:
+    from repro.cli import main
+
+    rc = main(["timeline", *map(str, argv)])
+    return rc, capsys.readouterr().out
+
+
+def _lane_rows(text: str) -> list[str]:
+    """The Gantt's lane rows (the legend also shows every glyph)."""
+    return [line for line in text.splitlines() if " |" in line]
+
+
+class TestJournalTimeline:
+    def test_pairs_started_with_outcomes_and_flags_open(self, tmp_path, capsys):
+        # A started record with no terminal record is a job the journal
+        # stopped on: it draws as an open bar in the unknown-pid lane.
+        path = tmp_path / "victim.journal"
+        with Journal(path, fsync=False) as journal:
+            journal.append("started", spec_key="a", t=100.0)
+            journal.append("done", spec_key="a", job_id="a", status="ok",
+                           payload={}, attempts=1, t=101.0, run_s=0.8,
+                           worker_pid=11)
+            journal.append("started", spec_key="b", t=101.5)
+        rc, text = _timeline(capsys, path, "--width", 20)
+        assert rc == 0
+        assert "1 jobs, 1 attempts, 1 open" in text
+        rows = {row.split("|")[0].strip(): row for row in _lane_rows(text)}
+        assert "█" in rows["pid 11"] and "─" not in rows["pid 11"]
+        assert rows["pid ?"].rstrip("|").endswith("─")
+
+    def test_retried_job_draws_every_attempt(self, tmp_path, capsys):
+        path = tmp_path / "j.journal"
+        log = [
+            {"start_t": 0.0, "end_t": 1.0, "status": "crashed",
+             "worker_pid": None, "backoff_s": 0.5},
+            {"start_t": 1.5, "end_t": 3.0, "status": "ok", "worker_pid": 7},
         ]
-        bars = list(iter_attempt_bars(events))
-        assert bars[0]["status"] == "crashed" and bars[0]["end_t"] == 1.0
-        assert bars[1]["status"] == "open" and bars[1]["end_t"] is None
+        with Journal(path, fsync=False) as journal:
+            journal.append("started", spec_key="a", t=0.0)
+            journal.append("done", spec_key="a", job_id="a", status="ok",
+                           payload={}, attempts=2, t=3.0, run_s=1.5,
+                           worker_pid=7, attempt_log=log)
+            journal.append("failed", spec_key="p", job_id="p",
+                           status="failed", classification="permanent",
+                           error="boom", attempts=1, t=3.0, run_s=0.1,
+                           worker_pid=7)
+        rc, text = _timeline(capsys, path, "--width", 30)
+        assert rc == 0
+        assert "2 jobs, 3 attempts, 0 open" in text
+        rows = {row.split("|")[0].strip(): row for row in _lane_rows(text)}
+        assert "░" in rows["pid ?"]
+        assert "█" in rows["pid 7"] and "▓" in rows["pid 7"]
+        assert "r" in rows["server"] and "D" in rows["server"]
+
+    def test_torn_final_line_is_tolerated(self, tmp_path, capsys):
+        # A SIGKILL mid-append leaves a torn line: skipped and counted,
+        # never quarantined by a read-only render.
+        path = tmp_path / "j.journal"
+        with Journal(path, fsync=False) as journal:
+            journal.append("started", spec_key="a", t=5.0)
+        with open(path, "a") as handle:
+            handle.write('{"event": "do')
+        rc, text = _timeline(capsys, path)
+        assert rc == 0
+        assert "1 open" in text and "1 corrupt lines skipped" in text
+        assert sorted(os.listdir(tmp_path)) == ["j.journal"]
 
 
 class TestTimelineCli:
-    def test_renders_gantt_critical_path_and_slo(self, tmp_path, capsys):
-        from repro.cli import main
-
-        path = tmp_path / "telemetry.jsonl"
-        with BatchServer(
-            workers=2, runner=digest_runner, telemetry=path
-        ) as server:
+    def test_renders_gantt_and_critical_path(self, tmp_path, capsys):
+        # A real batch (compacted by its checkpoint) renders: its done
+        # records alone carry the bars, its payloads the worker trees.
+        path = tmp_path / "batch.journal"
+        with BatchServer(workers=2, runner=digest_runner, telemetry=True,
+                         journal=Journal(path, fsync=False)) as server:
             server.run_batch(_jobs(4))
         out_path = tmp_path / "timeline.txt"
-        rc = main(["timeline", str(path), "--output", str(out_path)])
-        printed = capsys.readouterr().out
+        rc, text = _timeline(capsys, path, "--output", out_path)
         assert rc == 0
-        assert "legend:" in printed
-        assert "pid " in printed
-        assert "critical path" in printed
-        assert "slo stats" in printed
-        assert out_path.read_text().strip() in printed
+        assert "4 jobs, 4 attempts, 0 open" in text
+        assert "legend:" in text
+        assert "pid ?" not in text  # worker pids come home with telemetry
+        assert "critical path (span self-time over 4 traces)" in text
+        assert "serve.worker.job" in text
+        assert out_path.read_text().strip() in text
 
     def test_empty_or_missing_stream_is_a_usage_error(self, tmp_path, capsys):
         from repro.cli import main
 
-        assert main(["timeline", str(tmp_path / "nope.jsonl")]) == 2
-        empty = tmp_path / "empty.jsonl"
+        assert main(["timeline", str(tmp_path / "nope.journal")]) == 2
+        empty = tmp_path / "empty.journal"
         empty.write_text("")
         assert main(["timeline", str(empty)]) == 2
+        # A journal without timestamps (a checkpoint header only) too.
+        with Journal(tmp_path / "old.journal", fsync=False) as journal:
+            journal.checkpoint()
+        assert main(["timeline", str(tmp_path / "old.journal")]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags", [("--width", "7"), ("--width", "0"), ("--top", "0"),
+                  ("--width", "x")],
+    )
+    def test_out_of_range_arguments_exit_2(self, tmp_path, capsys, flags):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["timeline", str(tmp_path / "j.journal"), *flags])
+        assert exit_info.value.code == 2
+        assert flags[0] in capsys.readouterr().err
 
 
 class TestSelfDurations:
@@ -487,3 +631,52 @@ class TestSelfDurations:
         assert totals["root"] == pytest.approx(6.0)
         assert totals["child"] == pytest.approx(0.0)
         assert totals["grand"] == pytest.approx(6.0)
+
+
+class TestServeMetricDocs:
+    def test_every_serve_metric_is_documented(self):
+        # Every obs_metrics.counter/gauge/histogram("serve....") literal in
+        # the serve package must appear in docs/OBSERVABILITY.md; an
+        # f-string family appears as its pattern, e.g. serve.jobs_<status>.
+        import ast
+        import pathlib
+
+        import repro.serve
+
+        def names(node):
+            if isinstance(node, ast.JoinedStr):
+                yield "".join(
+                    part.value if isinstance(part, ast.Constant)
+                    else f"<{ast.unparse(part.value)}>"
+                    for part in node.values
+                )
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                yield node.value
+            else:
+                for child in ast.iter_child_nodes(node):
+                    yield from names(child)
+
+        emitted: set[str] = set()
+        package = pathlib.Path(repro.serve.__file__).parent
+        for source in sorted(package.glob("*.py")):
+            for node in ast.walk(ast.parse(source.read_text())):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("counter", "gauge", "histogram")
+                    and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id == "obs_metrics"
+                    and node.args
+                ):
+                    emitted.update(
+                        name for name in names(node.args[0])
+                        if name.startswith("serve.")
+                    )
+        assert len(emitted) > 30  # the scan found the serve metrics
+        assert "serve.rejected" not in emitted  # one rejection counter
+        docs = (
+            pathlib.Path(__file__).resolve().parents[1]
+            / "docs" / "OBSERVABILITY.md"
+        ).read_text()
+        missing = sorted(name for name in emitted if f"`{name}`" not in docs)
+        assert missing == []
