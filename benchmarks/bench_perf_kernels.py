@@ -28,7 +28,7 @@ from repro.signals.channel import ProbeChannelBank
 from repro.core.aoa import KnownSourceAoAEstimator, UnknownSourceAoAEstimator
 from repro.core import mapstore
 from repro.core.localize import DelayMap, cached_delay_map, clear_delay_map_cache
-from repro.core.fusion import DiffractionAwareSensorFusion
+from repro.core.fusion import FINAL_MAP_RADII, FINAL_MAP_THETAS
 from repro.core.pipeline import Uniq, UniqConfig, grid_from_step
 from repro.serve.worker import clear_capture_memo, personalize_spec
 
@@ -73,13 +73,10 @@ def test_perf_delay_map_build(benchmark, head):
 
 def test_perf_delay_map_build_final(benchmark, head):
     """The fusion's final full-resolution DelayMap (once per personalization)."""
-    fusion = DiffractionAwareSensorFusion()
     final_head = HeadGeometry(
         a=head.a, b=head.b, c=head.c, n_boundary=DEFAULT_BOUNDARY_SAMPLES
     )
-    result = benchmark(
-        DelayMap, final_head, fusion.final_map_radii, fusion.final_map_thetas
-    )
+    result = benchmark(DelayMap, final_head, FINAL_MAP_RADII, FINAL_MAP_THETAS)
     assert result.t_left.shape == (48, 261)
 
 

@@ -47,6 +47,12 @@ DEFAULT_HRIR_DURATION_S = 0.003
 #: (paper Section 4.6, "Tackling room reflections").
 ROOM_REFLECTION_CUTOFF_S = 0.0025
 
+#: Impulse-response window deconvolved per probe recording (s).  It covers
+#: the longest plausible phone-to-ear delay (1.4 m -> ~4.1 ms) plus the
+#: pinna tail; fusion's delay extraction and the near-field HRIR extraction
+#: read the same window, so they share its deconvolutions.
+CHANNEL_WINDOW_S = 0.012
+
 #: Angular grid (degrees) on which HRTF tables are exported.  The paper's
 #: prototype covers the left semicircle [0, 180] like its measurements.
 DEFAULT_ANGLE_GRID_DEG = tuple(range(0, 181, 5))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 
-from repro.constants import SPEED_OF_SOUND
+from repro.constants import CHANNEL_WINDOW_S, SPEED_OF_SOUND
 from repro.core import mapstore
 from repro.errors import ConvergenceError, SignalError
 from repro.geometry.head import HeadGeometry
@@ -61,30 +61,25 @@ _SOLVED_BAD = 0.35
 _BIAS_GOOD_DPS = 1.5
 _BIAS_BAD_DPS = 4.5
 
-#: Nelder-Mead convergence tolerances of the head search.
+#: Nelder-Mead convergence tolerances and iteration cap of the head search.
 _SEARCH_TOLERANCES = {"xatol": 2e-4, "fatol": 0.05}
+MAX_ITERATIONS = 120
 
-#: Fields of :class:`DiffractionAwareSensorFusion` the head search reads;
-#: each one keys its map-store entry.
-_SEARCH_FIELDS = (
-    "fusion_boundary_samples",
-    "map_radii",
-    "map_thetas",
-    "max_iterations",
-    "delay_model",
-    "speed_of_sound",
-    "estimate_gyro_bias",
-)
+#: Head boundary resolution inside the head search: coarse is fast, and the
+#: final pass re-localizes at the head's full resolution.
+FUSION_BOUNDARY_SAMPLES = 240
 
-#: Fields the search does not read.  The first two shape the delays and the
-#: IMU angles, which key the store by value; the final grid is read only
-#: after the search.
-_UNKEYED_FIELDS = (
-    "channel_window_s",
-    "initial_angle_deg",
-    "final_map_radii",
-    "final_map_thetas",
-)
+#: ``(min, max, count)`` polar grids (radii in m, angles in deg) of the
+#: DelayMaps the head search inverts against, and the finer grid of the
+#: final localization, which is read only after the search.
+MAP_RADII = (0.16, 1.2, 24)
+MAP_THETAS = (-40.0, 220.0, 88)
+FINAL_MAP_RADII = (0.16, 1.2, 48)
+FINAL_MAP_THETAS = (-40.0, 220.0, 261)
+
+#: The instructed gesture start orientation (deg): the app tells the user
+#: to begin at the nose.
+INITIAL_ANGLE_DEG = 0.0
 
 _log = get_logger("core.fusion")
 
@@ -172,33 +167,12 @@ class DiffractionAwareSensorFusion:
 
     Parameters
     ----------
-    channel_window_s:
-        Impulse-response window deconvolved per probe; must cover the
-        longest plausible phone-to-ear delay (1.4 m -> ~4.1 ms) plus pinna
-        tail.
-    fusion_boundary_samples:
-        Head boundary resolution used *inside* the optimizer (coarse = fast;
-        the final pass re-localizes at full resolution).
-    map_radii / map_thetas:
-        Polar grid specs handed to :class:`DelayMap` during optimization.
-    initial_angle_deg:
-        The instructed gesture start orientation (the app tells the user to
-        begin at the nose, i.e. 0).
-    max_iterations:
-        Nelder-Mead iteration cap for the ``E`` search.
+    delay_model:
+        ``"diffraction"`` (the paper's model) or ``"euclidean"``
+        (straight-line delays through the head, the ablation baseline).
     """
 
-    channel_window_s: float = 0.012
-    fusion_boundary_samples: int = 240
-    map_radii: tuple[float, float, int] = (0.16, 1.2, 24)
-    map_thetas: tuple[float, float, int] = (-40.0, 220.0, 88)
-    final_map_radii: tuple[float, float, int] = (0.16, 1.2, 48)
-    final_map_thetas: tuple[float, float, int] = (-40.0, 220.0, 261)
-    initial_angle_deg: float = 0.0
-    max_iterations: int = 120
     delay_model: str = "diffraction"
-    estimate_gyro_bias: bool = True
-    speed_of_sound: float = SPEED_OF_SOUND
 
     def extract_probe_delays(
         self,
@@ -220,7 +194,7 @@ class DiffractionAwareSensorFusion:
         """
         if bank is None:
             bank = ProbeChannelBank(session.probe_signal)
-        n_window = int(self.channel_window_s * session.fs)
+        n_window = int(CHANNEL_WINDOW_S * session.fs)
         t_left = np.zeros(session.n_probes)
         t_right = np.zeros(session.n_probes)
         for i, probe in enumerate(session.probes):
@@ -237,7 +211,7 @@ class DiffractionAwareSensorFusion:
     def imu_angles(self, session: SessionData) -> np.ndarray:
         """Gyro-integrated orientation ``alpha_i`` at each probe time."""
         trace: IMUTrace = session.imu
-        angles = integrate_gyro(trace, self.initial_angle_deg)
+        angles = integrate_gyro(trace, INITIAL_ANGLE_DEG)
         probe_times = np.array([p.time for p in session.probes])
         return np.interp(probe_times, trace.times, angles)
 
@@ -274,7 +248,7 @@ class DiffractionAwareSensorFusion:
     ) -> float:
         obs_metrics.counter("fusion.cost_evaluations").inc()
         a, b, c = params[:3]
-        bias = float(params[3]) if params.shape[0] > 3 else 0.0
+        bias = float(params[3])
         for value, (lo, hi) in zip(params[:3], _BOUNDS.values()):
             if not lo <= value <= hi:
                 return 1e6 * (1.0 + float(np.sum(np.abs(params))))
@@ -282,10 +256,9 @@ class DiffractionAwareSensorFusion:
             return 1e6 * (1.0 + abs(bias))
         delay_map = cached_delay_map(
             (float(a), float(b), float(c)),
-            self.fusion_boundary_samples,
-            self.map_radii,
-            self.map_thetas,
-            self.speed_of_sound,
+            FUSION_BOUNDARY_SAMPLES,
+            MAP_RADII,
+            MAP_THETAS,
             model=self.delay_model,
             # Coarse candidates rank candidate heads just as well; the exact
             # grazing-zone re-solve is saved for the final localization.
@@ -311,10 +284,10 @@ class DiffractionAwareSensorFusion:
         That is the class, by name so the key reads the same in every
         process (a subclass may override the cost), the cost arguments
         (delays, IMU angles, probe times and weights), the start simplex,
-        the keyed fields, the module constants the cost function reads and
-        the optimizer tolerances.  Anything else (job ids, paths, the
-        requested angle grid) cannot change the search, so it does not key
-        it.
+        the delay model, the module constants the search reads and the
+        optimizer tolerances.  Anything else (job ids, paths, the final
+        grid, the requested angle grid) cannot change the search, so it
+        does not key it.
         """
         cls = type(self)
         return (
@@ -322,7 +295,12 @@ class DiffractionAwareSensorFusion:
             tuple(_exact(arg) for arg in search_args),
             _exact(x0),
             _exact(simplex),
-            tuple(_exact(getattr(self, name)) for name in _SEARCH_FIELDS),
+            _exact(self.delay_model),
+            _exact(FUSION_BOUNDARY_SAMPLES),
+            _exact(MAP_RADII),
+            _exact(MAP_THETAS),
+            _exact(MAX_ITERATIONS),
+            _exact(SPEED_OF_SOUND),
             _exact(_BOUNDS),
             _exact(MAX_GYRO_BIAS_DPS),
             _exact(_UNSOLVED_PENALTY_DEG),
@@ -370,7 +348,7 @@ class DiffractionAwareSensorFusion:
             "fusion.run",
             n_probes=session.n_probes,
             n_active=n_active,
-            grid=f"{self.map_radii[2]}x{self.map_thetas[2]}",
+            grid=f"{MAP_RADII[2]}x{MAP_THETAS[2]}",
         ) as run_span:
             with obs_trace.span("fusion.extract_delays", n_probes=session.n_probes):
                 t_left, t_right = self.extract_probe_delays(session, bank, active)
@@ -379,16 +357,13 @@ class DiffractionAwareSensorFusion:
             probe_times = np.array([p.time for p in session.probes])
             elapsed = probe_times - probe_times[0]
 
-            x0 = np.array([np.mean(bounds) for bounds in _BOUNDS.values()])
-            simplex_step = np.eye(3) * 0.008
-            if self.estimate_gyro_bias:
-                # The gyro's constant rate bias shows up as a linear drift of
-                # alpha against the (drift-free) acoustic angles, so it is
-                # observable from the same residual and co-estimated with E.
-                x0 = np.append(x0, 0.0)
-                simplex_step = np.zeros((4, 4))
-                simplex_step[:3, :3] = np.eye(3) * 0.008
-                simplex_step[3, 3] = 0.5
+            # The gyro's constant rate bias shows up as a linear drift of
+            # alpha against the (drift-free) acoustic angles, so it is
+            # observable from the same residual and co-estimated with E.
+            x0 = np.append([np.mean(bounds) for bounds in _BOUNDS.values()], 0.0)
+            simplex_step = np.zeros((4, 4))
+            simplex_step[:3, :3] = np.eye(3) * 0.008
+            simplex_step[3, 3] = 0.5
             simplex = x0 + np.vstack([np.zeros(x0.shape[0]), simplex_step])
             search_args = (t_left, t_right, alphas, elapsed, weights)
             with obs_trace.span("fusion.optimize") as opt_span:
@@ -411,7 +386,7 @@ class DiffractionAwareSensorFusion:
                         args=search_args,
                         method="Nelder-Mead",
                         options={
-                            "maxiter": self.max_iterations,
+                            "maxiter": MAX_ITERATIONS,
                             **_SEARCH_TOLERANCES,
                             "initial_simplex": simplex,
                         },
@@ -439,11 +414,7 @@ class DiffractionAwareSensorFusion:
                 [lo for lo, _ in _BOUNDS.values()],
                 [hi for _, hi in _BOUNDS.values()],
             )
-            bias = (
-                float(np.clip(result.x[3], -MAX_GYRO_BIAS_DPS, MAX_GYRO_BIAS_DPS))
-                if self.estimate_gyro_bias
-                else 0.0
-            )
+            bias = float(np.clip(result.x[3], -MAX_GYRO_BIAS_DPS, MAX_GYRO_BIAS_DPS))
             alphas = self._debiased(alphas, elapsed, bias)
             head = HeadGeometry(a=float(a), b=float(b), c=float(c))
 
@@ -453,9 +424,8 @@ class DiffractionAwareSensorFusion:
                 final_map = cached_delay_map(
                     head.parameters,
                     head.n_boundary,
-                    self.final_map_radii,
-                    self.final_map_thetas,
-                    self.speed_of_sound,
+                    FINAL_MAP_RADII,
+                    FINAL_MAP_THETAS,
                     model=self.delay_model,
                 )
                 thetas, radii, solved = self._localize_all(

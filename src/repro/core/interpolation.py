@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.constants import (
+    CHANNEL_WINDOW_S,
     DEFAULT_HRIR_DURATION_S,
     ROOM_REFLECTION_CUTOFF_S,
     SPEED_OF_SOUND,
@@ -81,34 +82,28 @@ def hrir_length(measurements: list[NearFieldMeasurement]) -> int:
 class NearFieldInterpolator:
     """Extracts per-probe near-field HRIRs and interpolates them to a grid.
 
+    Each HRIR is a :data:`repro.constants.DEFAULT_HRIR_DURATION_S` window
+    cut from a :data:`repro.constants.CHANNEL_WINDOW_S` deconvolution;
+    taps later than :data:`repro.constants.ROOM_REFLECTION_CUTOFF_S` after
+    the first tap are room reflections and are truncated (Section 4.6).
+
     Parameters
     ----------
     fs:
         Sample rate of the session recordings.
-    hrir_duration_s:
-        Length of the extracted HRIR window.
-    channel_window_s:
-        Deconvolution window (must cover the longest probe delay).
-    room_cutoff_s:
-        Taps later than this after the first tap are room reflections and
-        are truncated (Section 4.6).
     """
 
-    def __init__(
-        self,
-        fs: int,
-        hrir_duration_s: float = DEFAULT_HRIR_DURATION_S,
-        channel_window_s: float = 0.012,
-        room_cutoff_s: float = ROOM_REFLECTION_CUTOFF_S,
-    ) -> None:
+    def __init__(self, fs: int) -> None:
         if fs <= 0:
             raise SignalError(f"fs must be positive, got {fs}")
         self.fs = fs
-        self.n_hrir = int(round(hrir_duration_s * fs))
-        self.n_channel = int(round(channel_window_s * fs))
-        self.room_cutoff = int(round(room_cutoff_s * fs))
+        self.n_hrir = int(round(DEFAULT_HRIR_DURATION_S * fs))
+        self.n_channel = int(round(CHANNEL_WINDOW_S * fs))
+        self.room_cutoff = int(round(ROOM_REFLECTION_CUTOFF_S * fs))
         if self.n_hrir < 4 * _PRE_SAMPLES:
-            raise SignalError("hrir_duration_s too short for the tap layout")
+            # A loaded capture states its own rate; below ~16 kHz the HRIR
+            # window cannot hold the pre-tap headroom and the pinna taps.
+            raise SignalError(f"fs {fs} Hz is too low for the HRIR tap layout")
 
     def extract_measurements(
         self,

@@ -89,7 +89,6 @@ class DelayMap:
         head: HeadGeometry,
         radii: tuple[float, float, int] = DEFAULT_RADII,
         thetas: tuple[float, float, int] = DEFAULT_THETAS,
-        speed_of_sound: float = SPEED_OF_SOUND,
         model: str = "diffraction",
         refine: bool = True,
     ) -> None:
@@ -123,7 +122,6 @@ class DelayMap:
         self.head = head
         self.model = model
         self.refine = refine
-        self.speed_of_sound = speed_of_sound
         self.radii = np.linspace(r_min, r_max, n_r)
         self.thetas_deg = np.linspace(t_min, t_max, n_t)
 
@@ -143,15 +141,15 @@ class DelayMap:
     def _delays_for(self, sources: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Exact (un-tabulated) per-source binaural delays under the model."""
         if self.model == "diffraction":
-            return binaural_delays_batch(self.head, sources, self.speed_of_sound)
+            return binaural_delays_batch(self.head, sources)
         # The through-the-head straight-line baseline (ablation only).
         t_left = (
             np.linalg.norm(sources - self.head.ear_position(Ear.LEFT), axis=1)
-            / self.speed_of_sound
+            / SPEED_OF_SOUND
         )
         t_right = (
             np.linalg.norm(sources - self.head.ear_position(Ear.RIGHT), axis=1)
-            / self.speed_of_sound
+            / SPEED_OF_SOUND
         )
         return t_left, t_right
 
@@ -715,7 +713,6 @@ def _map_cache_key(
     n_boundary: int,
     radii: tuple[float, float, int],
     thetas: tuple[float, float, int],
-    speed_of_sound: float,
     model: str,
     refine: bool,
 ) -> tuple:
@@ -727,7 +724,6 @@ def _map_cache_key(
         int(n_boundary),
         tuple(radii),
         tuple(thetas),
-        quantize_key_component(speed_of_sound),
         model,
         bool(refine),
     )
@@ -738,7 +734,6 @@ def cached_delay_map(
     n_boundary: int = DEFAULT_BOUNDARY_SAMPLES,
     radii: tuple[float, float, int] = DEFAULT_RADII,
     thetas: tuple[float, float, int] = DEFAULT_THETAS,
-    speed_of_sound: float = SPEED_OF_SOUND,
     model: str = "diffraction",
     refine: bool = True,
 ) -> DelayMap:
@@ -757,9 +752,7 @@ def cached_delay_map(
     its own maps (~2 ms coarse, ~12 ms final), and the on-disk
     :mod:`repro.core.mapstore` keeps head-search outcomes instead.
     """
-    key = _map_cache_key(
-        parameters, n_boundary, radii, thetas, speed_of_sound, model, refine
-    )
+    key = _map_cache_key(parameters, n_boundary, radii, thetas, model, refine)
     with _MAP_CACHE_LOCK:
         cached = _MAP_CACHE.get(key)
         if cached is not None:
@@ -772,7 +765,7 @@ def cached_delay_map(
     obs_metrics.counter("localize.delay_map_cache_misses").inc()
     a, b, c = (float(v) for v in parameters)
     head = HeadGeometry(a=a, b=b, c=c, n_boundary=int(n_boundary))
-    built = DelayMap(head, radii, thetas, speed_of_sound, model=model, refine=refine)
+    built = DelayMap(head, radii, thetas, model=model, refine=refine)
     with _MAP_CACHE_LOCK:
         existing = _MAP_CACHE.get(key)
         if existing is not None:

@@ -116,13 +116,9 @@ class NearFarConverter:
     ----------
     fs:
         Sample rate.
-    min_arc_measurements:
-        If an arc contains fewer measurements than this, the nearest
-        measurements to the arc midpoint are used instead (sparse sweeps).
     """
 
     fs: int
-    min_arc_measurements: int = 1
 
     def convert(
         self,
@@ -235,8 +231,8 @@ class NearFarConverter:
     ) -> tuple[np.ndarray, int]:
         """Per grid angle, the mean of the aligned rows measured on its arc.
 
-        Rows are averaged in measurement order.  An arc with fewer than
-        ``min_arc_measurements`` measurements uses the ones nearest its
+        Rows are averaged in measurement order.  An arc with no
+        measurement on it (a sparse sweep) uses the one nearest its
         midpoint instead and counts as a fallback.
         """
         ordered = phi_from <= phi_to
@@ -247,11 +243,10 @@ class NearFarConverter:
         n_fallback = 0
         for i, in_arc in enumerate(inside):
             rows = np.flatnonzero(in_arc)
-            if rows.shape[0] < self.min_arc_measurements:
+            if rows.shape[0] == 0:
                 n_fallback += 1
                 midpoint = 0.5 * (lo[i] + hi[i])
-                order = np.argsort(np.abs(angles - midpoint))
-                rows = order[: max(self.min_arc_measurements, 1)]
+                rows = np.argsort(np.abs(angles - midpoint))[:1]
             averaged[i] = np.mean(aligned[rows], axis=0)
         return averaged, n_fallback
 

@@ -15,7 +15,7 @@ the angle grid shapes (interpolation, near-far conversion, the table).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Any
 
 import numpy as np
@@ -28,11 +28,7 @@ from repro.obs import trace as obs_trace
 from repro.obs.logging import get_logger, kv
 from repro.obs.trace import Span
 from repro.quality.flags import QualityCollector, QualityFlag
-from repro.quality.preflight import (
-    CaptureHealth,
-    PreflightThresholds,
-    preflight,
-)
+from repro.quality.preflight import CaptureHealth, preflight
 from repro.quality.report import QualityReport, combine_components
 from repro.signals.channel import ProbeChannelBank
 from repro.signals.deconvolve import (
@@ -84,41 +80,21 @@ class UniqConfig:
     ----------
     angle_grid_deg:
         Output table angle grid.
-    fusion:
-        The sensor-fusion stage (swap in a different delay model or grid
-        resolution for ablations).
     enforce_gesture_check:
         When ``True`` (default), a degraded sweep raises
         :class:`repro.errors.CalibrationError` exactly like the real app
         asks the user to redo the gesture.
-    preflight_thresholds:
-        Calibrated envelope for the capture preflight
-        (:mod:`repro.quality.preflight`); ``None`` uses the defaults.
-    salvage:
-        When ``True`` (default), a solve that fails the gesture check on a
-        capture with suspect probes is retried once with those probes
-        dropped before the :class:`repro.errors.CalibrationError`
-        propagates.
     deconv:
         Deconvolution strategy (see :mod:`repro.signals.deconvolve`):
         ``"auto"`` (default) starts on the rung the preflight sentinels
         recommend and climbs the ladder when the solve fails or the gesture
         residual blows up; pinning ``"inverse"``/``"wiener"``/``"tdls"``
         runs exactly that rung with no escalation.
-    max_rung_climbs:
-        Ladder climb budget per run in ``auto`` mode (escalation also
-        requires ``salvage=True``).
     """
 
     angle_grid_deg: tuple[float, ...] = DEFAULT_ANGLE_GRID_DEG
-    fusion: DiffractionAwareSensorFusion = field(
-        default_factory=DiffractionAwareSensorFusion
-    )
     enforce_gesture_check: bool = True
-    preflight_thresholds: PreflightThresholds | None = None
-    salvage: bool = True
     deconv: str = "auto"
-    max_rung_climbs: int = 2
 
 
 @dataclass(frozen=True)
@@ -349,7 +325,7 @@ class Uniq:
         # recordings: the preflight sentinels, fusion's delay extraction
         # and the interpolator's HRIR extraction all read through it.
         bank = ProbeChannelBank(session.probe_signal)
-        health = preflight(session, self.config.preflight_thresholds, collector, bank)
+        health = preflight(session, collector, bank)
         if health.n_usable == 0:
             raise SignalError(
                 "capture preflight found no usable probe: "
@@ -486,18 +462,14 @@ class Uniq:
         salvage retry with suspects dropped).  A rung whose solve raises
         :class:`repro.errors.CalibrationError` — or succeeds with a gesture
         residual past :data:`_ESCALATE_RESIDUAL_DEG` — escalates to the
-        next method while the climb budget lasts; the best successful
+        next method in ``auto`` mode until the top rung; the best successful
         fusion (smallest residual) across rungs is the one kept, so a
         climb can never make a capture worse.  Raises the last rung's
         error when no rung produced a usable fusion.
         """
         method = bank.method
         rung_path = [method]
-        climbs_left = (
-            int(self.config.max_rung_climbs)
-            if self.config.deconv == "auto" and self.config.salvage
-            else 0
-        )
+        auto = self.config.deconv == "auto"
         best: tuple[FusionResult, str] | None = None
         while True:
             fusion: FusionResult | None = None
@@ -516,7 +488,7 @@ class Uniq:
                     best = (fusion, method)
                 if fusion.residual_deg < _ESCALATE_RESIDUAL_DEG:
                     break
-            next_method = ladder_next(method) if climbs_left > 0 else None
+            next_method = ladder_next(method) if auto else None
             if next_method is None:
                 if best is not None:
                     break
@@ -533,7 +505,6 @@ class Uniq:
             self._climb(bank, method, next_method, collector, reason, health)
             method = next_method
             rung_path.append(method)
-            climbs_left -= 1
         fusion, method = best
         return fusion, method, rung_path
 
@@ -573,7 +544,7 @@ class Uniq:
         collector: QualityCollector,
     ) -> FusionResult:
         """One fusion solve + gesture check under the given probe weights."""
-        fusion = self.config.fusion.run(
+        fusion = DiffractionAwareSensorFusion().run(
             session, bank=bank, probe_weights=weights, quality=collector
         )
         if self.config.enforce_gesture_check:
@@ -600,17 +571,13 @@ class Uniq:
         Down-weighted suspects can still drag the optimizer off a good
         head fit; when enough healthy probes remain, dropping the suspects
         entirely and re-solving often recovers a usable gesture.  If
-        salvage is disabled, impossible (too few healthy probes), or
-        pointless (nothing was suspect), the original error propagates.
+        salvage is impossible (too few healthy probes) or pointless
+        (nothing was suspect), the original error propagates.
         """
         weights = health.weights
         retry_weights = np.where(weights >= 1.0, 1.0, 0.0)
         n_healthy = int(np.count_nonzero(retry_weights))
-        if (
-            not self.config.salvage
-            or not salvage["suspect_probes"]
-            or n_healthy < 5
-        ):
+        if not salvage["suspect_probes"] or n_healthy < 5:
             raise error
         collector.flag(
             "pipeline",

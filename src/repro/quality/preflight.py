@@ -116,7 +116,7 @@ class PreflightThresholds:
     oob_noise_bad: float = 0.45
 
 
-#: Shared default thresholds.
+#: The calibrated envelope every preflight grades against.
 DEFAULT_THRESHOLDS = PreflightThresholds()
 
 
@@ -215,11 +215,10 @@ def _grade(
 
 def preflight(
     session: SessionData,
-    thresholds: PreflightThresholds | None = None,
     collector: QualityCollector | None = None,
     bank: ProbeChannelBank | None = None,
 ) -> CaptureHealth:
-    """Grade a capture before any solve; see module docstring.
+    """Grade a capture before any solve against :data:`DEFAULT_THRESHOLDS`.
 
     The reverberation sentinel reads its sampled channels through ``bank``
     — the pipeline passes the session bank, still on rung 0, so fusion
@@ -231,7 +230,7 @@ def preflight(
     SignalError
         If there are no probes at all (nothing to grade).
     """
-    t = thresholds if thresholds is not None else DEFAULT_THRESHOLDS
+    t = DEFAULT_THRESHOLDS
     quality = collector if collector is not None else QualityCollector()
     if session.n_probes == 0:
         raise SignalError("capture has no probe recordings")

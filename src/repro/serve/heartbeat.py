@@ -3,10 +3,10 @@
 A dead worker is easy to see (the executor breaks); a *hung* one — wedged
 in native code, deadlocked, or stalled on I/O — looks exactly like a slow
 job from the parent's side.  The watchdog needs a liveness signal that is
-independent of task completion, so every non-inline task is wrapped in
-:func:`run_with_heartbeat`: the worker writes its pid into a per-attempt
-heartbeat file the moment it picks the task up and then re-touches the
-file from a daemon thread every ``interval`` seconds.  The parent's
+independent of task completion, so the pool's worker-side task shim calls
+:func:`start`: the worker writes its pid into a per-attempt heartbeat file
+the moment it picks the task up and then re-touches the file from a daemon
+thread every :data:`HEARTBEAT_INTERVAL_S` seconds.  The parent's
 watchdog (see :class:`repro.serve.pool.WorkerPool`) compares the file's
 mtime against a deadline; a stale file names the exact pid to SIGKILL.
 
@@ -25,16 +25,20 @@ from __future__ import annotations
 
 import os
 import threading
-import time
 
 __all__ = [
+    "HEARTBEAT_INTERVAL_S",
     "heartbeat_pid",
     "last_beat",
     "resume",
-    "run_with_heartbeat",
+    "start",
     "suspend",
     "suspended",
 ]
+
+#: Seconds between beats.  A watchdog deadline should span several of them
+#: (the durability tests use 0.5 s).
+HEARTBEAT_INTERVAL_S = 0.2
 
 #: Per-process suspension switch (set by the ``worker_hang`` fault).
 _suspended = threading.Event()
@@ -62,8 +66,8 @@ def _beat(path: str) -> None:
     os.replace(tmp, path)
 
 
-def _beater(path: str, interval_s: float, stop: threading.Event) -> None:
-    while not stop.wait(interval_s):
+def _beater(path: str, stop: threading.Event) -> None:
+    while not stop.wait(HEARTBEAT_INTERVAL_S):
         if not _suspended.is_set():
             try:
                 _beat(path)
@@ -71,28 +75,20 @@ def _beater(path: str, interval_s: float, stop: threading.Event) -> None:
                 return
 
 
-def run_with_heartbeat(payload) -> object:
-    """Top-level pool shim: ``(fn, arg, hb_path, interval_s)`` -> ``fn(arg)``.
+def start(hb_path: str) -> threading.Event:
+    """Beat ``hb_path`` now and from a daemon thread until the event is set.
 
-    The first beat happens synchronously before ``fn`` runs — it marks the
-    pickup time and publishes the worker pid — then a daemon thread keeps
-    beating until the task returns (or the process dies, which is the
-    point).
+    The first beat happens synchronously, before the task runs: it marks
+    the pickup time and publishes the worker pid.  The thread keeps beating
+    until the caller sets the returned event (or the process dies, which is
+    the point).
     """
-    fn, arg, hb_path, interval_s = payload
     _beat(hb_path)
     stop = threading.Event()
-    thread = threading.Thread(
-        target=_beater,
-        args=(hb_path, interval_s, stop),
-        name="repro-heartbeat",
-        daemon=True,
-    )
-    thread.start()
-    try:
-        return fn(arg)
-    finally:
-        stop.set()
+    threading.Thread(
+        target=_beater, args=(hb_path, stop), name="repro-heartbeat", daemon=True
+    ).start()
+    return stop
 
 
 def last_beat(hb_path: str) -> float | None:

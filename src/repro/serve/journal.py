@@ -104,15 +104,17 @@ class JournalState:
     outcomes of the spec and are never re-executed.  ``transient`` holds
     the latest transient failure per spec key (crashed / timed out after
     retries) — informational only, those specs re-run on resume.
-    ``submitted`` maps spec keys to the job ids that asked for them;
-    anything submitted (or started) without a terminal record is
-    in-flight and must be re-enqueued.
+    ``submitted`` maps spec keys to the job ids that asked for them, and
+    ``started`` maps them to the wall-clock ``t`` of their latest
+    ``started`` record (``None`` when it had none); anything submitted (or
+    started) without a terminal record is in-flight and must be
+    re-enqueued.
     """
 
     done: dict[str, dict[str, Any]] = field(default_factory=dict)
     transient: dict[str, dict[str, Any]] = field(default_factory=dict)
     submitted: dict[str, list[str]] = field(default_factory=dict)
-    started: set[str] = field(default_factory=set)
+    started: dict[str, float | None] = field(default_factory=dict)
     corrupt: list[tuple[int, str]] = field(default_factory=list)
     n_records: int = 0
     last_seq: int = 0
@@ -128,7 +130,7 @@ class JournalState:
 
     def pending(self) -> list[str]:
         """Spec keys journaled as submitted/started but not terminal."""
-        keys = set(self.submitted) | self.started
+        keys = set(self.submitted) | set(self.started)
         return sorted(keys - set(self.done))
 
     def apply(self, record: Mapping[str, Any]) -> None:
@@ -143,7 +145,7 @@ class JournalState:
             if job_id is not None and job_id not in ids:
                 ids.append(job_id)
         elif event == "started" and key is not None:
-            self.started.add(key)
+            self.started[key] = record.get("t")
         elif event == "done" and key is not None:
             self.done[key] = dict(record)
             self.transient.pop(key, None)
@@ -224,27 +226,14 @@ class Journal:
     fsync:
         Flush every append to disk (default).  The format and atomic
         checkpoints are unaffected when off; only power-loss durability is.
-    compact_every:
-        Auto-checkpoint after this many appends since the last compaction
-        (``None`` disables; explicit :meth:`checkpoint` calls always work).
     """
 
-    def __init__(
-        self,
-        path: str | os.PathLike,
-        *,
-        fsync: bool = True,
-        compact_every: int | None = None,
-    ) -> None:
-        if compact_every is not None and compact_every < 1:
-            raise ReproError(f"compact_every must be >= 1, got {compact_every}")
+    def __init__(self, path: str | os.PathLike, *, fsync: bool = True) -> None:
         self.path = os.fspath(path)
         self.fsync = bool(fsync)
-        self.compact_every = compact_every
         self._lock = threading.RLock()
         self._state = replay_journal(self.path)
         self._seq = self._state.last_seq
-        self._since_compact = 0
         self._handle = open(self.path, "a")
 
     # -- introspection ------------------------------------------------------
@@ -275,13 +264,7 @@ class Journal:
             if self.fsync:
                 os.fsync(self._handle.fileno())
             self._state.apply(record)
-            self._since_compact += 1
             obs_metrics.counter("serve.journal.appends").inc()
-            if (
-                self.compact_every is not None
-                and self._since_compact >= self.compact_every
-            ):
-                self._checkpoint_locked()
             return record
 
     # -- checkpoint compaction ----------------------------------------------
@@ -290,8 +273,10 @@ class Journal:
         """Compact the journal to its live state, atomically.
 
         Keeps one terminal record per finished spec key, the latest
-        transient failure per unfinished one, and every ``submitted``
-        job-id mapping, under a fresh ``checkpoint`` header.  Written via ``tmp + fsync + os.replace`` — a crash during
+        transient failure per unfinished one, every ``submitted`` job-id
+        mapping and the latest ``started`` record (with its ``t``) of each
+        unfinished spec key, under a fresh ``checkpoint`` header.  Written
+        via ``tmp + fsync + os.replace`` — a crash during
         compaction leaves the previous journal intact.  Returns the number
         of records in the compacted journal.
         """
@@ -318,7 +303,11 @@ class Journal:
             for job_id in state.submitted[key]:
                 add("submitted", spec_key=key, job_id=job_id)
         for key in sorted(set(state.started) - set(state.done)):
-            add("started", spec_key=key)
+            started_t = state.started[key]
+            if started_t is None:
+                add("started", spec_key=key)
+            else:
+                add("started", spec_key=key, t=started_t)
         for key in sorted(state.transient):
             if key not in state.done:
                 record = {
@@ -347,7 +336,6 @@ class Journal:
         fresh.corrupt = list(state.corrupt)
         self._state = fresh
         self._seq = fresh.last_seq
-        self._since_compact = 0
         obs_metrics.counter("serve.journal.checkpoints").inc()
         _log.info(
             kv(

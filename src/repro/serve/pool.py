@@ -17,9 +17,10 @@ managed workload needs and a bare executor lacks:
   whose beat goes stale past ``heartbeat_deadline_s`` is SIGKILLed and the
   task retried as a transient failure, exactly like a crash;
 - **per-task timeouts** via timers — a task over budget resolves as
-  ``timeout`` without blocking the caller; with the watchdog enabled and
-  ``retry_timeouts`` on, the stuck worker is killed (freeing its slot) and
-  the task retried instead;
+  ``timeout`` without blocking the caller, and is never retried;
+- **the worker pid of every attempt** that returned or raised, reported by
+  the worker itself (:func:`_run_task`); a worker that died is named only
+  by its heartbeat;
 - **inline mode** (``workers <= 1`` by default) that runs tasks in the
   calling process with no subprocess at all — the single-core opt-out
   :func:`repro.eval.common.get_cohort` has always honored via
@@ -119,6 +120,26 @@ def _noop() -> None:
     """Warmup task: forces worker processes to exist (fork now, not later)."""
 
 
+def _run_task(payload) -> tuple[int, Any]:
+    """Worker-side shim of every process-mode task: ``(fn, arg, hb_path)``.
+
+    Returns ``(pid, fn(arg))``, and stamps the pid on any exception
+    ``fn`` raises as ``worker_pid`` (instance attributes survive the
+    exception's pickling home).  With an ``hb_path`` the task beats its
+    heartbeat file while it runs.
+    """
+    fn, arg, hb_path = payload
+    stop = hb.start(hb_path) if hb_path is not None else None
+    try:
+        return os.getpid(), fn(arg)
+    except Exception as error:
+        error.worker_pid = os.getpid()
+        raise
+    finally:
+        if stop is not None:
+            stop.set()
+
+
 def _init_worker(map_store: str | None) -> None:
     """Executor initializer: activate the head-search store per worker.
 
@@ -169,10 +190,8 @@ class WorkerPool:
         Enable the watchdog: a task whose worker has not heartbeaten for
         this long is presumed hung; the worker is SIGKILLed and the task
         retried as a transient failure.  ``None`` (default) disables the
-        watchdog and the heartbeat wrapping entirely.
-    heartbeat_interval_s:
-        How often workers touch their heartbeat file (only meaningful with
-        a deadline; keep the deadline several intervals wide).
+        watchdog and the heartbeats.  Keep the deadline several
+        :data:`repro.serve.heartbeat.HEARTBEAT_INTERVAL_S` wide.
     map_store:
         Head-search outcome store directory (:mod:`repro.core.mapstore`),
         activated as ``REPRO_MAP_STORE`` in every worker process (and in
@@ -188,7 +207,6 @@ class WorkerPool:
         inline: bool | None = None,
         retry_policy: RetryPolicy | None = None,
         heartbeat_deadline_s: float | None = None,
-        heartbeat_interval_s: float = 0.2,
         map_store: str | os.PathLike | None = None,
     ) -> None:
         self.workers = max(1, int(workers if workers is not None else os.cpu_count() or 1))
@@ -205,7 +223,6 @@ class WorkerPool:
             else RetryPolicy(**DEFAULT_RETRY)
         )
         self.heartbeat_deadline_s = heartbeat_deadline_s
-        self.heartbeat_interval_s = float(heartbeat_interval_s)
         self._lock = threading.Lock()
         self._executor: ProcessPoolExecutor | None = None
         self._closed = False
@@ -354,13 +371,9 @@ class WorkerPool:
                         self._hb_dir.name,
                         f"task{task.task_id}-a{task.attempts}.hb",
                     )
-                    future = executor.submit(
-                        hb.run_with_heartbeat,
-                        (task.fn, task.arg, task.hb_path,
-                         self.heartbeat_interval_s),
-                    )
-                else:
-                    future = executor.submit(task.fn, task.arg)
+                future = executor.submit(
+                    _run_task, (task.fn, task.arg, task.hb_path)
+                )
                 self._running.add(task)
         if not submitted:
             # Outside the lock: the resolution callback belongs to the
@@ -394,7 +407,7 @@ class WorkerPool:
 
     def _run_watchdog(self) -> None:
         deadline = float(self.heartbeat_deadline_s or 0.0)
-        interval = max(0.02, min(self.heartbeat_interval_s, deadline / 4.0))
+        interval = max(0.02, min(hb.HEARTBEAT_INTERVAL_S, deadline / 4.0))
         while not self._watchdog_stop.wait(interval):
             obs_metrics.counter("serve.watchdog.scans").inc()
             now = time.time()
@@ -434,22 +447,6 @@ class WorkerPool:
     # -- completion ---------------------------------------------------------
 
     def _timed_out(self, task: _Task, future) -> None:
-        policy = self.retry_policy
-        if (
-            policy.retry_timeouts
-            and task.hb_path is not None
-            and not task.resolved
-        ):
-            pid = hb.heartbeat_pid(task.hb_path)
-            if pid is not None:
-                # Convert the timeout into a watchdog kill: the slot comes
-                # back, the future breaks, and the crash path (which owns
-                # the retry/backoff decision) takes over.
-                obs_metrics.counter("serve.pool.timeouts").inc()
-                policy.classify("timeout")
-                task.hung = True
-                self._kill_worker(pid, task)
-                return
         with self._lock:
             if task.resolved:
                 return
@@ -457,7 +454,7 @@ class WorkerPool:
             self._running.discard(task)
         future.cancel()
         obs_metrics.counter("serve.pool.timeouts").inc()
-        policy.classify("timeout")
+        self.retry_policy.classify("timeout")
         duration = time.perf_counter() - task.started
         task.end_attempt("timeout", self._attempt_pid(task))
         task.on_done(
@@ -482,7 +479,7 @@ class WorkerPool:
             return
         duration = time.perf_counter() - task.started
         try:
-            value = future.result()
+            pid, value = future.result()
         except BrokenProcessPool:
             self._worker_died(task, duration)
             return
@@ -494,7 +491,7 @@ class WorkerPool:
                 task.resolved = True
             obs_metrics.counter("serve.pool.errors").inc()
             self.retry_policy.classify("error", error)
-            task.end_attempt("error", self._attempt_pid(task))
+            task.end_attempt("error", getattr(error, "worker_pid", None))
             task.on_done(
                 TaskOutcome(
                     status="error",
@@ -512,11 +509,6 @@ class WorkerPool:
                 return
             task.resolved = True
         obs_metrics.counter("serve.pool.completed").inc()
-        pid = self._attempt_pid(task)
-        if pid is None and isinstance(value, dict):
-            # Telemetry-wrapped runners report their pid in the payload —
-            # more reliable than the heartbeat file, which needs a watchdog.
-            pid = (value.get("_telemetry") or {}).get("worker_pid")
         task.end_attempt("ok", pid)
         task.on_done(
             TaskOutcome(

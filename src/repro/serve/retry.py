@@ -53,11 +53,6 @@ class RetryPolicy:
         ``(seed, token, attempt)``.
     seed:
         Jitter seed; fixed seed + fixed tokens = bit-identical schedule.
-    retry_timeouts:
-        Timeouts are classified transient, but retrying them is opt-in:
-        a deterministic job that blew its budget once will usually blow
-        it again, and the stuck worker still occupies a slot unless a
-        watchdog frees it.
     max_total_retries:
         Per-batch retry budget across all tasks; ``None`` means
         unbounded.  When the budget runs out, further transient failures
@@ -70,7 +65,6 @@ class RetryPolicy:
     max_backoff_s: float = 2.0
     jitter_frac: float = 0.25
     seed: int = 0
-    retry_timeouts: bool = False
     max_total_retries: int | None = None
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
@@ -97,9 +91,9 @@ class RetryPolicy:
         Consumes one unit of the per-batch budget when it says yes; the
         answer is final (callers must not re-ask for the same failure).
         """
-        if status not in TRANSIENT_STATUSES:
-            return False
-        if status == "timeout" and not self.retry_timeouts:
+        # Only a crash is retried.  A timeout is transient, but a
+        # deterministic job that blew its budget once would blow it again.
+        if status != "crashed":
             return False
         if attempts > self.max_transient_retries:
             return False

@@ -292,10 +292,11 @@ class BatchServer:
         ``journal``.  Without ``resume``, a non-empty journal is refused —
         silently appending a fresh batch onto an old journal is almost
         never what the caller meant.
-    heartbeat_deadline_s / heartbeat_interval_s:
-        Enable the pool watchdog: workers heartbeat every ``interval``;
-        one silent for longer than ``deadline`` is killed and its job
-        retried as a transient failure.
+    heartbeat_deadline_s:
+        Enable the pool watchdog: workers heartbeat every
+        :data:`repro.serve.heartbeat.HEARTBEAT_INTERVAL_S`; one silent for
+        longer than the deadline is killed and its job retried as a
+        transient failure.
     telemetry:
         ``True`` (or a :class:`repro.serve.telemetry.ServeTelemetry`)
         turns on worker span capture: jobs run under
@@ -326,7 +327,6 @@ class BatchServer:
         journal: Journal | str | os.PathLike | None = None,
         resume: bool = False,
         heartbeat_deadline_s: float | None = None,
-        heartbeat_interval_s: float = 0.2,
         telemetry: bool | ServeTelemetry | None = None,
         map_store: str | os.PathLike | None = None,
     ) -> None:
@@ -385,7 +385,6 @@ class BatchServer:
             inline=False,
             retry_policy=retry_policy,
             heartbeat_deadline_s=heartbeat_deadline_s,
-            heartbeat_interval_s=heartbeat_interval_s,
             map_store=map_store,
         )
         self.workers = self._pool.workers

@@ -1,10 +1,19 @@
 """Public API surface tests."""
 
+import dataclasses
 import importlib
+import inspect
 
 import pytest
 
 import repro
+from repro.core import (
+    DiffractionAwareSensorFusion,
+    NearFarConverter,
+    NearFieldInterpolator,
+    UniqConfig,
+)
+from repro.quality import preflight
 
 
 PACKAGES = (
@@ -54,6 +63,23 @@ class TestPublicApi:
             repro.TableError,
         ):
             assert issubclass(error, repro.ReproError)
+
+    def test_personalization_option_surface(self):
+        """Personalization is configured by four values; a new knob must
+        change this test on purpose."""
+
+        def names(cls):
+            return [f.name for f in dataclasses.fields(cls)]
+
+        assert names(UniqConfig) == [
+            "angle_grid_deg", "enforce_gesture_check", "deconv",
+        ]
+        assert names(DiffractionAwareSensorFusion) == ["delay_model"]
+        for stage in (NearFieldInterpolator, NearFarConverter):
+            assert list(inspect.signature(stage).parameters) == ["fs"]
+        assert list(inspect.signature(preflight).parameters) == [
+            "session", "collector", "bank",
+        ]
 
     def test_constants_sane(self):
         assert repro.SPEED_OF_SOUND == pytest.approx(343.0)

@@ -139,4 +139,4 @@ class TestGridBuilding:
         with pytest.raises(SignalError):
             NearFieldInterpolator(0)
         with pytest.raises(SignalError):
-            NearFieldInterpolator(FS, hrir_duration_s=1e-5)
+            NearFieldInterpolator(8_000)

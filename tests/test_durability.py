@@ -107,10 +107,9 @@ class TestRetryPolicy:
         assert policy.should_retry("crashed", attempts=1)
         assert policy.should_retry("crashed", attempts=2)
         assert not policy.should_retry("crashed", attempts=3)
-
-    def test_timeouts_retry_only_when_opted_in(self):
-        assert not RetryPolicy().should_retry("timeout", attempts=1)
-        assert RetryPolicy(retry_timeouts=True).should_retry("timeout", attempts=1)
+        # A timeout is transient but never retried: a deterministic job
+        # that blew its budget once would blow it again.
+        assert not policy.should_retry("timeout", attempts=1)
 
     def test_backoff_is_deterministic_and_capped(self):
         policy = RetryPolicy(
@@ -273,17 +272,6 @@ class TestJournal:
         replayed = replay_journal(path)
         assert set(replayed.done) == set(before.done)
         assert replayed.pending() == before.pending()
-
-    def test_auto_compaction_bounds_the_file(self, tmp_path):
-        path = tmp_path / "j"
-        with Journal(path, fsync=False, compact_every=10) as journal:
-            for i in range(100):
-                journal.append(
-                    "done", spec_key=_spec(i % 3), job_id=f"j{i}",
-                    status="ok", payload={},
-                )
-        # 100 appends over 3 live keys: the file stays near the live size.
-        assert len(path.read_text().splitlines()) <= 10
 
 
 # Hypothesis: replay of ANY journal prefix never forgets a terminal record
@@ -487,7 +475,7 @@ class TestServerJournal:
         with BatchServer(
             workers=1, runner=digest_runner,
             retry_policy=RetryPolicy(**QUICK_RETRY),
-            heartbeat_deadline_s=0.5, heartbeat_interval_s=0.1,
+            heartbeat_deadline_s=0.5,
         ) as server:
             report = server.run_batch(jobs)
         assert report.counts == {"ok": 1}
@@ -503,7 +491,7 @@ class TestServerJournal:
         with BatchServer(
             workers=1, runner=digest_runner,
             retry_policy=RetryPolicy(**QUICK_RETRY),
-            heartbeat_deadline_s=0.5, heartbeat_interval_s=0.1,
+            heartbeat_deadline_s=0.5,
         ) as server:
             report = server.run_batch(jobs)
         assert report.counts == {"ok": 1}

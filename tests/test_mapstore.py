@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 import repro
-from repro.constants import SPEED_OF_SOUND
 from repro.core import mapstore
 from repro.core.fusion import DiffractionAwareSensorFusion
 from repro.core.localize import (
@@ -209,11 +208,9 @@ class TestKeyQuantization:
         assert cached_delay_map(nudged, 240, **GRID) is first
         assert delay_map_cache_size() == 1
         assert _map_cache_key(
-            nudged, 240, GRID["radii"], GRID["thetas"], SPEED_OF_SOUND,
-            "diffraction", True,
+            nudged, 240, GRID["radii"], GRID["thetas"], "diffraction", True,
         ) == _map_cache_key(
-            PARAMS, 240, GRID["radii"], GRID["thetas"], SPEED_OF_SOUND,
-            "diffraction", True,
+            PARAMS, 240, GRID["radii"], GRID["thetas"], "diffraction", True,
         )
 
     def test_distinct_parameters_get_distinct_artifacts(

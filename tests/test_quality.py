@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import CalibrationError, ReproError, SignalError
+from repro.errors import ReproError, SignalError
 from repro.quality import (
     STAGES,
     QualityCollector,
@@ -29,12 +29,7 @@ from repro.quality import (
     fitness_score,
     preflight,
 )
-from repro.core.pipeline import (
-    Uniq,
-    UniqConfig,
-    grid_from_step,
-    personalize_capture,
-)
+from repro.core.pipeline import personalize_capture
 from repro.simulation.person import VirtualSubject
 from repro.simulation.session import MeasurementSession, ProbeMeasurement
 from repro.testing.faults import (
@@ -321,16 +316,6 @@ class TestProbeSalvage:
             flag.key == "pipeline.salvage_retry" for flag in result.quality.flags
         )
         assert result.confidence < 1.0
-
-    def test_salvage_disabled_propagates_the_error(self, base_session):
-        session = _clip_probe_subset(
-            base_session, base_session.n_probes // 2, 0.03 * _peak(base_session)
-        )
-        config = UniqConfig(
-            angle_grid_deg=grid_from_step(FAST["angle_step_deg"]), salvage=False
-        )
-        with pytest.raises(CalibrationError):
-            Uniq(config).personalize(session)
 
 
 class TestImuFaultHelpers:

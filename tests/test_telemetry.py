@@ -26,7 +26,7 @@ from repro.obs.metrics import Counter, MetricsRegistry, diff_snapshots
 from repro.obs.report import self_durations
 from repro.obs.trace import Span
 from repro.serve import BatchReport, BatchServer, Job, JobResult, Journal
-from repro.serve.journal import read_records
+from repro.serve.journal import read_records, replay_journal
 from repro.serve.telemetry import (
     SLO_STATS,
     ServeTelemetry,
@@ -35,7 +35,7 @@ from repro.serve.telemetry import (
 )
 from repro.serve.worker import execute_job
 from repro.testing.golden import CASE_CONFIG
-from repro.testing.workloads import digest_runner
+from repro.testing.workloads import FAILING_FAULT, digest_runner
 from repro.textplot import gantt
 
 
@@ -535,6 +535,23 @@ class TestJournalTimeline:
         assert "█" in rows["pid 11"] and "─" not in rows["pid 11"]
         assert rows["pid ?"].rstrip("|").endswith("─")
 
+    def test_checkpoint_keeps_the_open_bar_start(self, tmp_path, capsys):
+        # Compaction rewrites an unfinished job's started record with its
+        # t, so the open bar still starts where the job was dispatched.
+        path = tmp_path / "j.journal"
+        with Journal(path, fsync=False) as journal:
+            journal.append("submitted", spec_key="a", job_id="a")
+            journal.append("submitted", spec_key="b", job_id="b")
+            journal.append("started", spec_key="b", t=100.0)
+            journal.append("done", spec_key="a", job_id="a", status="ok",
+                           payload={}, attempts=1, t=101.0, run_s=0.5,
+                           worker_pid=11)
+            journal.checkpoint()
+        assert replay_journal(path).started == {"b": 100.0}
+        rc, text = _timeline(capsys, path)
+        assert rc == 0
+        assert "1 jobs, 1 attempts, 1 open, 1.00 s window" in text
+
     def test_retried_job_draws_every_attempt(self, tmp_path, capsys):
         path = tmp_path / "j.journal"
         log = [
@@ -590,6 +607,23 @@ class TestTimelineCli:
         assert "critical path (span self-time over 4 traces)" in text
         assert "serve.worker.job" in text
         assert out_path.read_text().strip() in text
+
+    def test_telemetry_off_batch_names_every_worker(self, tmp_path, capsys):
+        # Without telemetry or a watchdog the pool's worker shim still
+        # reports the pid of every attempt, a failing one included.
+        path = tmp_path / "batch.journal"
+        jobs = _jobs(3) + [Job(job_id="bad", subject_seed=9, fault=FAILING_FAULT)]
+        with BatchServer(workers=2, runner=digest_runner,
+                         journal=Journal(path, fsync=False)) as server:
+            report = server.run_batch(jobs)
+        assert report.counts == {"ok": 3, "failed": 1}
+        records, _ = read_records(path)
+        terminal = [r for r in records if r["event"] in ("done", "failed")]
+        assert len(terminal) == 4
+        assert all(r["worker_pid"] > 0 for r in terminal)
+        rc, text = _timeline(capsys, path)
+        assert rc == 0
+        assert "pid ?" not in text
 
     def test_empty_or_missing_stream_is_a_usage_error(self, tmp_path, capsys):
         from repro.cli import main
