@@ -161,8 +161,8 @@ def build_batch_parser() -> argparse.ArgumentParser:
         prog="python -m repro.cli batch",
         description=(
             "Run a JSONL file of personalization jobs through the batch "
-            "server: bounded queue, worker pool, per-job timeouts, crash "
-            "retry, request coalescing."
+            "server: worker pool, per-job timeouts, crash retry, request "
+            "coalescing."
         ),
     )
     parser.add_argument(
@@ -176,12 +176,6 @@ def build_batch_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="worker process count (default: cpu count)",
-    )
-    parser.add_argument(
-        "--queue-size",
-        type=int,
-        default=None,
-        help="bound on the pending-job queue (default: 64)",
     )
     parser.add_argument(
         "--timeout",
@@ -290,7 +284,6 @@ def main_batch(argv: list[str] | None = None) -> int:
     import signal
 
     from repro.serve import BatchServer, RetryPolicy, load_jobs
-    from repro.serve.server import DEFAULT_QUEUE_SIZE
     from repro.serve.telemetry import SloPolicy
 
     args = build_batch_parser().parse_args(argv)
@@ -315,13 +308,11 @@ def main_batch(argv: list[str] | None = None) -> int:
     retry_policy = None
     if args.retries is not None:
         retry_policy = RetryPolicy(max_transient_retries=args.retries)
-    queue_size = args.queue_size if args.queue_size else DEFAULT_QUEUE_SIZE
     print(f"jobs             : {len(jobs)} from {args.jobs}")
     previous_handlers = {}
     try:
         server = BatchServer(
             workers=args.workers,
-            queue_size=queue_size,
             default_timeout_s=args.timeout,
             coalesce=not args.no_coalesce,
             retry_policy=retry_policy,
@@ -338,7 +329,7 @@ def main_batch(argv: list[str] | None = None) -> int:
     def _interrupt(signum, frame):  # noqa: ARG001 - signal signature
         name = signal.Signals(signum).name
         print(f"\n{name} received: draining — in-flight jobs finish, "
-              f"queued jobs return to the journal", file=sys.stderr)
+              f"waiting jobs return to the journal", file=sys.stderr)
         server.interrupt()
 
     with server:
@@ -349,7 +340,6 @@ def main_batch(argv: list[str] | None = None) -> int:
             for signum in (signal.SIGINT, signal.SIGTERM):
                 previous_handlers[signum] = signal.signal(signum, _interrupt)
         print(f"server           : {server.workers} workers, "
-              f"queue bound {queue_size}, "
               f"coalescing {'on' if server.coalesce else 'off'}")
         if server.map_store is not None:
             print(f"map store        : {server.map_store}")
@@ -792,7 +782,7 @@ def main_fleet(argv: list[str] | None = None) -> int:
     Exit codes: 0 clean, 1 baseline drift (``compare``), 2 the inputs
     (report, baseline file, or server options) could not be used, 3 the
     run left subjects the service never measured (``crashed``,
-    ``timeout``, ``interrupted`` or ``rejected``).  A ``failed`` subject
+    ``timeout`` or ``interrupted``).  A ``failed`` subject
     is a measured outcome: it counts in the failure rate only.
     """
     import json

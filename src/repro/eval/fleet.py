@@ -74,9 +74,7 @@ RATE_METRICS = ("failure_rate", "salvage_rate", "retry_rate")
 #: Statuses under which the service measured nothing about the subject.  A
 #: ``failed`` subject (its job raised) is a measured outcome and only feeds
 #: ``failure_rate``; these mean the run itself is broken.
-UNMEASURED_STATUSES = frozenset(
-    {"crashed", "timeout", "interrupted", "rejected"}
-)
+UNMEASURED_STATUSES = frozenset({"crashed", "timeout", "interrupted"})
 
 
 @dataclass(frozen=True)

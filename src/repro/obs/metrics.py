@@ -55,7 +55,7 @@ TIME_BUCKETS_S = (
 class Counter:
     """A monotonically increasing total.
 
-    Thread-safe: serve-layer pool callbacks and the batch scheduler bump
+    Thread-safe: serve-layer pool callbacks and batch submitters bump
     counters from several threads at once, and ``value += amount`` is a
     read-modify-write that loses increments under that interleaving.  The
     per-metric lock makes every increment exact; the uncontended acquire is

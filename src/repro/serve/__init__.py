@@ -10,7 +10,7 @@ one managed batch out.  The pieces:
   under :func:`repro.eval.common.get_cohort`);
 - :mod:`repro.serve.retry`   — :class:`RetryPolicy`: transient-vs-permanent
   failure classification, capped exponential backoff with deterministic
-  jitter, per-batch retry budget;
+  jitter, a per-task retry cap;
 - :mod:`repro.serve.journal` — :class:`Journal`, the append-only, fsync'd,
   checksummed write-ahead log that makes batches crash-safe and resumable;
 - :mod:`repro.serve.worker`  — the worker-side runner
@@ -19,10 +19,11 @@ one managed batch out.  The pieces:
   span trees grafted under the server's queue/attempt/retry spans) and
   :class:`SloPolicy`, which judges statistics computed from a finished
   :class:`BatchReport`;
-- :mod:`repro.serve.server`  — :class:`BatchServer`: one bounded priority
-  queue with backpressure, one worker pool, per-job timeouts, classified
-  retries, request coalescing, journaling/resume, graceful drain,
-  metrics, and the structured :class:`BatchReport`.
+- :mod:`repro.serve.server`  — :class:`BatchServer`: ``submit`` dispatches
+  in the caller's thread with backpressure at the worker slots, one worker
+  pool, per-job timeouts, classified retries, request coalescing,
+  journaling/resume, graceful drain, metrics, and the structured
+  :class:`BatchReport`.
 
 Quickstart::
 
@@ -42,7 +43,6 @@ Or from the command line (resumable after a crash or Ctrl-C)::
 """
 
 from repro.serve.job import (
-    REJECTION_REASONS,
     STATUSES,
     Job,
     JobResult,
@@ -52,19 +52,17 @@ from repro.serve.job import (
 from repro.serve.journal import Journal, JournalState, replay_journal
 from repro.serve.pool import TaskOutcome, WorkerPool
 from repro.serve.retry import RetryPolicy
-from repro.serve.server import DEFAULT_QUEUE_SIZE, BatchReport, BatchServer
+from repro.serve.server import BatchReport, BatchServer
 from repro.serve.telemetry import ServeTelemetry, SloPolicy
 from repro.serve.worker import execute_job, run_with_telemetry
 
 __all__ = [
     "BatchReport",
     "BatchServer",
-    "DEFAULT_QUEUE_SIZE",
     "Job",
     "JobResult",
     "Journal",
     "JournalState",
-    "REJECTION_REASONS",
     "RetryPolicy",
     "STATUSES",
     "ServeTelemetry",

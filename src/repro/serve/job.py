@@ -3,7 +3,7 @@
 A :class:`Job` names one personalization to run — either a seeded virtual
 capture (``subject_seed`` + ``session_seed``) or an on-disk session file
 (``session_path``, as written by :func:`repro.datasets.save_session`) — plus
-the service-level knobs: priority, per-job timeout, and optional fault
+the service-level knobs: per-job timeout and optional fault
 injection (tests).  Jobs round-trip through a JSONL file (one JSON object
 per line, ``#`` comment lines allowed), the on-disk queue format the
 ``repro.cli batch`` subcommand consumes.
@@ -27,7 +27,6 @@ from repro.errors import ReproError
 __all__ = [
     "Job",
     "JobResult",
-    "REJECTION_REASONS",
     "STATUSES",
     "load_jobs",
     "dump_jobs",
@@ -37,11 +36,7 @@ __all__ = [
 #: graceful drain (SIGINT/SIGTERM) gave back unexecuted — the write-ahead
 #: journal still holds its ``submitted`` record, so a ``--resume`` run
 #: picks it up.
-STATUSES = ("ok", "failed", "timeout", "crashed", "rejected", "interrupted")
-
-#: Typed reasons a ``rejected`` result may carry (:attr:`JobResult.reason`):
-#: a full bounded queue is the one way a submission is turned away.
-REJECTION_REASONS = ("queue_full",)
+STATUSES = ("ok", "failed", "timeout", "crashed", "interrupted")
 
 
 @dataclass(frozen=True)
@@ -60,8 +55,6 @@ class Job:
         :func:`repro.datasets.save_session`.
     angle_step_deg:
         Output table resolution.
-    priority:
-        Higher runs first among queued jobs (ties keep submission order).
     timeout_s:
         Per-job wall-clock budget; ``None`` uses the server default.
     enforce_gesture_check:
@@ -93,7 +86,6 @@ class Job:
     session_seed: int = 0
     probe_interval_s: float = 0.4
     angle_step_deg: float = 5.0
-    priority: int = 0
     timeout_s: float | None = None
     enforce_gesture_check: bool = True
     deconv: str = "auto"
@@ -154,7 +146,7 @@ class Job:
     def spec_key(self) -> str:
         """Canonical key of the *computation* this job asks for.
 
-        Excludes ``job_id``, ``priority``, and ``timeout_s`` — two jobs
+        Excludes ``job_id`` and ``timeout_s`` — two jobs
         with equal keys produce bit-identical payloads, which is what lets
         the server coalesce duplicate requests onto one execution.
         """
@@ -190,7 +182,6 @@ class Job:
             "session_seed": 0,
             "probe_interval_s": 0.4,
             "angle_step_deg": 5.0,
-            "priority": 0,
             "timeout_s": None,
             "enforce_gesture_check": True,
             "deconv": "auto",
@@ -241,12 +232,6 @@ class JobResult:
     :meth:`deterministic`, and :meth:`to_dict` emits the key only when a
     trace exists, so telemetry-off reports stay bit-identical to
     pre-telemetry ones.
-
-    ``reason`` types a ``rejected`` status (one of
-    :data:`REJECTION_REASONS`: ``queue_full``, bounded-queue
-    backpressure).  Like ``trace`` it is operational — a full queue
-    depends on load, not on the spec — and is emitted by :meth:`to_dict`
-    only when set.
     """
 
     job_id: str
@@ -259,7 +244,6 @@ class JobResult:
     coalesced: bool = False
     replayed: bool = False
     trace: Mapping[str, Any] | None = None
-    reason: str | None = None
 
     def __post_init__(self) -> None:
         if self.status not in STATUSES:
@@ -303,8 +287,6 @@ class JobResult:
         )
         if self.trace is not None:
             record["trace"] = self.trace
-        if self.reason is not None:
-            record["reason"] = self.reason
         return record
 
 

@@ -216,7 +216,7 @@ def replay_journal(path: str | os.PathLike) -> JournalState:
 class Journal:
     """An append-only, fsync'd, checksummed event journal (see module doc).
 
-    Thread-safe: the batch server appends from its scheduler thread and
+    Thread-safe: the batch server appends from its submitting threads and
     from executor callback threads concurrently.
 
     Parameters

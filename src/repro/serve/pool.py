@@ -9,7 +9,7 @@ managed workload needs and a bare executor lacks:
 - **classified retries** through a :class:`repro.serve.retry.RetryPolicy`:
   a worker process dying (segfault, OOM kill, ``os._exit``) is a
   *transient* failure, re-dispatched with capped exponential backoff and
-  deterministic jitter under a per-batch retry budget; the task function
+  deterministic jitter up to a per-task retry cap; the task function
   *raising* is a *permanent* failure and is never retried (the runner is a
   pure function of the spec);
 - **a watchdog** for hung — not just dead — workers: every task beats a
@@ -164,8 +164,7 @@ def _default_context():
 
 #: The retry policy a pool gets when none is passed: one immediate retry
 #: after a transient failure (worker death, watchdog kill), no backoff and
-#: no jitter.  Kept as keyword arguments, not a shared instance, because a
-#: policy carries its own spent-retry budget.
+#: no jitter.
 DEFAULT_RETRY = MappingProxyType(
     {"max_transient_retries": 1, "base_backoff_s": 0.0, "jitter_frac": 0.0}
 )
@@ -184,7 +183,7 @@ class WorkerPool:
         subprocess even for one worker — what the batch server does so a
         single-worker service still survives job crashes.
     retry_policy:
-        Full retry semantics (classification, backoff, budget); defaults
+        Full retry semantics (classification, backoff, per-task cap); defaults
         to a fresh ``RetryPolicy(**DEFAULT_RETRY)``.
     heartbeat_deadline_s:
         Enable the watchdog: a task whose worker has not heartbeaten for
@@ -430,7 +429,7 @@ class WorkerPool:
         Killing any worker breaks the ``ProcessPoolExecutor``; its other
         in-flight futures resolve as ``BrokenProcessPool`` and ride the
         same transient-retry path — collateral the executor design forces,
-        bounded by the retry budget.
+        bounded by the per-task retry cap.
         """
         pids: list[int] = []
         if pid is not None:

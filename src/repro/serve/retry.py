@@ -1,4 +1,4 @@
-"""Classified retries: transient vs permanent, capped backoff, a budget.
+"""Classified retries: transient vs permanent, capped backoff, a per-task cap.
 
 The old pool behavior — "retry at most once, only on a crash" — treated
 every failure the same.  :class:`RetryPolicy` splits them the way a
@@ -6,10 +6,10 @@ production queue must:
 
 - **transient** failures are properties of *this execution*, not of the
   job: the worker process died (:class:`repro.errors.WorkerDiedError`),
-  the watchdog killed a hung worker, the task timed out.  They are retried
-  with capped exponential backoff and deterministic seeded jitter, up to a
-  per-task cap and a per-batch budget (so one poison job cannot starve a
-  queue by burning retries forever);
+  the watchdog killed a hung worker, the task timed out.  A lost worker is
+  retried with capped exponential backoff and deterministic seeded jitter,
+  up to a per-task cap (so one poison job cannot burn retries forever); a
+  timeout is never retried;
 - **permanent** failures are properties of the *spec*: the job function
   raised (:class:`repro.errors.CalibrationError`, any
   :class:`repro.errors.ReproError`, a validation failure).  Re-running
@@ -24,8 +24,7 @@ journal replays reproducible.
 from __future__ import annotations
 
 import hashlib
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.obs import metrics as obs_metrics
 
@@ -53,10 +52,6 @@ class RetryPolicy:
         ``(seed, token, attempt)``.
     seed:
         Jitter seed; fixed seed + fixed tokens = bit-identical schedule.
-    max_total_retries:
-        Per-batch retry budget across all tasks; ``None`` means
-        unbounded.  When the budget runs out, further transient failures
-        resolve immediately (``serve.retry.budget_exhausted``).
     """
 
     max_transient_retries: int = 3
@@ -65,11 +60,6 @@ class RetryPolicy:
     max_backoff_s: float = 2.0
     jitter_frac: float = 0.25
     seed: int = 0
-    max_total_retries: int | None = None
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
-    _spent: int = field(default=0, repr=False, compare=False)
 
     # -- classification -----------------------------------------------------
 
@@ -86,32 +76,10 @@ class RetryPolicy:
         return kind
 
     def should_retry(self, status: str, attempts: int) -> bool:
-        """Decide a retry for a task that has already run ``attempts`` times.
-
-        Consumes one unit of the per-batch budget when it says yes; the
-        answer is final (callers must not re-ask for the same failure).
-        """
+        """Decide a retry for a task that has already run ``attempts`` times."""
         # Only a crash is retried.  A timeout is transient, but a
         # deterministic job that blew its budget once would blow it again.
-        if status != "crashed":
-            return False
-        if attempts > self.max_transient_retries:
-            return False
-        with self._lock:
-            if (
-                self.max_total_retries is not None
-                and self._spent >= self.max_total_retries
-            ):
-                obs_metrics.counter("serve.retry.budget_exhausted").inc()
-                return False
-            self._spent += 1
-        return True
-
-    @property
-    def retries_spent(self) -> int:
-        """Budget units consumed so far (telemetry)."""
-        with self._lock:
-            return self._spent
+        return status == "crashed" and attempts <= self.max_transient_retries
 
     # -- backoff ------------------------------------------------------------
 

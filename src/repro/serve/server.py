@@ -3,13 +3,14 @@
 :class:`BatchServer` turns the one-shot :meth:`repro.core.pipeline.Uniq
 .personalize` into a managed workload:
 
-- a **bounded priority queue** of :class:`~repro.serve.job.Job`\\ s with
-  backpressure — blocking :meth:`submit` waits for room, non-blocking
-  submit records a typed ``queue_full`` rejection and moves on;
+- **backpressure at the worker slots**: :meth:`BatchServer.submit` runs
+  in the caller's thread and returns once its job is dispatched,
+  coalesced, replayed or held back by a drain, so at most ``workers`` jobs
+  are in flight and a caller submitting a batch waits for a free slot;
 - a :class:`~repro.serve.pool.WorkerPool` of long-lived worker processes
   that keep their :func:`~repro.core.localize.cached_delay_map` stores warm
   across jobs, with per-job timeouts, **classified retries** (transient
-  worker deaths/hangs back off and retry under a budget; permanent job
+  worker deaths back off and retry up to a per-task cap; permanent job
   failures dead-letter immediately), and an optional heartbeat watchdog
   that kills and replaces hung workers;
 - **request coalescing**: jobs asking for the same computation
@@ -26,9 +27,8 @@
   queue-wait and run-time histograms) and a structured
   :class:`BatchReport`.
 
-One scheduler thread takes jobs off the queue and dispatches them to the
-pool; every job follows one path: :meth:`BatchServer.submit` →
-``_enqueue`` → ``_run_scheduler`` → ``_job_done`` → ``_resolve``.
+Every job follows one path: :meth:`BatchServer.submit` → ``_job_done`` →
+``_resolve``; the server starts no thread of its own.
 
 The core guarantee, enforced by the regression suite: for a fixed job list,
 the :meth:`JobResult.deterministic` part of every result is **bit-identical
@@ -42,9 +42,7 @@ uninterrupted one, with zero completed jobs re-executed.
 from __future__ import annotations
 
 import functools
-import math
 import os
-import queue
 import threading
 import time
 from dataclasses import dataclass, field
@@ -67,13 +65,9 @@ from repro.serve.worker import execute_job, run_with_telemetry
 __all__ = [
     "BatchReport",
     "BatchServer",
-    "DEFAULT_QUEUE_SIZE",
 ]
 
 _log = get_logger("serve.server")
-
-#: Default bound on the pending-job queue.
-DEFAULT_QUEUE_SIZE = 64
 
 _OUTCOME_STATUS = {
     "ok": "ok",
@@ -94,7 +88,6 @@ class BatchReport:
     results: tuple[JobResult, ...]
     wall_s: float
     workers: int
-    queue_size: int
     coalesce: bool
     resumed: bool = False
     journal_path: str | None = None
@@ -126,20 +119,6 @@ class BatchReport:
         return self.counts.get("interrupted", 0)
 
     @property
-    def n_rejected(self) -> int:
-        """Jobs turned away by a full queue (``block=False`` submissions)."""
-        return self.counts.get("rejected", 0)
-
-    def rejection_reasons(self) -> dict[str, int]:
-        """Count of rejected jobs by typed reason (untyped under ``""``)."""
-        reasons: dict[str, int] = {}
-        for result in self.results:
-            if result.status == "rejected":
-                key = result.reason or ""
-                reasons[key] = reasons.get(key, 0) + 1
-        return dict(sorted(reasons.items()))
-
-    @property
     def slo_violations(self) -> list[Mapping[str, Any]]:
         """SLO objectives this batch violated (empty without a policy)."""
         if not self.slo:
@@ -162,8 +141,7 @@ class BatchReport:
             if r.ok and not r.coalesced and not r.replayed
         ]
         waits = [
-            r.queue_wait_s for r in self.results
-            if r.status not in ("rejected", "interrupted")
+            r.queue_wait_s for r in self.results if r.status != "interrupted"
         ]
         return {
             "run_p50_s": _percentile(runs, 0.50),
@@ -218,7 +196,6 @@ class BatchReport:
             "wall_s": self.wall_s,
             "jobs_per_s": self.jobs_per_s,
             "workers": self.workers,
-            "queue_size": self.queue_size,
             "coalesce": self.coalesce,
             "coalesced_jobs": sum(1 for r in self.results if r.coalesced),
             "replayed_jobs": self.n_replayed,
@@ -231,11 +208,6 @@ class BatchReport:
             "quality": self.quality_summary(),
             "results": [result.to_dict() for result in self.results],
         }
-        if self.n_rejected:
-            # Only when rejections happened: clean batches keep their
-            # report free of rejection fields.
-            record["rejected_jobs"] = self.n_rejected
-            record["rejection_reasons"] = self.rejection_reasons()
         if self.slo is not None:
             record["slo_summary"] = self.slo.get("summary")
             record["slo_thresholds"] = self.slo.get("thresholds")
@@ -245,13 +217,6 @@ class BatchReport:
     def save(self, path: str | os.PathLike) -> None:
         """Write the report as JSON, atomically (never a truncated file)."""
         atomic_write_json(self.to_dict(), path)
-
-
-class _Sentinel:
-    """Queue terminator; sorts after every real job."""
-
-
-_STOP = (math.inf, math.inf, _Sentinel(), 0.0, None)
 
 
 class BatchServer:
@@ -267,8 +232,8 @@ class BatchServer:
     workers:
         Worker process count (default: cpu count).  Even ``workers=1``
         uses a real subprocess so job crashes cannot take the service down.
-    queue_size:
-        Bound on the pending queue; the backpressure point.
+        The worker count also bounds the jobs in flight: :meth:`submit`
+        waits for a free slot.
     default_timeout_s:
         Per-job budget when the job does not set its own.
     runner:
@@ -319,7 +284,6 @@ class BatchServer:
         self,
         workers: int | None = None,
         *,
-        queue_size: int = DEFAULT_QUEUE_SIZE,
         default_timeout_s: float | None = None,
         runner: Callable[[Mapping[str, Any]], Mapping[str, Any]] | None = None,
         coalesce: bool = True,
@@ -330,11 +294,8 @@ class BatchServer:
         telemetry: bool | ServeTelemetry | None = None,
         map_store: str | os.PathLike | None = None,
     ) -> None:
-        if queue_size < 1:
-            raise ReproError(f"queue_size must be >= 1, got {queue_size}")
         if resume and journal is None:
             raise ReproError("resume=True requires a journal")
-        self.queue_size = int(queue_size)
         self.default_timeout_s = default_timeout_s
         self.coalesce = bool(coalesce)
         self.resume = bool(resume)
@@ -392,7 +353,6 @@ class BatchServer:
         # both use the key.
         self._keyed = self.coalesce or journal is not None
         self._state = threading.Condition()
-        self._seq = 0
         self._outstanding = 0
         self._closed = False
         self._draining = False
@@ -403,29 +363,24 @@ class BatchServer:
         self._results: dict[str, JobResult] = {}
         self._inflight: dict[str, list[tuple[Job, float]]] = {}
         self._done_cache: dict[str, tuple[str, Mapping[str, Any] | None, str | None]] = {}
-        self._queue: queue.PriorityQueue = queue.PriorityQueue(
-            maxsize=self.queue_size
-        )
+        # One slot per worker: the only backpressure.  A slot frees once
+        # its job's outcome is journaled, so the journal never shows more
+        # jobs in flight than there are workers.
         self._slots = threading.Semaphore(self.workers)
         obs_metrics.gauge("serve.workers").set(float(self.workers))
-        obs_metrics.gauge("serve.queue_size").set(float(queue_size))
-        self._scheduler = threading.Thread(
-            target=self._run_scheduler, name="repro-serve-scheduler",
-            daemon=True,
-        )
-        self._scheduler.start()
 
     # -- public API ---------------------------------------------------------
 
-    def submit(self, job: Job, block: bool = True) -> bool:
-        """Accept one job.  Returns ``True`` if it was queued.
+    def submit(self, job: Job) -> bool:
+        """Accept one job and see it dispatched, in the caller's thread.
 
-        ``block=True`` makes a full queue exert backpressure (the call
-        waits for room); with ``block=False`` a full queue *rejects*: a
-        typed ``queue_full`` result is recorded, ``serve.jobs_rejected`` bumps,
-        and ``False`` returns.  During a graceful drain new submissions
-        resolve ``interrupted`` without executing (their journal record
-        makes them resumable).
+        Keys and journals the job, then replays it (on resume), coalesces
+        it onto an execution of the same spec, or waits for a free worker
+        slot and dispatches it — the slots are the backpressure.  Returns
+        ``False`` when a graceful drain held the job back: it resolves
+        ``interrupted`` without executing (its journal record makes it
+        resumable).  The job's ``queue_wait_s`` is the time spent here
+        waiting for a slot or for a coalescing leader.
         """
         with self._state:
             if self._closed:
@@ -435,7 +390,72 @@ class BatchServer:
             self._ids.add(job.job_id)
             self._order.append(job.job_id)
             self._outstanding += 1
-        return self._enqueue(job, block)
+        key = job.spec_key() if self._keyed else None
+        if self._journal is not None:
+            # Write-ahead: the submission is durable before it can run.
+            self._journal.append("submitted", spec_key=key, job_id=job.job_id)
+        arrived = time.perf_counter()
+        if self._hold_back(job, arrived):
+            return False
+        obs_metrics.counter("serve.jobs_submitted").inc()
+        if self.resume and key is not None:
+            record = self._journal.done_record(key)
+            if record is not None:
+                # A journaled outcome replays instead of re-executing.
+                status = record.get("status", "failed")
+                obs_metrics.counter(
+                    "serve.journal.replayed_done" if status == "ok"
+                    else "serve.journal.replayed_dead_letters"
+                ).inc()
+                self._resolve(
+                    JobResult(
+                        job_id=job.job_id, status=status,
+                        payload=record.get("payload"),
+                        error=record.get("error"), attempts=0,
+                        queue_wait_s=time.perf_counter() - arrived,
+                        replayed=True,
+                    )
+                )
+                return True
+        if key is not None and self.coalesce:
+            with self._state:
+                cached = self._done_cache.get(key)
+                if cached is None:
+                    if key in self._inflight:
+                        # Counted when the leader's result reaches it.
+                        self._inflight[key].append((job, arrived))
+                        return True
+                    self._inflight[key] = []
+            if cached is not None:
+                self._resolve(
+                    self._coalesced_result(job.job_id, arrived, *cached)
+                )
+                return True
+        self._slots.acquire()
+        if self._hold_back(job, arrived):
+            # interrupt() fired while this job waited for a slot; jobs
+            # coalesced onto it go the same way.
+            self._slots.release()
+            with self._state:
+                followers = self._inflight.pop(key, []) if self.coalesce else []
+            for follower, since in followers:
+                self._hold_back(follower, since)
+            return False
+        queue_wait = time.perf_counter() - arrived
+        obs_metrics.histogram("serve.queue_wait_s", TIME_BUCKETS_S).observe(
+            queue_wait
+        )
+        if self._journal is not None:
+            self._journal.append("started", spec_key=key, t=time.time())
+        timeout = job.timeout_s if job.timeout_s is not None else self.default_timeout_s
+        self._pool.dispatch(
+            self._dispatch_runner,
+            job.to_dict(),
+            timeout_s=timeout,
+            retry_token=key,
+            on_done=lambda outcome: self._job_done(job, key, queue_wait, outcome),
+        )
+        return True
 
     def drain(self) -> None:
         """Block until every accepted job has a result."""
@@ -445,10 +465,10 @@ class BatchServer:
     def interrupt(self) -> None:
         """Begin a graceful drain (the SIGINT/SIGTERM path).
 
-        Queued-but-undispatched jobs resolve ``interrupted`` (journaled
+        Jobs not yet dispatched — waiting in :meth:`submit` for a slot, or
+        submitted from now on — resolve ``interrupted`` (journaled
         ``submitted`` records make them resumable); in-flight jobs finish
-        and are journaled normally; new submissions are refused into
-        ``interrupted`` results.  :meth:`drain` / :meth:`run_batch` then
+        and are journaled normally.  :meth:`drain` / :meth:`run_batch` then
         return a report marked ``interrupted`` — exit code 4 at the CLI —
         and the journal gets a final checkpoint.
         """
@@ -485,11 +505,10 @@ class BatchServer:
                 self._journal.checkpoint()
 
     def run_batch(self, jobs: Iterable[Job]) -> BatchReport:
-        """Submit ``jobs`` (backpressured), wait, checkpoint, and report.
+        """Submit ``jobs`` in order, wait, checkpoint, and report.
 
-        Jobs are queued in the given order; the priority queue reorders
-        whatever is pending at each moment, so priorities matter exactly as
-        far as the queue bound lets them — like any real bounded queue.
+        Each :meth:`submit` waits for a free worker slot, so jobs are
+        dispatched in the given order.
         """
         jobs = list(jobs)
         started = time.perf_counter()
@@ -500,7 +519,7 @@ class BatchServer:
             coalesce=self.coalesce,
         ):
             for job in jobs:
-                self.submit(job, block=True)
+                self.submit(job)
             self.drain()
         self.checkpoint()
         wall = time.perf_counter() - started
@@ -520,7 +539,6 @@ class BatchServer:
             results=results,
             wall_s=wall,
             workers=self.workers,
-            queue_size=self.queue_size,
             coalesce=self.coalesce,
             resumed=self.resume,
             journal_path=self.journal_path,
@@ -528,25 +546,15 @@ class BatchServer:
         )
 
     def close(self) -> None:
-        """Finish queued work, stop the scheduler, shut the pool down.
+        """Let in-flight jobs finish, shut the pool down, close the journal.
 
-        The scheduler finishes what is queued first (the stop marker sorts
-        last); a job that raced in behind the marker resolves
-        ``interrupted``.
+        Call it once every :meth:`submit` has returned.
         """
         with self._state:
             if self._closed:
                 return
             self._closed = True
-        self._queue.put(_STOP)
-        self._scheduler.join()
         self._pool.shutdown()
-        while True:
-            try:
-                _, _, job, enqueued, _ = self._queue.get_nowait()
-            except queue.Empty:
-                break
-            self._resolve(self._interrupted_result(job.job_id, enqueued))
         if self._journal is not None:
             self._journal.close()
 
@@ -558,53 +566,7 @@ class BatchServer:
 
     # -- submission path ----------------------------------------------------
 
-    def _enqueue(self, job: Job, block: bool) -> bool:
-        """Journal ``job`` and queue it (or resolve it, when draining)."""
-        key = job.spec_key() if self._keyed else None
-        with self._state:
-            draining = self._draining
-            self._seq += 1
-            seq = self._seq
-        if self._journal is not None:
-            # Write-ahead: the submission is durable before it can run.
-            self._journal.append("submitted", spec_key=key, job_id=job.job_id)
-        if draining:
-            self._resolve(self._interrupted_result(job.job_id))
-            return False
-        obs_metrics.counter("serve.jobs_submitted").inc()
-        item = (-int(job.priority), seq, job, time.perf_counter(), key)
-        try:
-            self._queue.put(item, block=block)
-        except queue.Full:
-            # A turned-away job must be as observable as a served one:
-            # a typed result reason and a metric — backpressure that is
-            # invisible reads as lost load.
-            obs_metrics.counter("serve.jobs_rejected").inc()
-            self._resolve(
-                JobResult(
-                    job_id=job.job_id, status="rejected",
-                    error=f"queue full (size {self.queue_size})",
-                    attempts=0, reason="queue_full",
-                )
-            )
-            return False
-        return True
-
-    # -- scheduler ----------------------------------------------------------
-
-    def _interrupted_result(self, job_id: str, enqueued: float | None = None) -> JobResult:
-        obs_metrics.counter("serve.jobs_interrupted").inc()
-        return JobResult(
-            job_id=job_id,
-            status="interrupted",
-            error="batch interrupted before this job ran; resume from the journal",
-            attempts=0,
-            queue_wait_s=(
-                time.perf_counter() - enqueued if enqueued is not None else 0.0
-            ),
-        )
-
-    def _hold_back(self, job: Job, enqueued: float) -> bool:
+    def _hold_back(self, job: Job, arrived: float) -> bool:
         """During a graceful drain, resolve ``job`` ``interrupted``.
 
         Returns ``False`` when the job may run.
@@ -612,89 +574,29 @@ class BatchServer:
         with self._state:
             if not self._draining:
                 return False
-        self._resolve(self._interrupted_result(job.job_id, enqueued))
+        obs_metrics.counter("serve.jobs_interrupted").inc()
+        self._resolve(
+            JobResult(
+                job_id=job.job_id,
+                status="interrupted",
+                error="batch interrupted before this job ran; resume from the journal",
+                attempts=0,
+                queue_wait_s=time.perf_counter() - arrived,
+            )
+        )
         return True
 
     def _coalesced_result(
-        self, job_id: str, enqueued: float, status: str,
+        self, job_id: str, arrived: float, status: str,
         payload: Mapping[str, Any] | None, error: str | None,
     ) -> JobResult:
         """A result shared from another execution of the same spec."""
         obs_metrics.counter("serve.jobs_coalesced").inc()
         return JobResult(
             job_id=job_id, status=status, payload=payload, error=error,
-            attempts=0, queue_wait_s=time.perf_counter() - enqueued,
+            attempts=0, queue_wait_s=time.perf_counter() - arrived,
             coalesced=True,
         )
-
-    def _run_scheduler(self) -> None:
-        while True:
-            _, _, job, enqueued, key = self._queue.get()
-            if isinstance(job, _Sentinel):
-                return
-            if self._hold_back(job, enqueued):
-                continue
-            if self.resume and key is not None:
-                record = self._journal.done_record(key)
-                if record is not None:
-                    # A journaled outcome replays instead of re-executing.
-                    status = record.get("status", "failed")
-                    obs_metrics.counter(
-                        "serve.journal.replayed_done" if status == "ok"
-                        else "serve.journal.replayed_dead_letters"
-                    ).inc()
-                    self._resolve(
-                        JobResult(
-                            job_id=job.job_id, status=status,
-                            payload=record.get("payload"),
-                            error=record.get("error"), attempts=0,
-                            queue_wait_s=time.perf_counter() - enqueued,
-                            replayed=True,
-                        )
-                    )
-                    continue
-            if key is not None and self.coalesce:
-                with self._state:
-                    cached = self._done_cache.get(key)
-                    if cached is None:
-                        if key in self._inflight:
-                            # Counted when the leader's result reaches it.
-                            self._inflight[key].append((job, enqueued))
-                            continue
-                        self._inflight[key] = []
-                if cached is not None:
-                    self._resolve(
-                        self._coalesced_result(job.job_id, enqueued, *cached)
-                    )
-                    continue
-            # Backpressure on workers: hold the job here (queue stays
-            # bounded) until a worker slot frees up.
-            self._slots.acquire()
-            if self._hold_back(job, enqueued):
-                # interrupt() fired while this job waited for a slot; jobs
-                # coalesced onto it go the same way.
-                self._slots.release()
-                with self._state:
-                    followers = self._inflight.pop(key, []) if self.coalesce else []
-                for follower, since in followers:
-                    self._hold_back(follower, since)
-                continue
-            queue_wait = time.perf_counter() - enqueued
-            obs_metrics.histogram("serve.queue_wait_s", TIME_BUCKETS_S).observe(
-                queue_wait
-            )
-            if self._journal is not None:
-                self._journal.append("started", spec_key=key, t=time.time())
-            timeout = job.timeout_s if job.timeout_s is not None else self.default_timeout_s
-            self._pool.dispatch(
-                self._dispatch_runner,
-                job.to_dict(),
-                timeout_s=timeout,
-                retry_token=key,
-                on_done=lambda outcome, j=job, k=key, w=queue_wait: (
-                    self._job_done(j, k, w, outcome)
-                ),
-            )
 
     def _journal_outcome(
         self, job: Job, key: str | None, status: str, outcome: TaskOutcome,
@@ -779,10 +681,10 @@ class BatchServer:
         self, job: Job, key: str | None, queue_wait: float,
         outcome: TaskOutcome,
     ) -> None:
-        self._slots.release()
         status = _OUTCOME_STATUS[outcome.status]
         payload = outcome.value if outcome.status == "ok" else None
         self._journal_outcome(job, key, status, outcome)
+        self._slots.release()
         obs_metrics.counter(f"serve.jobs_{status}").inc()
         obs_metrics.counter("serve.job_attempts").inc(outcome.attempts)
         if outcome.attempts > 1:
@@ -821,10 +723,10 @@ class BatchServer:
                 )
             )
         self._resolve(result)
-        for follower, enqueued in followers:
+        for follower, arrived in followers:
             self._resolve(
                 self._coalesced_result(
-                    follower.job_id, enqueued, status, payload, outcome.error
+                    follower.job_id, arrived, status, payload, outcome.error
                 )
             )
 

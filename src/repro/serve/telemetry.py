@@ -146,8 +146,6 @@ SLO_STATS = (
     "retry_rate",
     "dead_letter_rate",
     "cold_start_fraction",
-    "n_rejected",
-    "reject_rate",
 )
 
 
@@ -155,13 +153,12 @@ def slo_stats(report: "BatchReport") -> dict[str, Any]:
     """Every SLO statistic of a finished batch, as one flat JSON-able dict.
 
     *Executed* jobs are those this batch dispatched to a worker
-    (``attempts > 0``: not coalesced, replayed, rejected or interrupted).
+    (``attempts > 0``: not coalesced, replayed or interrupted).
     Latency, queue wait, retry and dead-letter statistics are over
     executed jobs; throughput counts every job that got an outcome
-    (everything but rejected and interrupted jobs) over the batch's
-    ``wall_s``; the reject rate is over all offered jobs.  The cold-start
-    fraction needs the worker telemetry in the payloads and is ``NaN``
-    without it.
+    (everything but interrupted jobs) over the batch's ``wall_s``.  The
+    cold-start fraction needs the worker telemetry in the payloads and is
+    ``NaN`` without it.
     """
     results = report.results
     executed = [r for r in results if r.attempts > 0]
@@ -172,10 +169,7 @@ def slo_stats(report: "BatchReport") -> dict[str, Any]:
         for r in executed
         if r.payload and "cold_start" in (r.payload.get("_telemetry") or {})
     ]
-    served = sum(
-        1 for r in results if r.status not in ("rejected", "interrupted")
-    )
-    n_rejected = report.n_rejected
+    served = sum(1 for r in results if r.status != "interrupted")
 
     def rate(part: int, whole: int, empty: float = 0.0) -> float:
         return part / whole if whole else empty
@@ -200,8 +194,6 @@ def slo_stats(report: "BatchReport") -> dict[str, Any]:
             sum(1 for r in executed if r.status == "failed"), len(executed)
         ),
         "cold_start_fraction": rate(sum(colds), len(colds), float("nan")),
-        "n_rejected": n_rejected,
-        "reject_rate": rate(n_rejected, len(results)),
     }
 
 

@@ -141,13 +141,6 @@ class TestRetryPolicy:
         unit = int.from_bytes(digest[:8], "big") / 2**64
         assert policy.backoff_s(2, "job-key") == 0.2 * (1.0 + 0.25 * unit)
 
-    def test_batch_budget_exhausts(self):
-        policy = RetryPolicy(max_transient_retries=10, max_total_retries=2)
-        assert policy.should_retry("crashed", attempts=1)
-        assert policy.should_retry("crashed", attempts=1)
-        assert not policy.should_retry("crashed", attempts=1)
-        assert policy.retries_spent == 2
-
 
 # ---------------------------------------------------------------------------
 # Journal format, corruption, compaction
@@ -411,6 +404,7 @@ class TestServerJournal:
             Job(job_id="poison", subject_seed=2, fault="synthetic-failure"),
         ]
         policy = RetryPolicy(**QUICK_RETRY)
+        retries = _counter("serve.pool.crash_retries")
         with BatchServer(
             workers=2, runner=digest_runner, journal=path, retry_policy=policy
         ) as server:
@@ -418,7 +412,7 @@ class TestServerJournal:
         poison = report.results[1]
         assert poison.status == "failed"
         assert poison.attempts == 1  # permanent: zero retries
-        assert policy.retries_spent == 0
+        assert _counter("serve.pool.crash_retries") == retries
         assert [r.job_id for r in report.dead_letters] == ["poison"]
         state = replay_journal(path)
         assert len(state.dead_letters) == 1
@@ -450,8 +444,7 @@ class TestServerJournal:
         assert report.counts == {"ok": 2}
         victim = report.results[1]
         assert victim.attempts >= 2  # died once, completed on retry
-        assert _counter("serve.pool.crash_retries") > before
-        assert policy.retries_spent >= 1
+        assert _counter("serve.pool.crash_retries") - before >= victim.attempts - 1
 
     def test_worker_kill_without_marker_exhausts_retries(self, tmp_path):
         jobs = [Job(job_id="doomed", subject_seed=1, fault="worker_kill")]

@@ -418,7 +418,7 @@ class TestFleetCli:
             assert pinned.read_bytes() == handle.read()
 
     @pytest.mark.parametrize(
-        "status", ["crashed", "timeout", "interrupted", "rejected"]
+        "status", ["crashed", "timeout", "interrupted"]
     )
     def test_unmeasured_subjects_exit_3(self, monkeypatch, tmp_path, status):
         report = _pinned_report()

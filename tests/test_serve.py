@@ -1,6 +1,6 @@
 """Batch service tests: jobs, pool, server semantics, and the real pipeline.
 
-Service *semantics* (queueing, coalescing, backpressure, priorities, crash
+Service *semantics* (coalescing, backpressure at the worker slots, crash
 retry, timeouts) are exercised with the millisecond runners from
 :mod:`repro.testing.workloads`; the real :func:`repro.serve.worker
 .execute_job` pipeline appears only in the small end-to-end tests at the
@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import threading
+import time
 
 import pytest
 
@@ -50,13 +51,13 @@ class TestJobSpec:
         Job(job_id="x", session_path="a.npz")
 
     def test_spec_key_ignores_service_knobs(self):
-        base = _job("a", priority=0)
-        assert base.spec_key() == _job("b", priority=9, timeout_s=3.0).spec_key()
+        base = _job("a")
+        assert base.spec_key() == _job("b", timeout_s=3.0).spec_key()
         assert base.spec_key() != _job("c", seed=2).spec_key()
         assert base.spec_key() != _job("d", angle_step_deg=10.0).spec_key()
 
     def test_round_trip_through_dict(self):
-        job = _job("a", seed=5, priority=2, fault="clipped",
+        job = _job("a", seed=5, fault="clipped",
                    fault_args={"level": 0.2}, timeout_s=1.5)
         again = Job.from_dict(json.loads(json.dumps(job.to_dict())))
         assert again == job
@@ -67,9 +68,12 @@ class TestJobSpec:
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(ReproError, match="unknown fields"):
             Job.from_dict({"job_id": "a", "subject_seed": 1, "speed": 11})
+        # Jobs have no priority: submission order is dispatch order.
+        with pytest.raises(ReproError, match="unknown fields"):
+            Job.from_dict({"job_id": "a", "subject_seed": 1, "priority": 1})
 
     def test_jsonl_round_trip(self, tmp_path):
-        jobs = [_job("a"), _job("b", seed=2, priority=1)]
+        jobs = [_job("a"), _job("b", seed=2, timeout_s=1.5)]
         path = tmp_path / "jobs.jsonl"
         dump_jobs(jobs, path)
         assert list(load_jobs(path)) == jobs
@@ -242,8 +246,6 @@ class TestBatchServerSemantics:
     def test_rejects_bad_configuration(self):
         with pytest.raises(ReproError, match="resume"):
             BatchServer(workers=1, resume=True, runner=digest_runner)
-        with pytest.raises(ReproError, match="queue_size"):
-            BatchServer(workers=1, queue_size=0, runner=digest_runner)
 
     def test_submit_after_interrupt_is_interrupted_not_lost(self):
         with BatchServer(workers=1, runner=digest_runner) as server:
@@ -294,78 +296,40 @@ class TestBatchServerSemantics:
         assert all(r.attempts >= 1 for r in executed)
         assert len({r.payload["digest"] for r in results}) == 7
 
-    def test_nonblocking_submit_rejects_when_full(self):
-        # One worker pinned on a slow job; a tiny queue behind it must
-        # reject (not drop, not block) the overflow.
-        blocker = _job("blocker", seed=0, fault_args={"sleep_s": 0.8})
-        burst = [_job(f"b{i}", seed=100 + i) for i in range(6)]
-        with BatchServer(workers=1, queue_size=2, runner=sleepy_runner,
-                         coalesce=False) as server:
-            assert server.submit(blocker, block=True)
-            accepted = [server.submit(job, block=False) for job in burst]
-            server.drain()
-            results = {r.job_id: r for r in server.results()}
-        assert not all(accepted), "a 2-slot queue cannot absorb a 6-job burst"
-        for job, was_accepted in zip(burst, accepted):
-            result = results[job.job_id]
-            if was_accepted:
-                assert result.ok
-            else:
-                assert result.status == "rejected"
-                assert result.attempts == 0
-                assert "queue full" in result.error
+    def test_backpressure_is_the_worker_slots(self, tmp_path):
+        # One worker busy with A: submit(B) waits inside the call until A's
+        # outcome is journaled, B's queue wait covers that wait, and the
+        # journal never shows more jobs in flight than there are workers.
+        from repro.serve import Journal
+        from repro.serve.journal import read_records
 
-    def test_rejections_are_visible_everywhere(self):
-        # A non-blocking rejection must be observable in both planes: the
-        # metrics counter and the batch report — silent drops read as lost
-        # load.
-        from repro.obs import metrics as obs_metrics
-        from repro.serve import BatchReport
-
-        before = obs_metrics.counter("serve.jobs_rejected").value
-        blocker = _job("blocker", seed=0, fault_args={"sleep_s": 0.8})
-        burst = [_job(f"b{i}", seed=100 + i) for i in range(6)]
-        with BatchServer(workers=1, queue_size=1, runner=sleepy_runner,
-                         coalesce=False) as server:
-            assert server.submit(blocker, block=True)
-            accepted = [server.submit(job, block=False) for job in burst]
-            server.drain()
-            results = server.results()
-            wall_s = 0.0
-        n_rejected = accepted.count(False)
-        assert n_rejected > 0
-
-        # Metrics plane: the rejection counter moved in lockstep.
-        assert (
-            obs_metrics.counter("serve.jobs_rejected").value
-            == before + n_rejected
-        )
-
-        # Report plane: rejections surface in counts, typed reasons, and
-        # the serialized record (only when rejections actually happened).
-        report = BatchReport(results=results, wall_s=wall_s, workers=1,
-                             queue_size=1, coalesce=False)
-        assert report.n_rejected == n_rejected
-        assert report.rejection_reasons() == {"queue_full": n_rejected}
-        record = report.to_dict()
-        assert record["rejected_jobs"] == n_rejected
-        assert record["rejection_reasons"] == {"queue_full": n_rejected}
-
-    def test_priority_orders_the_pending_queue(self):
-        # While the single worker is pinned, a later high-priority job must
-        # be dispatched before an earlier low-priority one; queue_wait_s
-        # (enqueue -> dispatch) observes the order.
-        blocker = _job("blocker", seed=0, fault_args={"sleep_s": 0.6})
-        low = _job("low", seed=1, priority=0, fault_args={"sleep_s": 0.2})
-        high = _job("high", seed=2, priority=5, fault_args={"sleep_s": 0.2})
+        path = tmp_path / "j"
+        a = _job("a", seed=1, fault_args={"sleep_s": 0.5})
+        b = _job("b", seed=2)
+        c = _job("c", seed=3)
         with BatchServer(workers=1, runner=sleepy_runner,
-                         coalesce=False) as server:
-            server.submit(blocker)
-            server.submit(low)
-            server.submit(high)
+                         journal=Journal(path, fsync=False)) as server:
+            assert server.submit(a)
+            since = time.perf_counter()
+            assert server.submit(b)
+            blocked_s = time.perf_counter() - since
+            records, _ = read_records(path)
+            assert server.submit(c)
             server.drain()
             results = {r.job_id: r for r in server.results()}
-        assert results["high"].queue_wait_s < results["low"].queue_wait_s
+        assert blocked_s >= 0.4
+        assert [r["job_id"] for r in records if r["event"] == "done"] == ["a"]
+        assert 0.4 <= results["b"].queue_wait_s <= blocked_s
+        assert all(r.ok for r in results.values())
+        records, _ = read_records(path)
+        in_flight: set[str] = set()
+        for record in records:
+            if record["event"] == "started":
+                in_flight.add(record["spec_key"])
+            elif record["event"] in ("done", "failed"):
+                in_flight.discard(record["spec_key"])
+            assert len(in_flight) <= server.workers
+        assert [r["event"] for r in records].count("started") == 3
 
     def test_crash_retry_completes_the_batch(self, tmp_path):
         marker = tmp_path / "boom"

@@ -2,9 +2,9 @@
 
 The :class:`repro.serve.BatchServer` contract is that the deterministic
 part of every result (:meth:`JobResult.deterministic`) is a pure function
-of the job spec — worker count, submission order, priorities, and
-coalescing only decide *when and where* jobs run.  Hypothesis generates job
-lists (with duplicate specs, mixed priorities, and injected failures) and
+of the job spec — worker count, submission order and coalescing only
+decide *when and where* jobs run.  Hypothesis generates job lists (with
+duplicate specs and injected failures) and
 the tests assert the invariance across worker counts 1, 2, and 4 and across
 permutations.  The cheap :func:`repro.testing.workloads.digest_runner`
 keeps each example in the milliseconds; profiles are pinned in
@@ -28,7 +28,6 @@ _specs = st.fixed_dictionaries(
     {
         "subject_seed": st.integers(min_value=0, max_value=3),
         "angle_step_deg": st.sampled_from([5.0, 15.0]),
-        "priority": st.integers(min_value=-2, max_value=2),
         "fault": st.sampled_from([None, FAILING_FAULT]),
     }
 )
@@ -43,8 +42,7 @@ def _job_lists_and_orders(draw):
 
 
 _FAILING_SPEC = {
-    "subject_seed": 0, "angle_step_deg": 5.0, "priority": 0,
-    "fault": FAILING_FAULT,
+    "subject_seed": 0, "angle_step_deg": 5.0, "fault": FAILING_FAULT,
 }
 
 

@@ -196,7 +196,7 @@ def _result(job_id: str, status: str = "ok", **kw) -> JobResult:
 
 def _report(results, wall_s: float = 1.0) -> BatchReport:
     return BatchReport(results=tuple(results), wall_s=wall_s, workers=2,
-                       queue_size=8, coalesce=True)
+                       coalesce=True)
 
 
 class TestSloStats:
@@ -208,12 +208,11 @@ class TestSloStats:
                     payload={"_telemetry": {"cold_start": False}}),
             _result("c", "failed", run_s=0.1),
             _result("d", attempts=0, coalesced=True, queue_wait_s=9.0),
-            _result("e", "rejected", attempts=0, reason="queue_full"),
         ], wall_s=2.0)
         stats = slo_stats(report)
-        assert stats["n_jobs"] == 5
+        assert stats["n_jobs"] == 4
         assert stats["n_executed"] == 3
-        assert stats["counts"] == {"failed": 1, "ok": 3, "rejected": 1}
+        assert stats["counts"] == {"failed": 1, "ok": 3}
         assert stats["total_attempts"] == 5
         # Latency over executed ok jobs, queue wait over executed jobs:
         # the coalesced follower's long wait is the leader's run.
@@ -224,8 +223,6 @@ class TestSloStats:
         assert stats["cold_start_fraction"] == pytest.approx(0.5)
         # Throughput: jobs with an outcome over the report's wall time.
         assert stats["throughput_jobs_per_s"] == pytest.approx(4 / 2.0)
-        assert stats["n_rejected"] == 1
-        assert stats["reject_rate"] == pytest.approx(1 / 5)
         assert set(stats) >= set(SLO_STATS)
 
     def test_replayed_jobs_do_not_pollute_latency(self):
@@ -268,6 +265,9 @@ class TestSloPolicy:
         # Nothing samples the queue depth, so no statistic describes it.
         with pytest.raises(ReproError, match="unknown statistic"):
             SloPolicy({"max_queue_depth_peak": 1})
+        # submit never turns a job away, so nothing counts rejections.
+        with pytest.raises(ReproError, match="unknown statistic"):
+            SloPolicy({"max_n_rejected": 0})
 
     @pytest.mark.parametrize(
         "limit",
@@ -282,10 +282,10 @@ class TestSloPolicy:
 
     def test_json_file_round_trip(self, tmp_path):
         path = tmp_path / "slo.json"
-        path.write_text('{"max_retry_rate": 0.25, "max_n_rejected": 0}\n')
+        path.write_text('{"max_retry_rate": 0.25, "max_dead_letter_rate": 0}\n')
         policy = SloPolicy.from_json_file(path)
         assert policy.thresholds == {"max_retry_rate": 0.25,
-                                     "max_n_rejected": 0.0}
+                                     "max_dead_letter_rate": 0.0}
 
 
 class TestSloCli:
@@ -667,50 +667,98 @@ class TestSelfDurations:
         assert totals["grand"] == pytest.approx(6.0)
 
 
+def _emitted_serve_metrics() -> set[str]:
+    """Every ``serve.*`` metric name the serve package emits.
+
+    Each ``obs_metrics.counter/gauge/histogram("serve....")`` literal; an
+    f-string family comes back as its pattern, e.g. ``serve.jobs_<status>``.
+    """
+    import ast
+    import pathlib
+
+    import repro.serve
+
+    def names(node):
+        if isinstance(node, ast.JoinedStr):
+            yield "".join(
+                part.value if isinstance(part, ast.Constant)
+                else f"<{ast.unparse(part.value)}>"
+                for part in node.values
+            )
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+        else:
+            for child in ast.iter_child_nodes(node):
+                yield from names(child)
+
+    emitted: set[str] = set()
+    package = pathlib.Path(repro.serve.__file__).parent
+    for source in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text())):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("counter", "gauge", "histogram")
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "obs_metrics"
+                and node.args
+            ):
+                emitted.update(
+                    name for name in names(node.args[0])
+                    if name.startswith("serve.")
+                )
+    return emitted
+
+
+def _observability_doc() -> str:
+    import pathlib
+
+    return (
+        pathlib.Path(__file__).resolve().parents[1]
+        / "docs" / "OBSERVABILITY.md"
+    ).read_text()
+
+
 class TestServeMetricDocs:
     def test_every_serve_metric_is_documented(self):
-        # Every obs_metrics.counter/gauge/histogram("serve....") literal in
-        # the serve package must appear in docs/OBSERVABILITY.md; an
-        # f-string family appears as its pattern, e.g. serve.jobs_<status>.
-        import ast
-        import pathlib
-
-        import repro.serve
-
-        def names(node):
-            if isinstance(node, ast.JoinedStr):
-                yield "".join(
-                    part.value if isinstance(part, ast.Constant)
-                    else f"<{ast.unparse(part.value)}>"
-                    for part in node.values
-                )
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                yield node.value
-            else:
-                for child in ast.iter_child_nodes(node):
-                    yield from names(child)
-
-        emitted: set[str] = set()
-        package = pathlib.Path(repro.serve.__file__).parent
-        for source in sorted(package.glob("*.py")):
-            for node in ast.walk(ast.parse(source.read_text())):
-                if (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in ("counter", "gauge", "histogram")
-                    and isinstance(node.func.value, ast.Name)
-                    and node.func.value.id == "obs_metrics"
-                    and node.args
-                ):
-                    emitted.update(
-                        name for name in names(node.args[0])
-                        if name.startswith("serve.")
-                    )
+        # Every serve metric the code emits appears in docs/OBSERVABILITY.md;
+        # an f-string family appears as its pattern, e.g. serve.jobs_<status>.
+        emitted = _emitted_serve_metrics()
         assert len(emitted) > 30  # the scan found the serve metrics
-        assert "serve.rejected" not in emitted  # one rejection counter
-        docs = (
-            pathlib.Path(__file__).resolve().parents[1]
-            / "docs" / "OBSERVABILITY.md"
-        ).read_text()
+        assert "serve.rejected" not in emitted  # submit turns no job away
+        docs = _observability_doc()
         missing = sorted(name for name in emitted if f"`{name}`" not in docs)
         assert missing == []
+
+    def test_every_documented_serve_metric_is_emitted(self):
+        # The other direction: every `serve.*` name in the doc's metric
+        # table rows is emitted, or is an instance of an emitted family
+        # listed in that family's own row (serve.jobs_ok in the
+        # serve.jobs_<status> row).  A name with a row of its own must be
+        # emitted as written.  Span names live in prose, not in these rows.
+        import re
+
+        emitted = _emitted_serve_metrics()
+
+        def family(name: str) -> re.Pattern:
+            parts = re.split(r"(<[^>]*>)", name)
+            return re.compile("".join(
+                r"\w+" if part.startswith("<") else re.escape(part)
+                for part in parts
+            ) + "$")
+
+        rows = [
+            re.findall(r"`(serve\.[^`]+)`", line)
+            for line in _observability_doc().splitlines()
+            if line.startswith("| `serve.")
+        ]
+        assert sum(map(len, rows)) > 30  # the scan found the metric rows
+        stale = []
+        for names in rows:
+            families = [family(n) for n in names if "<" in n and n in emitted]
+            stale.extend(
+                name for name in names
+                if name not in emitted
+                and not any(f.match(name) for f in families)
+            )
+        assert sorted(stale) == []
