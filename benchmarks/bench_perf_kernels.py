@@ -28,7 +28,14 @@ from repro.signals.channel import ProbeChannelBank
 from repro.core.aoa import KnownSourceAoAEstimator, UnknownSourceAoAEstimator
 from repro.core import mapstore
 from repro.core.localize import DelayMap, cached_delay_map, clear_delay_map_cache
-from repro.core.fusion import FINAL_MAP_RADII, FINAL_MAP_THETAS
+from repro.core.fusion import (
+    FINAL_MAP_RADII,
+    FINAL_MAP_THETAS,
+    FUSION_BOUNDARY_SAMPLES,
+    MAP_RADII,
+    MAP_THETAS,
+    DiffractionAwareSensorFusion,
+)
 from repro.core.pipeline import Uniq, UniqConfig, grid_from_step
 from repro.serve.worker import clear_capture_memo, personalize_spec
 
@@ -51,12 +58,16 @@ def table(subject):
 
 
 def test_perf_batch_delays(benchmark, head):
-    """~2000-source batch delay solve: the fusion optimizer's inner loop."""
-    rng = np.random.default_rng(0)
-    sources = polar_to_cartesian(
-        rng.uniform(0.2, 1.2, 2000), rng.uniform(-180, 180, 2000)
+    """The batch delay solve of one coarse DelayMap: the fusion optimizer's
+    inner loop, a 240-sample head over the MAP_RADII x MAP_THETAS grid."""
+    search_head = HeadGeometry(
+        a=head.a, b=head.b, c=head.c, n_boundary=FUSION_BOUNDARY_SAMPLES
     )
-    result = benchmark(binaural_delays_batch, head, sources)
+    grid_r, grid_t = np.meshgrid(
+        np.linspace(*MAP_RADII), np.linspace(*MAP_THETAS), indexing="ij"
+    )
+    sources = polar_to_cartesian(grid_r.ravel(), grid_t.ravel())
+    result = benchmark(binaural_delays_batch, search_head, sources)
     assert np.isfinite(result[0]).all()
 
 
@@ -90,14 +101,21 @@ def test_perf_load_session(benchmark, subject, tmp_path_factory):
     assert loaded.n_probes == 34
 
 
-def test_perf_delay_map_invert(benchmark, head):
-    """One delay-pair inversion (per probe per optimizer iteration)."""
-    delay_map = DelayMap(head)
-    from repro.geometry.paths import binaural_delays
-
-    t_left, t_right = binaural_delays(head, polar_to_cartesian(0.45, 60.0))
-    candidate = benchmark(delay_map.locate, t_left, t_right, 60.0)
-    assert candidate is not None
+def test_perf_delay_map_invert(benchmark, head, subject):
+    """One coarse locate_batch over a 34-probe capture's delays: what each
+    optimizer cost evaluation spends after its map build."""
+    session = MeasurementSession(subject, seed=3, probe_interval_s=0.6).run()
+    assert session.n_probes == 34
+    fusion = DiffractionAwareSensorFusion()
+    t_left, t_right = fusion.extract_probe_delays(session)
+    alphas = fusion.imu_angles(session)
+    search_head = HeadGeometry(
+        a=head.a, b=head.b, c=head.c, n_boundary=FUSION_BOUNDARY_SAMPLES
+    )
+    delay_map = DelayMap(search_head, MAP_RADII, MAP_THETAS, refine=False)
+    thetas, _, solved = benchmark(delay_map.locate_batch, t_left, t_right, alphas)
+    assert solved.sum() > session.n_probes // 2
+    assert np.isfinite(thetas[solved]).all()
 
 
 def test_perf_delay_map_cached(benchmark, head):

@@ -224,10 +224,9 @@ class DiffractionAwareSensorFusion:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(theta_i, r_i, solved) for every probe under one delay map.
 
-        One batched inversion over the whole capture: each optimizer cost
-        evaluation is a single array-oriented kernel call instead of a
-        Python loop of per-probe ``locate``s (bit-identical candidates —
-        see :meth:`repro.core.localize.DelayMap.invert_batch`).
+        One batched inversion over the whole capture: on the search's
+        coarse maps each optimizer cost evaluation is a single array pass
+        over every probe (see :meth:`repro.core.localize.DelayMap.locate_batch`).
         """
         return delay_map.locate_batch(t_left, t_right, alphas)
 

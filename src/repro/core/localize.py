@@ -26,6 +26,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -45,11 +46,15 @@ DEFAULT_RADII = (0.16, 1.4, 40)
 #: are always found, at ~3 degree resolution before sub-grid refinement.
 DEFAULT_THETAS = (-180.0, 180.0, 121)
 
-#: Per-instance invert() memo size bound; the cache is cleared (not LRU
-#: evicted) past this, which is far above any per-session probe count.
+#: Per-map inversion memo size bound (refined maps only); the memo is cleared
+#: (not LRU evicted) past this, which is far above any per-session probe count.
 _INVERT_CACHE_MAX = 4096
 
 _log = get_logger("core.localize")
+
+#: Candidate points of many probes at once: ``(rows, thetas_deg, radii_m)``.
+_Points = tuple[np.ndarray, np.ndarray, np.ndarray]
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -62,6 +67,20 @@ class LocalizationCandidate:
     @property
     def position(self) -> np.ndarray:
         return polar_to_cartesian(self.radius_m, self.theta_deg)
+
+
+def _candidate(theta: float, radius: float) -> LocalizationCandidate:
+    return LocalizationCandidate(radius, theta)
+
+
+def _per_row(
+    n: int, points: _Points, make: Callable[[float, float], _T]
+) -> list[list[_T]]:
+    """``make(theta, radius)`` of each of ``points``, grouped into ``n`` row lists."""
+    out: list[list[_T]] = [[] for _ in range(n)]
+    for row, theta, radius in zip(*(part.tolist() for part in points)):
+        out[row].append(make(theta, radius))
+    return out
 
 
 class DelayMap:
@@ -108,6 +127,11 @@ class DelayMap:
             # only honor radii outside the boundary, so self.radii will not
             # match the requested spec — say so instead of adjusting silently.
             adjusted = max_axis + 0.01
+            if adjusted >= r_max:
+                raise GeometryError(
+                    f"radial grid {radii} ends before {adjusted:.3f} m, the "
+                    f"first radius outside the head (max axis {max_axis} m)"
+                )
             obs_metrics.counter("localize.radial_grid_adjusted").inc()
             _log.warning(
                 kv(
@@ -131,9 +155,10 @@ class DelayMap:
         self.t_left = t_left.reshape(n_r, n_t)  # (r, theta)
         self.t_right = t_right.reshape(n_r, n_t)
         obs_metrics.counter("localize.delay_map_builds").inc()
-        #: Memoized invert() results keyed by the exact (t1, t2) pair — the
+        #: A refined map's candidates keyed by the exact (t1, t2) pair — the
         #: tables are immutable after construction, so a repeated delay pair
-        #: (cached maps re-served across optimizer runs) is a pure replay.
+        #: is a pure replay of its exact zone re-solves.  Coarse maps keep
+        #: none: their inversion is one array pass.
         self._invert_cache: dict[
             tuple[float, float], tuple[LocalizationCandidate, ...]
         ] = {}
@@ -153,93 +178,176 @@ class DelayMap:
         )
         return t_left, t_right
 
-    def _radius_for_left_delay(self, t1: float) -> np.ndarray:
-        """Per-angle radius solving ``t_L(r, theta) = t1`` (nan if out of range).
+    def _radius_for_left_delay(self, t1: np.ndarray) -> np.ndarray:
+        """Per-row, per-angle radius solving ``t_L(r, theta) = t1`` (nan out of range).
 
-        A column where the bracketing nodes are not strictly increasing
+        ``t1`` is ``(m,)`` and finite; the result is ``(m, n_theta)``.  A
+        column where the bracketing nodes are not strictly increasing
         (``t_hi <= t_lo``: a flat or non-monotonic table column) has no
         well-defined inverse; it yields NaN — never a candidate snapped to a
         grid radius — and is counted under ``localize.degenerate_columns``
         so the fusion sentinels see inversions degraded by a bad table.
         """
         table = self.t_left  # increasing along axis 0
-        below = table < t1
-        idx = below.sum(axis=0)  # first row with t_L >= t1
-        n_r = self.radii.shape[0]
+        n_r, n_t = table.shape
+        m = t1.shape[0]
+        # idx[k, j] counts column j's entries below t1[k] (the first row with
+        # t_L >= t1 on a monotonic column).  An entry lies below t1[k]
+        # exactly when fewer than rank(k) + 1 of the sorted t1 lie at or
+        # below it, so one histogram per column counts every row at once.
+        order = np.argsort(t1, kind="stable")
+        rank = np.empty(m, dtype=np.intp)
+        rank[order] = np.arange(m)
+        at_or_below = np.searchsorted(t1[order], table, side="right")
+        bins = (at_or_below + (m + 1) * np.arange(n_t)).ravel()
+        hist = np.bincount(bins, minlength=n_t * (m + 1)).reshape(n_t, m + 1)
+        idx = np.cumsum(hist, axis=1)[:, rank].T
         valid = (idx > 0) & (idx < n_r)
-        idx_c = np.clip(idx, 1, n_r - 1)
-        t_lo = np.take_along_axis(table, (idx_c - 1)[None, :], axis=0)[0]
-        t_hi = np.take_along_axis(table, idx_c[None, :], axis=0)[0]
+        upper = np.clip(idx, 1, n_r - 1)
+        flat = upper * n_t + np.arange(n_t)
+        t_lo = table.take(flat - n_t)
+        t_hi = table.take(flat)
         with np.errstate(invalid="ignore", divide="ignore"):
-            frac = np.where(t_hi > t_lo, (t1 - t_lo) / (t_hi - t_lo), np.nan)
+            frac = np.where(t_hi > t_lo, (t1[:, None] - t_lo) / (t_hi - t_lo), np.nan)
         degenerate = valid & ~(t_hi > t_lo)
         if degenerate.any():
             obs_metrics.counter("localize.degenerate_columns").inc(
                 int(degenerate.sum())
             )
-        radius = self.radii[idx_c - 1] + frac * (self.radii[idx_c] - self.radii[idx_c - 1])
+        r_lo = self.radii[upper - 1]
+        radius = r_lo + frac * (self.radii[upper] - r_lo)
         return np.where(valid, radius, np.nan)
 
     def _right_delay_at(self, radius: np.ndarray) -> np.ndarray:
-        """``t_R`` interpolated at per-angle radii (nan-propagating)."""
-        idx = np.searchsorted(self.radii, radius)
-        n_r = self.radii.shape[0]
-        idx_c = np.clip(idx, 1, n_r - 1)
-        r_lo = self.radii[idx_c - 1]
-        r_hi = self.radii[idx_c]
-        frac = (radius - r_lo) / (r_hi - r_lo)
-        t_lo = np.take_along_axis(self.t_right, (idx_c - 1)[None, :], axis=0)[0]
-        t_hi = np.take_along_axis(self.t_right, idx_c[None, :], axis=0)[0]
-        return t_lo + frac * (t_hi - t_lo)
+        """``t_R`` interpolated at ``(m, n_theta)`` per-angle radii (nan propagates)."""
+        n_r, n_t = self.t_right.shape
+        upper = np.clip(np.searchsorted(self.radii, radius), 1, n_r - 1)
+        r_lo = self.radii[upper - 1]
+        frac = (radius - r_lo) / (self.radii[upper] - r_lo)
+        flat = upper * n_t + np.arange(n_t)
+        t_lo = self.t_right.take(flat - n_t)
+        return t_lo + frac * (self.t_right.take(flat) - t_lo)
 
-    def invert(self, t_left: float, t_right: float) -> list[LocalizationCandidate]:
-        """All phone locations consistent with the measured delay pair.
+    def _scan(
+        self, t1: np.ndarray, t2: np.ndarray
+    ) -> tuple[_Points, _Points]:
+        """Sign-change crossings and grazing vertices of every row's mismatch.
 
-        Returns up to a handful of candidates (generically two: one in
-        front, one behind — the paper's A and B in Figure 10b).  Empty when
-        the delays are inconsistent with any grid location, which the fusion
-        stage penalizes.
+        Per row, solve ``t_L(r, theta) = t1`` for ``r`` on every angle
+        column, evaluate ``g(theta) = t_R(r(theta), theta) - t2`` and take
+        the linearly interpolated roots of ``g``.  Returns ``(crossings,
+        vertices)``, each ``(rows, thetas, radii)`` arrays: crossings sorted
+        by row, then angle, and the :meth:`_grazes` vertices in row-major
+        node order.  The sort is stable, as ``sorted`` is: a crossing that
+        ends on an exact-zero node and the one that starts there share
+        their angle, and stay in node order.
         """
-        if not np.isfinite(t_left) or not np.isfinite(t_right):
-            return []
-        key = (float(t_left), float(t_right))
-        cached = self._invert_cache.get(key)
-        if cached is not None:
-            obs_metrics.counter("localize.invert_cache_hits").inc()
-            return list(cached)
-        radius = self._radius_for_left_delay(t_left)
-        g = self._right_delay_at(radius) - t_right
-        candidates: list[LocalizationCandidate] = []
+        radius = self._radius_for_left_delay(t1)
+        g = self._right_delay_at(radius) - t2[:, None]
         finite = np.isfinite(g)
-        for i in range(g.shape[0] - 1):
-            if not (finite[i] and finite[i + 1]):
-                continue
-            if g[i] == 0.0 or (g[i] < 0) != (g[i + 1] < 0):
-                span = g[i + 1] - g[i]
-                frac = 0.0 if span == 0 else float(-g[i] / span)
-                theta = float(
-                    self.thetas_deg[i]
-                    + frac * (self.thetas_deg[i + 1] - self.thetas_deg[i])
+        gl, gr = g[:, :-1], g[:, 1:]
+        cross = finite[:, :-1] & finite[:, 1:] & (
+            (gl == 0.0) | ((gl < 0) != (gr < 0))
+        )
+        rows, nodes = np.nonzero(cross)
+        gl_s = g[rows, nodes]
+        span = g[rows, nodes + 1] - gl_s
+        with np.errstate(invalid="ignore", divide="ignore"):
+            frac = np.where(span == 0.0, 0.0, -gl_s / span)
+        thetas = self.thetas_deg[nodes] + frac * (
+            self.thetas_deg[nodes + 1] - self.thetas_deg[nodes]
+        )
+        lower = radius[rows, nodes]
+        radii = lower + frac * (radius[rows, nodes + 1] - lower)
+        keep = np.isfinite(radii)
+        rows, thetas, radii = rows[keep], thetas[keep], radii[keep]
+        order = np.lexsort((thetas, rows))
+        crossings = rows[order], thetas[order], radii[order]
+        return crossings, self._grazes(g, radius, crossings)
+
+    def _grazes(
+        self,
+        g: np.ndarray,
+        radius: np.ndarray,
+        crossings: _Points,
+    ) -> _Points:
+        """``(rows, thetas, radii)`` of extrema of each row's ``g`` that may graze zero.
+
+        Fit a parabola through each no-sign-change local extremum's three
+        nodes and flag its vertex when the fitted peak comes within a
+        generous margin of zero.  The margin is deliberately loose: near a
+        tangency the true peak of ``g`` is a narrow cusp that a parabola
+        through 3-degree-spaced nodes badly underestimates (observed: a
+        real zero fitted as -5e-6 s), so the tolerance combines a
+        curvature term with an absolute floor for the delay tables' own
+        bilinear noise.  False flags are harmless — the exact re-solve in
+        :meth:`_solve_zone` discards zones with no actual root.
+
+        A vertex within a grid step of one of its row's ``crossings`` or of
+        an earlier vertex of its row is dropped; only the (rare) flagged
+        nodes reach that last check's loop, in row-major node order.
+        """
+        step = float(self.thetas_deg[1] - self.thetas_deg[0])
+        g_prev, g_mid, g_next = g[:, :-2], g[:, 1:-1], g[:, 2:]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            a = 0.5 * (g_next + g_prev - 2.0 * g_mid)
+            b = 0.5 * (g_next - g_prev)
+            # |x_star| = |b| / |2a| rounds to at most 1 only below
+            # 1 + 2**-53, and a double above |2a| already exceeds that ratio,
+            # so nodes with |b| <= |2a| (the extrema of g) hold every node
+            # the full test below can flag.
+            rows, nodes = np.nonzero(np.abs(b) <= 2.0 * np.abs(a))
+            a, b = a[rows, nodes], b[rows, nodes]
+            g_prev, g_mid, g_next = (g[rows, nodes + k] for k in range(3))
+            neg_prev, neg_mid, neg_next = g_prev < 0, g_mid < 0, g_next < 0
+            x_star = np.where(a != 0.0, -b / (2.0 * a), np.nan)
+            g_vertex = g_mid - np.where(a != 0.0, b * b / (4.0 * a), np.nan)
+            tolerance = 2.0 * np.abs(a) + 1e-6
+            mask = (
+                np.isfinite(g_prev) & np.isfinite(g_mid) & np.isfinite(g_next)
+                # Sign changes at the neighbouring nodes were already found.
+                & (neg_prev == neg_mid) & (neg_mid == neg_next)
+                & (a != 0.0)
+                & (np.abs(x_star) <= 1.0)
+                & (
+                    ((a < 0) & neg_mid & (g_vertex >= -tolerance))
+                    | ((a > 0) & ~neg_mid & (g_vertex <= tolerance))
                 )
-                r_here = float(radius[i] + frac * (radius[i + 1] - radius[i]))
-                if np.isfinite(r_here):
-                    candidates.append(LocalizationCandidate(r_here, theta))
-        out = self._refine_grazing(t_left, t_right, g, radius, finite, candidates)
-        if len(self._invert_cache) >= _INVERT_CACHE_MAX:
-            self._invert_cache.clear()
-        self._invert_cache[key] = tuple(out)
-        return out
+            )
+        rows, nodes, x = rows[mask], nodes[mask], x_star[mask]  # row-major
+        thetas = self.thetas_deg[nodes + 1] + x * step
+        neighbour = np.where(x >= 0, nodes + 2, nodes)
+        centre = radius[rows, nodes + 1]
+        radii = centre + np.abs(x) * (radius[rows, neighbour] - centre)
+        cross_rows, cross_thetas, _ = crossings
+        near_crossing = (
+            (rows[:, None] == cross_rows[None, :])
+            & (np.abs(cross_thetas[None, :] - thetas[:, None]) <= step)
+        ).any(axis=1)
+        keep = np.flatnonzero(np.isfinite(radii) & ~near_crossing)
+        kept: dict[int, list[float]] = {}
+        accepted = []
+        for k, row, theta in zip(
+            keep.tolist(), rows[keep].tolist(), thetas[keep].tolist()
+        ):
+            earlier = kept.setdefault(row, [])
+            if not any(abs(theta_v - theta) <= step for theta_v in earlier):
+                earlier.append(theta)
+                accepted.append(k)
+        return rows[accepted], thetas[accepted], radii[accepted]
 
     def _refine_grazing(
         self,
         t_left: float,
         t_right: float,
-        g: np.ndarray,
-        radius: np.ndarray,
-        finite: np.ndarray,
-        coarse: list[LocalizationCandidate],
+        ordered: list[LocalizationCandidate],
+        vertices: list[tuple[float, float]],
     ) -> list[LocalizationCandidate]:
         """Re-solve grazing-zone roots against the *exact* delay model.
+
+        ``ordered`` are one probe's table crossings sorted by angle and
+        ``vertices`` its ``(theta, radius)`` grazing vertices, as
+        :meth:`_scan` finds them.
 
         Near the ear axis (theta ~ 90 deg) the two iso-delay trajectories
         meet almost tangentially, so ``g(theta)`` hugs zero over several
@@ -261,17 +369,6 @@ class DelayMap:
         untouched.
         """
         step = float(self.thetas_deg[1] - self.thetas_deg[0])
-        ordered = sorted(coarse, key=lambda c: c.theta_deg)
-        if not self.refine:
-            # Cheap mode (fusion inner loop): keep the coarse crossings and
-            # add the grazing vertices as-is — accurate to ~a grid step,
-            # which is all the optimizer's cost ranking needs.
-            return ordered + [
-                LocalizationCandidate(r_here, theta)
-                for theta, r_here in self._tangential_vertices(
-                    g, radius, finite, ordered
-                )
-            ]
         #: Each zone is (theta_lo, theta_hi, r_center, fallback candidates).
         zones: list[tuple[float, float, float, list[LocalizationCandidate]]] = []
         out: list[LocalizationCandidate] = []
@@ -296,7 +393,7 @@ class DelayMap:
                 out.append(ordered[i])
             i = j + 1
 
-        for theta, r_here in self._tangential_vertices(g, radius, finite, ordered):
+        for theta, r_here in vertices:
             zones.append((
                 theta - 1.5 * step,
                 theta + 1.5 * step,
@@ -318,64 +415,6 @@ class DelayMap:
                 ):
                     out.append(candidate)
         return out
-
-    def _tangential_vertices(
-        self,
-        g: np.ndarray,
-        radius: np.ndarray,
-        finite: np.ndarray,
-        found: list[LocalizationCandidate],
-    ) -> list[tuple[float, float]]:
-        """``(theta, radius)`` of extrema of ``g`` that may graze zero.
-
-        Fit a parabola through each no-sign-change local extremum's three
-        nodes and flag its vertex when the fitted peak comes within a
-        generous margin of zero.  The margin is deliberately loose: near a
-        tangency the true peak of ``g`` is a narrow cusp that a parabola
-        through 3-degree-spaced nodes badly underestimates (observed: a
-        real zero fitted as -5e-6 s), so the tolerance combines a
-        curvature term with an absolute floor for the delay tables' own
-        bilinear noise.  False flags are harmless — the exact re-solve in
-        :meth:`_solve_zone` discards zones with no actual root.
-        """
-        step = float(self.thetas_deg[1] - self.thetas_deg[0])
-        # Vectorized over interior nodes: this runs on every invert() call
-        # inside the fusion optimizer, so no per-node python loop.
-        g_prev, g_mid, g_next = g[:-2], g[1:-1], g[2:]
-        neg_prev, neg_mid, neg_next = g_prev < 0, g_mid < 0, g_next < 0
-        with np.errstate(invalid="ignore", divide="ignore"):
-            a = 0.5 * (g_next + g_prev - 2.0 * g_mid)
-            b = 0.5 * (g_next - g_prev)
-            x_star = np.where(a != 0.0, -b / (2.0 * a), np.nan)
-            g_vertex = g_mid - np.where(a != 0.0, b * b / (4.0 * a), np.nan)
-            tolerance = 2.0 * np.abs(a) + 1e-6
-            mask = (
-                finite[:-2] & finite[1:-1] & finite[2:]
-                # Sign changes at the neighbouring nodes were already found.
-                & (neg_prev == neg_mid) & (neg_mid == neg_next)
-                & (a != 0.0)
-                & (np.abs(x_star) <= 1.0)
-                & (
-                    ((a < 0) & neg_mid & (g_vertex >= -tolerance))
-                    | ((a > 0) & ~neg_mid & (g_vertex <= tolerance))
-                )
-            )
-        vertices: list[tuple[float, float]] = []
-        for i in np.flatnonzero(mask):
-            x = float(x_star[i])
-            theta = float(self.thetas_deg[i + 1] + x * step)
-            neighbour = i + 2 if x >= 0 else i
-            r_here = float(
-                radius[i + 1] + abs(x) * (radius[neighbour] - radius[i + 1])
-            )
-            if not np.isfinite(r_here):
-                continue
-            if any(abs(c.theta_deg - theta) <= step for c in found):
-                continue
-            if any(abs(theta_v - theta) <= step for theta_v, _ in vertices):
-                continue
-            vertices.append((theta, r_here))
-        return vertices
 
     def _solve_zone(
         self,
@@ -457,203 +496,65 @@ class DelayMap:
         r_star = float(mid[pivot] + abs(x_star) * (mid[neighbour] - mid[pivot]))
         return [LocalizationCandidate(r_star, theta_star)]
 
-    def locate(
-        self, t_left: float, t_right: float, imu_angle_deg: float
-    ) -> LocalizationCandidate | None:
-        """The candidate closest to the IMU angle (paper's disambiguation).
+    def _candidates(self, t_left: np.ndarray, t_right: np.ndarray) -> _Points:
+        """``(rows, thetas, radii)`` of every probe's candidates, in list order.
 
-        Returns ``None`` when the delays admit no solution under this head
-        parameter vector.
+        One array pass over the probes whose delays are both finite.  A
+        coarse map returns each row's crossings, sorted by angle, then its
+        grazing vertices.  A refined map re-solves grazing zones per probe
+        (:meth:`_refine_grazing`) and memoizes each delay pair's candidates
+        (``localize.invert_cache_hits`` counts repeats, in-batch ones
+        included).
         """
-        candidates = self.invert(t_left, t_right)
-        if not candidates:
-            return None
-        return min(candidates, key=lambda c: abs(c.theta_deg - imu_angle_deg))
-
-    # ------------------------------------------------------------------
-    # Batched inversion: one vectorized pass over a whole probe array.
-    # Every arithmetic expression below mirrors its scalar counterpart
-    # elementwise in float64, so the candidates are bit-identical to
-    # per-probe invert()/locate() — the golden digests enforce this.
-    # ------------------------------------------------------------------
-
-    def _radius_for_left_delay_batch(self, t1: np.ndarray) -> np.ndarray:
-        """Rows of :meth:`_radius_for_left_delay` for many ``t1`` at once."""
-        table = self.t_left  # increasing along axis 0
-        n_r = self.radii.shape[0]
-        below = table[None, :, :] < t1[:, None, None]  # (m, n_r, n_t)
-        idx = below.sum(axis=1)  # (m, n_t)
-        valid = (idx > 0) & (idx < n_r)
-        idx_c = np.clip(idx, 1, n_r - 1)
-        cols = np.arange(table.shape[1])[None, :]
-        t_lo = table[idx_c - 1, cols]
-        t_hi = table[idx_c, cols]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            frac = np.where(t_hi > t_lo, (t1[:, None] - t_lo) / (t_hi - t_lo), np.nan)
-        degenerate = valid & ~(t_hi > t_lo)
-        if degenerate.any():
-            obs_metrics.counter("localize.degenerate_columns").inc(
-                int(degenerate.sum())
+        t1 = np.asarray(t_left, dtype=float)
+        t2 = np.asarray(t_right, dtype=float)
+        probes = np.flatnonzero(np.isfinite(t1) & np.isfinite(t2))
+        if not self.refine:
+            crossings, vertices = self._scan(t1[probes], t2[probes])
+            rows, thetas, radii = (
+                np.concatenate(parts) for parts in zip(crossings, vertices)
             )
-        radius = self.radii[idx_c - 1] + frac * (self.radii[idx_c] - self.radii[idx_c - 1])
-        return np.where(valid, radius, np.nan)
-
-    def _right_delay_at_batch(self, radius: np.ndarray) -> np.ndarray:
-        """Rows of :meth:`_right_delay_at` for a ``(m, n_theta)`` radius array."""
-        idx = np.searchsorted(self.radii, radius)
-        n_r = self.radii.shape[0]
-        idx_c = np.clip(idx, 1, n_r - 1)
-        r_lo = self.radii[idx_c - 1]
-        r_hi = self.radii[idx_c]
-        frac = (radius - r_lo) / (r_hi - r_lo)
-        cols = np.arange(self.t_right.shape[1])[None, :]
-        t_lo = self.t_right[idx_c - 1, cols]
-        t_hi = self.t_right[idx_c, cols]
-        return t_lo + frac * (t_hi - t_lo)
-
-    def _tangential_vertices_batch(
-        self,
-        g: np.ndarray,
-        radius: np.ndarray,
-        finite: np.ndarray,
-        found: list[list[LocalizationCandidate]],
-    ) -> list[list[tuple[float, float]]]:
-        """Per-row :meth:`_tangential_vertices` with one vectorized node scan.
-
-        The parabola fit and the graze mask are evaluated for all rows at
-        once; only the (rare) flagged nodes fall back to the scalar
-        per-vertex bookkeeping, in the same node order as the scalar scan.
-        """
-        step = float(self.thetas_deg[1] - self.thetas_deg[0])
-        g_prev, g_mid, g_next = g[:, :-2], g[:, 1:-1], g[:, 2:]
-        neg_prev, neg_mid, neg_next = g_prev < 0, g_mid < 0, g_next < 0
-        with np.errstate(invalid="ignore", divide="ignore"):
-            a = 0.5 * (g_next + g_prev - 2.0 * g_mid)
-            b = 0.5 * (g_next - g_prev)
-            x_star = np.where(a != 0.0, -b / (2.0 * a), np.nan)
-            g_vertex = g_mid - np.where(a != 0.0, b * b / (4.0 * a), np.nan)
-            tolerance = 2.0 * np.abs(a) + 1e-6
-            mask = (
-                finite[:, :-2] & finite[:, 1:-1] & finite[:, 2:]
-                & (neg_prev == neg_mid) & (neg_mid == neg_next)
-                & (a != 0.0)
-                & (np.abs(x_star) <= 1.0)
-                & (
-                    ((a < 0) & neg_mid & (g_vertex >= -tolerance))
-                    | ((a > 0) & ~neg_mid & (g_vertex <= tolerance))
-                )
-            )
-        vertices: list[list[tuple[float, float]]] = [[] for _ in range(g.shape[0])]
-        rows, nodes = np.nonzero(mask)  # row-major: scalar flatnonzero order
-        for k, i in zip(rows, nodes):
-            x = float(x_star[k, i])
-            theta = float(self.thetas_deg[i + 1] + x * step)
-            neighbour = i + 2 if x >= 0 else i
-            r_here = float(
-                radius[k, i + 1] + abs(x) * (radius[k, neighbour] - radius[k, i + 1])
-            )
-            if not np.isfinite(r_here):
-                continue
-            if any(abs(c.theta_deg - theta) <= step for c in found[k]):
-                continue
-            if any(abs(theta_v - theta) <= step for theta_v, _ in vertices[k]):
-                continue
-            vertices[k].append((theta, r_here))
-        return vertices
+            return probes[rows], thetas, radii
+        keys = list(zip(t1[probes].tolist(), t2[probes].tolist()))
+        found = {key: self._invert_cache.get(key) for key in keys}
+        todo = [key for key, cands in found.items() if cands is None]
+        if len(keys) > len(todo):  # memo hits and in-batch repeats
+            hits = len(keys) - len(todo)
+            obs_metrics.counter("localize.invert_cache_hits").inc(hits)
+        if todo:
+            crossings, vertices = self._scan(*np.array(todo).T)
+            ordered = _per_row(len(todo), crossings, _candidate)
+            grazes = _per_row(len(todo), vertices, lambda theta, r: (theta, r))
+            for row, key in enumerate(todo):
+                refined = self._refine_grazing(*key, ordered[row], grazes[row])
+                found[key] = tuple(refined)
+                if len(self._invert_cache) >= _INVERT_CACHE_MAX:
+                    self._invert_cache.clear()
+                self._invert_cache[key] = found[key]
+        per_probe = [found[key] for key in keys]
+        flat = [c for cands in per_probe for c in cands]
+        return (
+            np.repeat(probes, [len(cands) for cands in per_probe]),
+            np.array([c.theta_deg for c in flat], dtype=float),
+            np.array([c.radius_m for c in flat], dtype=float),
+        )
 
     def invert_batch(
         self, t_left: np.ndarray, t_right: np.ndarray
     ) -> list[list[LocalizationCandidate]]:
-        """Per-probe :meth:`invert` results for whole delay arrays at once.
+        """All phone locations consistent with each measured delay pair.
 
-        One vectorized radius solve / interpolation / crossing scan covers
-        every uncached probe; the per-probe memo cache is consulted and
-        populated exactly as the scalar path would, so mixing batch and
-        scalar calls on one map stays consistent.
+        Per probe, up to a handful of candidates (generically two: one in
+        front, one behind — the paper's A and B in Figure 10b).  Empty when
+        the delays are non-finite or inconsistent with any grid location,
+        which the fusion stage penalizes.
         """
-        t1 = np.asarray(t_left, dtype=float)
-        t2 = np.asarray(t_right, dtype=float)
-        m = t1.shape[0]
-        out: list[list[LocalizationCandidate] | None] = [None] * m
-        todo: list[int] = []  # probe index of each computed row
-        pending: dict[tuple[float, float], int] = {}  # key -> row
-        row_of: dict[int, int] = {}  # probe index -> row
-        for k in range(m):
-            if not (np.isfinite(t1[k]) and np.isfinite(t2[k])):
-                out[k] = []
-                continue
-            key = (float(t1[k]), float(t2[k]))
-            cached = self._invert_cache.get(key)
-            if cached is not None:
-                obs_metrics.counter("localize.invert_cache_hits").inc()
-                out[k] = list(cached)
-                continue
-            row = pending.get(key)
-            if row is None:
-                row = len(todo)
-                todo.append(k)
-                pending[key] = row
-            else:
-                # In-batch duplicate: computed once, served as a cache hit —
-                # matching the scalar loop's counter arithmetic.
-                obs_metrics.counter("localize.invert_cache_hits").inc()
-            row_of[k] = row
-        if todo:
-            sub1 = t1[todo]
-            sub2 = t2[todo]
-            radius = self._radius_for_left_delay_batch(sub1)
-            g = self._right_delay_at_batch(radius) - sub2[:, None]
-            finite = np.isfinite(g)
-            gl, gr = g[:, :-1], g[:, 1:]
-            cross = finite[:, :-1] & finite[:, 1:] & (
-                (gl == 0.0) | ((gl < 0) != (gr < 0))
-            )
-            coarse: list[list[LocalizationCandidate]] = [[] for _ in todo]
-            rows, nodes = np.nonzero(cross)  # row-major: scalar scan order
-            if rows.size:
-                gl_s = g[rows, nodes]
-                span = g[rows, nodes + 1] - gl_s
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    frac = np.where(span == 0.0, 0.0, -gl_s / span)
-                theta = self.thetas_deg[nodes] + frac * (
-                    self.thetas_deg[nodes + 1] - self.thetas_deg[nodes]
-                )
-                r_here = radius[rows, nodes] + frac * (
-                    radius[rows, nodes + 1] - radius[rows, nodes]
-                )
-                for n in range(rows.size):
-                    if np.isfinite(r_here[n]):
-                        coarse[rows[n]].append(
-                            LocalizationCandidate(float(r_here[n]), float(theta[n]))
-                        )
-            if self.refine:
-                resolved = [
-                    self._refine_grazing(
-                        float(sub1[row]), float(sub2[row]),
-                        g[row], radius[row], finite[row], coarse[row],
-                    )
-                    for row in range(len(todo))
-                ]
-            else:
-                ordered = [
-                    sorted(cands, key=lambda c: c.theta_deg) for cands in coarse
-                ]
-                grazes = self._tangential_vertices_batch(g, radius, finite, ordered)
-                resolved = [
-                    ordered[row]
-                    + [
-                        LocalizationCandidate(r_v, theta_v)
-                        for theta_v, r_v in grazes[row]
-                    ]
-                    for row in range(len(todo))
-                ]
-            for key, row in pending.items():
-                if len(self._invert_cache) >= _INVERT_CACHE_MAX:
-                    self._invert_cache.clear()
-                self._invert_cache[key] = tuple(resolved[row])
-            for k, row in row_of.items():
-                out[k] = list(resolved[row])
-        return out  # type: ignore[return-value]
+        points = self._candidates(t_left, t_right)
+        return _per_row(np.shape(t_left)[0], points, _candidate)
+
+    def invert(self, t_left: float, t_right: float) -> list[LocalizationCandidate]:
+        """:meth:`invert_batch` for one delay pair."""
+        return self.invert_batch(np.array([t_left]), np.array([t_right]))[0]
 
     def locate_batch(
         self,
@@ -661,26 +562,37 @@ class DelayMap:
         t_right: np.ndarray,
         imu_angles_deg: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized :meth:`locate` over a probe array.
+        """Each probe's candidate closest to its IMU angle (paper's disambiguation).
 
         Returns ``(theta_deg, radius_m, solved)`` arrays; unsolved probes
         (non-finite delays or no consistent grid location) carry NaN angles
-        and radii with ``solved`` False — the layout fusion consumes.
+        and radii with ``solved`` False — the layout fusion consumes.  Ties
+        go to the probe's first candidate in :meth:`invert_batch` order.
         """
-        candidate_lists = self.invert_batch(t_left, t_right)
-        n = len(candidate_lists)
-        thetas = np.full(n, np.nan)
-        radii = np.full(n, np.nan)
+        rows, thetas, radii = self._candidates(t_left, t_right)
+        alphas = np.asarray(imu_angles_deg, dtype=float)
+        distance = np.abs(thetas - alphas[rows])
+        order = np.lexsort((np.arange(rows.size), distance, rows))
+        best = order[np.flatnonzero(np.diff(rows[order], prepend=-1))]
+        n = alphas.shape[0]
+        out_thetas = np.full(n, np.nan)
+        out_radii = np.full(n, np.nan)
         solved = np.zeros(n, dtype=bool)
-        for i, candidates in enumerate(candidate_lists):
-            if not candidates:
-                continue
-            alpha = imu_angles_deg[i]
-            best = min(candidates, key=lambda c: abs(c.theta_deg - alpha))
-            thetas[i] = best.theta_deg
-            radii[i] = best.radius_m
-            solved[i] = True
-        return thetas, radii, solved
+        out_thetas[rows[best]] = thetas[best]
+        out_radii[rows[best]] = radii[best]
+        solved[rows[best]] = True
+        return out_thetas, out_radii, solved
+
+    def locate(
+        self, t_left: float, t_right: float, imu_angle_deg: float
+    ) -> LocalizationCandidate | None:
+        """:meth:`locate_batch` for one probe; ``None`` when it is unsolved."""
+        thetas, radii, solved = self.locate_batch(
+            np.array([t_left]), np.array([t_right]), np.array([imu_angle_deg])
+        )
+        if not solved[0]:
+            return None
+        return LocalizationCandidate(float(radii[0]), float(thetas[0]))
 
 
 #: LRU store of built maps.  ~34 KB per coarse fusion map, so the default
@@ -743,13 +655,14 @@ def cached_delay_map(
     evaluation cohort all rebuild maps for head parameter vectors they have
     already seen; a hit skips both the :class:`HeadGeometry` boundary build
     and the full batch diffraction solve.  Maps are immutable after
-    construction (``invert`` results are memoized per instance), so sharing
-    one instance across callers cannot change any numeric output.
+    construction (a refined map memoizes its ``invert`` results), so
+    sharing one instance across callers cannot change any numeric output.
 
     Hits/misses are counted under ``localize.delay_map_cache_hits`` /
     ``_misses``; :func:`clear_delay_map_cache` empties the store (tests,
     memory-pressure escape hatch).  Nothing is persisted: a process builds
-    its own maps (~2 ms coarse, ~12 ms final), and the on-disk
+    its own maps (a miss costs ~0.6 ms for the fusion's coarse grid and
+    ~3.7 ms for its final grid on a 2-core x86 VM), and the on-disk
     :mod:`repro.core.mapstore` keeps head-search outcomes instead.
     """
     key = _map_cache_key(parameters, n_boundary, radii, thetas, model, refine)
@@ -760,8 +673,8 @@ def cached_delay_map(
             obs_metrics.counter("localize.delay_map_cache_hits").inc()
             return cached
     # Build outside the lock: a concurrent duplicate build wastes one solve
-    # but never blocks other threads behind a construction (~2 ms for the
-    # fusion's coarse grid, ~10 ms for its final grid).
+    # but never blocks other threads behind a construction (~0.6 ms for the
+    # fusion's coarse grid, ~3.7 ms for its final grid).
     obs_metrics.counter("localize.delay_map_cache_misses").inc()
     a, b, c = (float(v) for v in parameters)
     head = HeadGeometry(a=a, b=b, c=c, n_boundary=int(n_boundary))

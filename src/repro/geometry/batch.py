@@ -41,6 +41,10 @@ from repro.geometry.head import Ear, HeadGeometry
 from repro.geometry.vec import unit_from_angle_deg
 
 
+#: Ear order of every ``(2, m)`` result: row 0 the left ear, row 1 the right.
+_EARS = (Ear.LEFT, Ear.RIGHT)
+
+
 def _vertex_table(head: HeadGeometry) -> np.ndarray:
     """``(4, n)`` rows ``nx, ny, px, py``: one gather fetches a sign test."""
     boundary = head.boundary
@@ -58,13 +62,14 @@ def _faces(vertex: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 
 
 def _horizon_indices(
-    head: HeadGeometry, sources: np.ndarray
+    table: np.ndarray, xs: np.ndarray, ys: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-source visibility horizons over the sampled boundary.
 
-    Returns ``(first_visible, last_visible)``, the vertex indices at the two
-    ends of each source's contiguous visible arc.  Computed once and shared
-    between both ears.
+    ``table`` is the head's :func:`_vertex_table`.  Returns
+    ``(first_visible, last_visible)``, the vertex indices at the two ends of
+    each source's contiguous visible arc.  Computed once and shared between
+    both ears.
 
     The search starts from each source's *anchor*: the vertex at the
     source's own polar angle, which every source that sees any vertex sees
@@ -73,29 +78,32 @@ def _horizon_indices(
     source, because the origin lies inside the head.  Sources inside the
     head return arbitrary valid indices; callers mask them.
     """
-    xs, ys = np.ascontiguousarray(sources.T)
-    psi = np.arctan2(sources[:, 0], sources[:, 1])
-    return _arc_ends(head, psi, lambda vertex: _faces(vertex, xs, ys))
+    return _arc_ends(table, np.arctan2(xs, ys), lambda vertex: _faces(vertex, xs, ys))
 
 
 def _arc_ends(
-    head: HeadGeometry, psi: np.ndarray, faces: Callable[[np.ndarray], np.ndarray]
+    table: np.ndarray, psi: np.ndarray, faces: Callable[[np.ndarray], np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Ends ``(first, last)`` of each row's contiguous arc of ``faces`` vertices.
 
-    ``faces`` maps gathered vertex rows ``(nx, ny, px, py)`` to one boolean
-    per row.  The vertex nearest polar angle ``psi`` must pass and the one
-    half a turn on must fail.  By convexity the passing vertices form one arc
-    around that anchor, so walking forward (backward) from the anchor the
-    vertices pass up to the last (first) one and fail after it.  Binary
-    lifting finds that offset for all rows at once in ``ceil(log2(n / 2))``
-    steps of ``O(m)`` each.
+    ``faces`` maps gathered rows ``(nx, ny, px, py)`` of the ``(4, n)``
+    vertex ``table`` to one boolean per row.  The vertex nearest polar angle
+    ``psi`` must pass and the one half a turn on must fail.  By convexity the
+    passing vertices form one arc around that anchor, so walking forward
+    (backward) from the anchor the vertices pass up to the last (first) one
+    and fail after it.  Binary lifting finds that offset for all rows at
+    once in ``ceil(log2(n / 2))`` steps of ``O(m)`` each.
     """
-    table = _vertex_table(head)
-    n = head.n_boundary
+    n = table.shape[1]
     half = n // 2
-    # boundary_point samples uniform psi with x = r sin(psi), y = r cos(psi).
-    anchor = np.rint(psi * (n / (2.0 * np.pi))).astype(np.intp) % n
+    # boundary_point samples uniform psi with x = r sin(psi), y = r cos(psi);
+    # psi lies in [-pi, pi], so the anchor needs at most one turn added.
+    anchor = np.rint(psi * (n / (2.0 * np.pi))).astype(np.intp)
+    anchor = np.where(anchor < 0, anchor + n, anchor)
+    # Every tried offset is below n, so the walk stays inside three copies
+    # of the table around the anchor's middle copy and needs no wrapping.
+    tiled = np.tile(table, 3)
+    start = anchor + n
     # Row 0 walks forward to the last passing vertex, row 1 backward to the
     # first; ``reach`` is each row's largest offset known to pass.
     direction = np.array([[1], [-1]], dtype=np.intp)
@@ -103,56 +111,62 @@ def _arc_ends(
     step = 1 << ((half - 1).bit_length() - 1)  # highest bit of any offset
     while step:
         offset = reach + step
-        index = (anchor + direction * offset) % n
-        seen = (offset < half) & faces(np.take(table, index, axis=1))
+        seen = (offset < half) & faces(
+            np.take(tiled, start + direction * offset, axis=1)
+        )
         reach = np.where(seen, offset, reach)
         step >>= 1
-    return (anchor - reach[1]) % n, (anchor + reach[0]) % n
+    first = anchor - reach[1]
+    last = anchor + reach[0]
+    return np.where(first < 0, first + n, first), np.where(last >= n, last - n, last)
 
 
-def _wrap_candidates(
-    head: HeadGeometry,
-    ear_index: int,
-    tangents: list[tuple[np.ndarray, np.ndarray, int]],
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """``(total, arc)`` of each tangent candidate, as ``arc_between`` sums it."""
-    cum = head.boundary.cumulative_arc
+def _wrap_arcs(
+    head: HeadGeometry, last: np.ndarray, first: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(2, m)`` arcs from the two tangent vertices to each ear, as ``arc_between``.
+
+    Wrapping from the ``last`` visible vertex continues counter-clockwise
+    (increasing index) through the shadow, from the ``first`` one
+    clockwise.  ``arc_between``'s float ``% perimeter`` is a conditional
+    ``+ perimeter`` on ``(-P, P)`` and a conditional ``- perimeter`` on
+    ``(0, P]``, where it rounds the same.
+    """
+    boundary_arc = head.boundary.cumulative_arc
     perimeter = head.boundary.perimeter
-    candidates = []
-    for straight, tangent_arc, travel_sign in tangents:
-        forward = (cum[ear_index] - tangent_arc) % perimeter
-        arc = forward if travel_sign >= 0 else (perimeter - forward) % perimeter
-        candidates.append((straight + arc, arc))
-    return candidates
+    ear_arc = boundary_arc[[head.ear_index(ear) for ear in _EARS], None]
+    forward = ear_arc - boundary_arc[last]
+    after_last = np.where(forward < 0.0, forward + perimeter, forward)
+    forward = ear_arc - boundary_arc[first]
+    forward = np.where(forward < 0.0, forward + perimeter, forward)
+    back = perimeter - forward
+    return after_last, np.where(back >= perimeter, back - perimeter, back)
 
 
-def _ear_lengths(
-    head: HeadGeometry,
-    sources: np.ndarray,
-    ear: Ear,
-    tangents: list[tuple[np.ndarray, np.ndarray, int]],
-    inside: np.ndarray,
-) -> np.ndarray:
-    ear_index = head.ear_index(ear)
-    ear_visible = _faces(
-        _vertex_table(head)[:, ear_index], sources[:, 0], sources[:, 1]
-    )
-    direct_length = np.linalg.norm(
-        sources - head.ear_position(ear)[None, :], axis=1
-    )
-    (first, _), (second, _) = _wrap_candidates(head, ear_index, tangents)
-    lengths = np.where(ear_visible, direct_length, np.minimum(first, second))
-    return np.where(inside, np.nan, lengths)
+def _path_lengths(head: HeadGeometry, sources: np.ndarray) -> np.ndarray:
+    """``(2, m)`` path lengths from each source row to the left and right ear.
 
-
-def _path_lengths(
-    head: HeadGeometry, sources: np.ndarray, ears: tuple[Ear, ...]
-) -> list[np.ndarray]:
-    """Path lengths from each source row to each of ``ears``."""
+    Ear visibility, the direct legs and both wrap candidates are ``(2, m)``
+    passes, one row per ear; the straight legs to the two tangent vertices
+    are one ``(2, m)`` pass shared by both ears.  Norms are
+    ``sqrt(dx*dx + dy*dy)``, which rounds as ``np.linalg.norm`` on 2-vectors.
+    """
     sources = _as_sources(sources)
-    inside = head.contains(sources)
-    tangents = _tangent_legs(head, sources, *_horizon_indices(head, sources))
-    return [_ear_lengths(head, sources, ear, tangents, inside) for ear in ears]
+    xs, ys = np.ascontiguousarray(sources.T)
+    table = _vertex_table(head)
+    first, last = _horizon_indices(table, xs, ys)
+    ear_index = [head.ear_index(ear) for ear in _EARS]
+    ear_visible = _faces(table[:, ear_index, None], xs, ys)
+    ear_x, ear_y = np.array([head.ear_position(ear) for ear in _EARS]).T[:, :, None]
+    dx, dy = xs - ear_x, ys - ear_y
+    direct = np.sqrt(dx * dx + dy * dy)
+    tangent = np.stack([last, first])
+    dx, dy = xs - table[2, tangent], ys - table[3, tangent]
+    straight = np.sqrt(dx * dx + dy * dy)
+    after_last, after_first = _wrap_arcs(head, last, first)
+    wrapped = np.minimum(straight[0] + after_last, straight[1] + after_first)
+    lengths = np.where(ear_visible, direct, wrapped)
+    return np.where(head.contains(sources), np.nan, lengths)
 
 
 def _as_sources(sources: np.ndarray) -> np.ndarray:
@@ -160,29 +174,6 @@ def _as_sources(sources: np.ndarray) -> np.ndarray:
     if sources.ndim != 2 or sources.shape[1] != 2:
         raise GeometryError(f"sources must have shape (m, 2), got {sources.shape}")
     return sources
-
-
-def _tangent_legs(
-    head: HeadGeometry,
-    sources: np.ndarray,
-    first_visible: np.ndarray,
-    last_visible: np.ndarray,
-) -> list[tuple[np.ndarray, np.ndarray, int]]:
-    """``(straight leg, tangent vertex arc, travel sign)`` of both candidates.
-
-    Wrapping from the last visible vertex continues counter-clockwise
-    (increasing index) through the shadow, from the first one clockwise.
-    The straight legs to both tangent points are shared by the two ears.
-    """
-    boundary = head.boundary
-    return [
-        (
-            np.linalg.norm(sources - boundary.points[index], axis=1),
-            boundary.cumulative_arc[index],
-            travel_sign,
-        )
-        for index, travel_sign in ((last_visible, +1), (first_visible, -1))
-    ]
 
 
 def binaural_delays_batch(
@@ -195,8 +186,8 @@ def binaural_delays_batch(
     The horizon search and the straight legs to the tangent points are
     computed once and shared between the two ears.
     """
-    left, right = _path_lengths(head, sources, (Ear.LEFT, Ear.RIGHT))
-    return left / speed_of_sound, right / speed_of_sound
+    left, right = _path_lengths(head, sources) / speed_of_sound
+    return left, right
 
 
 def near_field_paths(
@@ -218,31 +209,31 @@ def near_field_paths(
     inside = head.contains(sources)
     if np.any(inside):
         raise GeometryError(f"source {sources[inside][0]} lies inside the head")
+    xs, ys = np.ascontiguousarray(sources.T)
     table = _vertex_table(head)
-    xs, ys = sources[:, 0], sources[:, 1]
-    first_visible, last_visible = _horizon_indices(head, sources)
+    first_visible, last_visible = _horizon_indices(table, xs, ys)
     # A source that sees any vertex sees its arc's ends (see _arc_ends).
-    blind = ~_faces(np.take(table, first_visible, axis=1), xs, ys)
+    blind = ~_faces(table[:, first_visible], xs, ys)
     if np.any(blind):
         raise GeometryError(f"no boundary point visible from {sources[blind][0]}")
-    tangents = _tangent_legs(head, sources, first_visible, last_visible)
-    boundary = head.boundary
+    tangent = np.stack([last_visible, first_visible])
+    dx, dy = xs - table[2, tangent], ys - table[3, tangent]
+    straight = np.sqrt(dx * dx + dy * dy)
+    after_last, after_first = _wrap_arcs(head, last_visible, first_visible)
+    first = straight[0] + after_last
+    second = straight[1] + after_first
+    shorter = second < first
+    wrapped = np.where(shorter, second, first)
+    wrap_arc = np.where(shorter, after_first, after_last)
     lengths = np.empty((2, sources.shape[0]))
     wrap_arcs = np.empty_like(lengths)
-    for row, ear in enumerate((Ear.LEFT, Ear.RIGHT)):
-        ear_index = head.ear_index(ear)
-        to_source = sources - boundary.points[ear_index]
-        direct = np.vecdot(boundary.normals[ear_index], to_source) > 0.0
-        (first, first_arc), (second, second_arc) = _wrap_candidates(
-            head, ear_index, tangents
-        )
-        shorter = second < first
-        lengths[row] = np.where(
-            direct,
-            np.linalg.norm(to_source, axis=1),
-            np.where(shorter, second, first),
-        )
-        wrap_arcs[row] = np.where(direct, 0.0, np.where(shorter, second_arc, first_arc))
+    boundary = head.boundary
+    for row, ear in enumerate(_EARS):
+        index = head.ear_index(ear)
+        to_source = sources - boundary.points[index]
+        direct = np.vecdot(boundary.normals[index], to_source) > 0.0
+        lengths[row] = np.where(direct, np.linalg.norm(to_source, axis=1), wrapped[row])
+        wrap_arcs[row] = np.where(direct, 0.0, wrap_arc[row])
     return lengths, wrap_arcs
 
 
@@ -271,37 +262,27 @@ def plane_wave_arrivals(
         return nx * ux + ny * uy < 0.0
 
     # The vertex at a source direction's polar angle faces that direction.
-    first_lit, last_lit = _arc_ends(head, np.deg2rad(theta), lit)
-    tangents = [
-        (np.vecdot(boundary.points[index], u), boundary.cumulative_arc[index], sign)
-        for index, sign in ((last_lit, +1), (first_lit, -1))
-    ]
+    first_lit, last_lit = _arc_ends(_vertex_table(head), np.deg2rad(theta), lit)
+    after_last, after_first = _wrap_arcs(head, last_lit, first_lit)
+    first = (np.vecdot(boundary.points[last_lit], u) + after_last) / SPEED_OF_SOUND
+    second = (np.vecdot(boundary.points[first_lit], u) + after_first) / SPEED_OF_SOUND
+    shorter = second < first
+    grazing = np.where(
+        shorter[:, :, None], boundary.points[first_lit], boundary.points[last_lit]
+    )
     delays = np.empty((2, theta.shape[0]))
     wrap_arcs = np.empty_like(delays)
     anchors = np.empty((2, theta.shape[0], 2))
-    for row, ear in enumerate((Ear.LEFT, Ear.RIGHT)):
+    for row, ear in enumerate(_EARS):
         ear_pos = head.ear_position(ear)
-        ear_index = head.ear_index(ear)
         illuminated = np.vecdot(head.outward_normal(ear_pos), u) < 0.0
-        candidates = [
-            (total / SPEED_OF_SOUND, arc, boundary.points[index])
-            for (total, arc), index in zip(
-                _wrap_candidates(head, ear_index, tangents), (last_lit, first_lit)
-            )
-        ]
-        (first, first_arc, first_at), (second, second_arc, second_at) = candidates
-        shorter = second < first
         delays[row] = np.where(
             illuminated,
             np.vecdot(ear_pos, u) / SPEED_OF_SOUND,
-            np.where(shorter, second, first),
+            np.where(shorter[row], second[row], first[row]),
         )
         wrap_arcs[row] = np.where(
-            illuminated, 0.0, np.where(shorter, second_arc, first_arc)
+            illuminated, 0.0, np.where(shorter[row], after_first[row], after_last[row])
         )
-        anchors[row] = np.where(
-            illuminated[:, None],
-            ear_pos,
-            np.where(shorter[:, None], second_at, first_at),
-        )
+        anchors[row] = np.where(illuminated[:, None], ear_pos, grazing[row])
     return delays, wrap_arcs, anchors

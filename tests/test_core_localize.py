@@ -11,9 +11,14 @@ from repro.geometry.head import HeadGeometry
 from repro.geometry.paths import binaural_delays, euclidean_delay
 from repro.geometry.head import Ear
 from repro.geometry.vec import polar_to_cartesian
+from repro.core.pipeline import Uniq
 from repro.obs import metrics as obs_metrics
+from repro.simulation.person import VirtualSubject
+from repro.simulation.session import MeasurementSession
+from repro.core.fusion import MAP_RADII, MAP_THETAS
 from repro.core.localize import (
     DelayMap,
+    LocalizationCandidate,
     cached_delay_map,
     clear_delay_map_cache,
     delay_map_cache_size,
@@ -116,6 +121,15 @@ class TestValidation:
         dm = DelayMap(average_head, radii=(0.01, 1.0, 10))
         assert dm.radii[0] > max(average_head.parameters)
 
+    def test_radial_grid_inside_head_raises(self):
+        """A grid ending before the first radius outside the head has no
+        increasing radius axis to tabulate, so it is refused, not reversed."""
+        head = HeadGeometry(0.09, 0.145, 0.1)
+        with pytest.raises(GeometryError):
+            DelayMap(head, radii=(0.1, 0.15, 10))
+        with pytest.raises(GeometryError):
+            DelayMap(head, radii=(0.1, 0.12, 10))
+
 
 class TestRadialGridAdjustmentWarning:
     def test_adjustment_warns_and_counts(self, average_head, caplog):
@@ -213,25 +227,116 @@ class TestCachedDelayMap:
         assert again == first
 
 
-class TestBatchInversion:
-    """The vectorized kernel must reproduce the scalar path bit for bit.
+def _reference_radius(dm, t1):
+    """Per-angle radius for one ``t1`` (the original scalar solve)."""
+    table = dm.t_left
+    idx = (table < t1).sum(axis=0)
+    n_r = dm.radii.shape[0]
+    valid = (idx > 0) & (idx < n_r)
+    idx_c = np.clip(idx, 1, n_r - 1)
+    t_lo = np.take_along_axis(table, (idx_c - 1)[None, :], axis=0)[0]
+    t_hi = np.take_along_axis(table, idx_c[None, :], axis=0)[0]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        frac = np.where(t_hi > t_lo, (t1 - t_lo) / (t_hi - t_lo), np.nan)
+    radius = dm.radii[idx_c - 1] + frac * (dm.radii[idx_c] - dm.radii[idx_c - 1])
+    return np.where(valid, radius, np.nan)
 
-    Each test builds *two* independent maps with identical grids so the
-    scalar results never leak into the batch path (or vice versa) through
-    the per-map inversion memo.
-    """
 
-    @pytest.fixture(scope="class")
-    def refined_pair(self, average_head):
-        return DelayMap(average_head), DelayMap(average_head)
+def _reference_right_delay(dm, radius):
+    idx = np.searchsorted(dm.radii, radius)
+    n_r = dm.radii.shape[0]
+    idx_c = np.clip(idx, 1, n_r - 1)
+    r_lo = dm.radii[idx_c - 1]
+    r_hi = dm.radii[idx_c]
+    frac = (radius - r_lo) / (r_hi - r_lo)
+    t_lo = np.take_along_axis(dm.t_right, (idx_c - 1)[None, :], axis=0)[0]
+    t_hi = np.take_along_axis(dm.t_right, idx_c[None, :], axis=0)[0]
+    return t_lo + frac * (t_hi - t_lo)
 
-    @pytest.fixture(scope="class")
-    def coarse_pair(self, average_head):
-        grid = {"radii": (0.16, 1.2, 24), "thetas": (-40.0, 220.0, 88)}
-        return (
-            DelayMap(average_head, refine=False, **grid),
-            DelayMap(average_head, refine=False, **grid),
+
+def _reference_vertices(dm, g, radius, finite, found):
+    """Grazing vertices of one ``g`` row, node by node."""
+    step = float(dm.thetas_deg[1] - dm.thetas_deg[0])
+    vertices = []
+    for i in range(g.shape[0] - 2):
+        g_prev, g_mid, g_next = g[i], g[i + 1], g[i + 2]
+        if not (finite[i] and finite[i + 1] and finite[i + 2]):
+            continue
+        if not ((g_prev < 0) == (g_mid < 0) == (g_next < 0)):
+            continue
+        a = 0.5 * (g_next + g_prev - 2.0 * g_mid)
+        b = 0.5 * (g_next - g_prev)
+        if a == 0.0:
+            continue
+        x = float(-b / (2.0 * a))
+        g_vertex = g_mid - b * b / (4.0 * a)
+        tolerance = 2.0 * abs(a) + 1e-6
+        grazes = (a < 0 and g_mid < 0 and g_vertex >= -tolerance) or (
+            a > 0 and not g_mid < 0 and g_vertex <= tolerance
         )
+        if abs(x) > 1.0 or not grazes:
+            continue
+        theta = float(dm.thetas_deg[i + 1] + x * step)
+        neighbour = i + 2 if x >= 0 else i
+        r_here = float(radius[i + 1] + abs(x) * (radius[neighbour] - radius[i + 1]))
+        if not np.isfinite(r_here):
+            continue
+        if any(abs(c.theta_deg - theta) <= step for c in found):
+            continue
+        if any(abs(theta_v - theta) <= step for theta_v, _ in vertices):
+            continue
+        vertices.append((theta, r_here))
+    return vertices
+
+
+def _reference_invert(dm, t_left, t_right):
+    """``DelayMap.invert`` as a per-probe scalar loop (the reference oracle).
+
+    The table scan is the original scalar code; a refined map hands its
+    crossings and vertices to the map's own exact zone re-solve.
+    """
+    if not np.isfinite(t_left) or not np.isfinite(t_right):
+        return []
+    radius = _reference_radius(dm, t_left)
+    g = _reference_right_delay(dm, radius) - t_right
+    finite = np.isfinite(g)
+    candidates = []
+    for i in range(g.shape[0] - 1):
+        if not (finite[i] and finite[i + 1]):
+            continue
+        if g[i] == 0.0 or (g[i] < 0) != (g[i + 1] < 0):
+            span = g[i + 1] - g[i]
+            frac = 0.0 if span == 0 else float(-g[i] / span)
+            theta = float(
+                dm.thetas_deg[i] + frac * (dm.thetas_deg[i + 1] - dm.thetas_deg[i])
+            )
+            r_here = float(radius[i] + frac * (radius[i + 1] - radius[i]))
+            if np.isfinite(r_here):
+                candidates.append(LocalizationCandidate(r_here, theta))
+    ordered = sorted(candidates, key=lambda c: c.theta_deg)
+    vertices = _reference_vertices(dm, g, radius, finite, ordered)
+    if dm.refine:
+        return dm._refine_grazing(float(t_left), float(t_right), ordered, vertices)
+    return ordered + [LocalizationCandidate(r, theta) for theta, r in vertices]
+
+
+def _reference_locate(dm, t_left, t_right, alpha):
+    candidates = _reference_invert(dm, t_left, t_right)
+    if not candidates:
+        return None
+    return min(candidates, key=lambda c: abs(c.theta_deg - alpha))
+
+
+class TestBatchInversion:
+    """The array kernels reproduce the scalar reference oracle bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def refined_map(self, average_head):
+        return DelayMap(average_head)
+
+    @pytest.fixture(scope="class")
+    def coarse_map(self, average_head):
+        return DelayMap(average_head, MAP_RADII, MAP_THETAS, refine=False)
 
     @staticmethod
     def _delay_arrays(head, pairs):
@@ -240,14 +345,14 @@ class TestBatchInversion:
             a, b = binaural_delays(head, polar_to_cartesian(radius, theta))
             t1.append(a)
             t2.append(b)
-        # Pathological rows every batch must handle: a non-finite probe, an
+        # Pathological rows every batch must handle: non-finite probes, an
         # impossible delay pair, and an in-batch duplicate of row 0.
-        t1 += [np.nan, 1e-5, t1[0]]
-        t2 += [1e-3, 1e-5, t2[0]]
+        t1 += [np.nan, 1e-3, np.inf, 1e-5, t1[0]]
+        t2 += [1e-3, np.nan, 1e-3, 1e-5, t2[0]]
         return np.asarray(t1), np.asarray(t2)
 
     # Mix ordinary geometry with the grazing zone around +/-90 degrees,
-    # where the tangential-vertex path and _refine_grazing fire.
+    # where the grazing vertices and _refine_grazing fire.
     pair_lists = st.lists(
         st.tuples(
             st.floats(0.25, 1.1),
@@ -264,35 +369,24 @@ class TestBatchInversion:
     @given(pairs=pair_lists)
     @settings(max_examples=20, deadline=None)
     def test_invert_batch_matches_scalar_refined(
-        self, average_head, refined_pair, pairs
+        self, average_head, refined_map, pairs
     ):
-        scalar_map, batch_map = refined_pair
         t1, t2 = self._delay_arrays(average_head, pairs)
-        batch = batch_map.invert_batch(t1, t2)
-        scalar = [scalar_map.invert(a, b) for a, b in zip(t1, t2)]
-        assert batch == scalar
+        expected = [_reference_invert(refined_map, a, b) for a, b in zip(t1, t2)]
+        assert refined_map.invert_batch(t1, t2) == expected
 
     @given(pairs=pair_lists)
     @settings(max_examples=20, deadline=None)
-    def test_invert_batch_matches_scalar_coarse(
-        self, average_head, coarse_pair, pairs
-    ):
-        scalar_map, batch_map = coarse_pair
+    def test_invert_batch_matches_scalar_coarse(self, average_head, coarse_map, pairs):
         t1, t2 = self._delay_arrays(average_head, pairs)
-        batch = batch_map.invert_batch(t1, t2)
-        scalar = [scalar_map.invert(a, b) for a, b in zip(t1, t2)]
-        assert batch == scalar
+        expected = [_reference_invert(coarse_map, a, b) for a, b in zip(t1, t2)]
+        assert coarse_map.invert_batch(t1, t2) == expected
 
-    def test_locate_batch_matches_scalar_locate(self, average_head, refined_pair):
-        scalar_map, batch_map = refined_pair
-        pairs = [(0.45, 30.0), (0.45, 90.0), (0.3, 150.0), (0.7, 10.0)]
-        t1, t2 = self._delay_arrays(average_head, pairs)
-        alphas = np.array([34.0, 88.0, 147.0, 12.0, 0.0, 0.0, 34.0])
-        thetas, radii, solved = batch_map.locate_batch(t1, t2, alphas)
+    @staticmethod
+    def _assert_locates_like_reference(dm, t1, t2, alphas):
+        thetas, radii, solved = dm.locate_batch(t1, t2, alphas)
         for i in range(t1.shape[0]):
-            candidate = scalar_map.locate(
-                float(t1[i]), float(t2[i]), float(alphas[i])
-            )
+            candidate = _reference_locate(dm, t1[i], t2[i], alphas[i])
             if candidate is None:
                 assert not solved[i]
                 assert np.isnan(thetas[i]) and np.isnan(radii[i])
@@ -300,6 +394,70 @@ class TestBatchInversion:
                 assert solved[i]
                 assert thetas[i] == candidate.theta_deg
                 assert radii[i] == candidate.radius_m
+
+    def test_locate_batch_matches_scalar_locate(self, average_head, refined_map):
+        pairs = [(0.45, 30.0), (0.45, 90.0), (0.3, 150.0), (0.7, 10.0)]
+        t1, t2 = self._delay_arrays(average_head, pairs)
+        alphas = np.array([34.0, 88.0, 147.0, 12.0, 0.0, 0.0, 0.0, 0.0, 34.0])
+        self._assert_locates_like_reference(refined_map, t1, t2, alphas)
+
+    @given(pairs=pair_lists, seed=st.integers(0, 2**16))
+    @settings(max_examples=30, deadline=None)
+    def test_coarse_locate_batch_matches_reference(
+        self, average_head, coarse_map, pairs, seed
+    ):
+        t1, t2 = self._delay_arrays(average_head, pairs)
+        alphas = np.random.default_rng(seed).uniform(-60.0, 240.0, t1.shape[0])
+        self._assert_locates_like_reference(coarse_map, t1, t2, alphas)
+
+    def test_coarse_locate_on_exact_zero_nodes(self, average_head, coarse_map):
+        """Rows whose mismatch ``g`` is exactly zero on a grid node.
+
+        The crossing that ends on the zero node and the one that starts
+        there share their angle; ties go to the first candidate.
+        """
+        t_left, _ = binaural_delays(average_head, polar_to_cartesian(0.45, 40.0))
+        radius = _reference_radius(coarse_map, t_left)
+        right = _reference_right_delay(coarse_map, radius)
+        nodes = np.flatnonzero(np.isfinite(right))
+        t1 = np.full(nodes.shape, t_left)
+        t2 = right[nodes]  # g(nodes[k]) == 0.0 on row k
+        for alpha in (-40.0, 40.0, 90.0, 140.0, 220.0):
+            alphas = np.full(t1.shape, alpha)
+            self._assert_locates_like_reference(coarse_map, t1, t2, alphas)
+        assert coarse_map.invert_batch(t1, t2) == [
+            _reference_invert(coarse_map, a, b) for a, b in zip(t1, t2)
+        ]
+
+    def test_vertex_next_to_a_crossing_is_dropped(self, average_head):
+        """A grazing vertex within a grid step of its row's crossing is not
+        another candidate."""
+        dm = DelayMap(average_head, MAP_RADII, MAP_THETAS, refine=False)
+        step = dm.thetas_deg[1] - dm.thetas_deg[0]
+        j = 40
+        g = np.full(dm.thetas_deg.shape, 1e-5)
+        g[j:] = -1e-5
+        # A crossing just before node j, then a near-zero maximum whose
+        # parabola vertex sits 0.3 steps before node j + 1.
+        g[j : j + 3] = (-1.5e-7, -1e-7, -3e-7)
+        # t_R constant along each column: g reads these values at any radius.
+        dm.t_right[:] = 1e-3 + g
+        t1, t2 = np.array([dm.t_left[10, j]]), np.array([1e-3])
+        (got,) = dm.invert_batch(t1, t2)
+        assert got == _reference_invert(dm, t1[0], t2[0])
+        crossing, *vertices = got
+        assert vertices
+        assert all(abs(v.theta_deg - crossing.theta_deg) > step for v in vertices)
+
+    def test_coarse_maps_keep_no_memo(self, average_head, coarse_map):
+        t1, t2 = self._delay_arrays(average_head, [(0.5, 60.0)])
+        hits = obs_metrics.counter("localize.invert_cache_hits")
+        h0 = hits.value
+        first = coarse_map.locate_batch(t1, t2, np.zeros(t1.shape))
+        again = coarse_map.locate_batch(t1, t2, np.zeros(t1.shape))
+        assert hits.value == h0
+        for a, b in zip(first, again):
+            np.testing.assert_array_equal(a, b)
 
     def test_batch_hits_scalar_memo_and_back(self, average_head):
         """Scalar and batch calls share one memo with consistent counters."""
@@ -330,11 +488,28 @@ class TestDegenerateColumns:
         counter = obs_metrics.counter("localize.degenerate_columns")
 
         c0 = counter.value
-        radius = dm._radius_for_left_delay(t1)
-        assert np.isnan(radius[col])
+        # Beside the degenerate row: delays equal to table nodes, the first
+        # of which brackets nothing (NaN on its column).
+        rows = np.array([t1, dm.t_left[2, col], dm.t_left[0, col]])
+        radius = dm._radius_for_left_delay(rows)
+        assert np.isnan(radius[0, col])
+        assert np.isnan(radius[2, col])
         assert counter.value - c0 == 1
+        # The row-by-row count agrees with the scalar reference, NaNs included.
+        for row, t in enumerate(rows):
+            np.testing.assert_array_equal(radius[row], _reference_radius(dm, t))
 
-        c1 = counter.value
-        radius_b = dm._radius_for_left_delay_batch(np.array([t1]))
-        assert np.isnan(radius_b[0, col])
-        assert counter.value - c1 == 1
+
+class TestSolveWork:
+    def test_cold_solve_keeps_its_work_counts(self, monkeypatch):
+        """A seeded cold solve builds and evaluates exactly what it always did."""
+        monkeypatch.delenv("REPRO_MAP_STORE", raising=False)
+        session = MeasurementSession(
+            VirtualSubject.random(1), seed=0, probe_interval_s=0.6
+        ).run()
+        clear_delay_map_cache()
+        names = ("fusion.cost_evaluations", "localize.delay_map_builds")
+        before = [obs_metrics.counter(name).value for name in names]
+        Uniq().solve(session)
+        work = [obs_metrics.counter(name).value - b for name, b in zip(names, before)]
+        assert work == [190, 185]

@@ -4,9 +4,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.fusion import _BOUNDS
+from repro.core.fusion import (
+    _BOUNDS,
+    FINAL_MAP_RADII,
+    FINAL_MAP_THETAS,
+    FUSION_BOUNDARY_SAMPLES,
+    MAP_RADII,
+    MAP_THETAS,
+)
+from repro.core.localize import DelayMap
+from repro.constants import SPEED_OF_SOUND
 from repro.errors import GeometryError
 from repro.geometry.batch import (
+    _EARS,
     _faces,
     _horizon_indices,
     _path_lengths,
@@ -15,7 +25,7 @@ from repro.geometry.batch import (
     near_field_paths,
     plane_wave_arrivals,
 )
-from repro.geometry.head import Ear, HeadGeometry
+from repro.geometry.head import DEFAULT_BOUNDARY_SAMPLES, Ear, HeadGeometry
 from repro.geometry.paths import binaural_delays, propagation_path
 from repro.geometry.plane_wave import plane_wave_arrival
 from repro.geometry.vec import polar_to_cartesian
@@ -54,6 +64,112 @@ def _external_sources(head, rng, m):
     return sources[~head.contains(sources)]
 
 
+def _reference_delays(head, sources):
+    """``binaural_delays_batch`` as a per-ear loop (the reference oracle).
+
+    The kernel's original form: the vertex table rebuilt per use, horizons
+    wrapped with ``%``, each ear's visibility, direct leg and wrap
+    candidates as separate ``(m,)`` passes, ``np.linalg.norm`` legs and
+    ``arc_between``'s float ``% perimeter``.  The kernel must equal it bit
+    for bit.
+    """
+    boundary = head.boundary
+    n = head.n_boundary
+    half = n // 2
+
+    def table():
+        return np.concatenate([boundary.normals.T, boundary.points.T])
+
+    def faces(vertex, xs, ys):
+        nx, ny, px, py = vertex
+        return nx * (xs - px) + ny * (ys - py) > 0.0
+
+    xs, ys = np.ascontiguousarray(sources.T)
+    psi = np.arctan2(sources[:, 0], sources[:, 1])
+    anchor = np.rint(psi * (n / (2.0 * np.pi))).astype(np.intp) % n
+    direction = np.array([[1], [-1]], dtype=np.intp)
+    reach = np.zeros((2, psi.shape[0]), dtype=np.intp)
+    step = 1 << ((half - 1).bit_length() - 1)
+    while step:
+        offset = reach + step
+        index = (anchor + direction * offset) % n
+        seen = (offset < half) & faces(np.take(table(), index, axis=1), xs, ys)
+        reach = np.where(seen, offset, reach)
+        step >>= 1
+    first_visible, last_visible = (anchor - reach[1]) % n, (anchor + reach[0]) % n
+    tangents = [
+        (
+            np.linalg.norm(sources - boundary.points[index], axis=1),
+            boundary.cumulative_arc[index],
+            travel_sign,
+        )
+        for index, travel_sign in ((last_visible, +1), (first_visible, -1))
+    ]
+    inside = head.contains(sources)
+    perimeter = boundary.perimeter
+    delays = []
+    for ear in (Ear.LEFT, Ear.RIGHT):
+        ear_index = head.ear_index(ear)
+        ear_visible = faces(table()[:, ear_index], sources[:, 0], sources[:, 1])
+        direct = np.linalg.norm(sources - head.ear_position(ear)[None, :], axis=1)
+        totals = []
+        for straight, tangent_arc, travel_sign in tangents:
+            forward = (boundary.cumulative_arc[ear_index] - tangent_arc) % perimeter
+            arc = forward if travel_sign >= 0 else (perimeter - forward) % perimeter
+            totals.append(straight + arc)
+        lengths = np.where(ear_visible, direct, np.minimum(*totals))
+        delays.append(np.where(inside, np.nan, lengths) / SPEED_OF_SOUND)
+    return tuple(delays)
+
+
+def _grid_sources(radii, thetas):
+    grid_r, grid_t = np.meshgrid(
+        np.linspace(*radii), np.linspace(*thetas), indexing="ij"
+    )
+    return polar_to_cartesian(grid_r.ravel(), grid_t.ravel())
+
+
+_box_heads = st.tuples(*(st.floats(*bounds) for bounds in _BOUNDS.values()))
+
+
+class TestDelayTablesExact:
+    """DelayMap tables and raw batch delays equal the reference oracle exactly."""
+
+    @given(params=_box_heads)
+    @settings(max_examples=25, deadline=None)
+    def test_coarse_tables(self, params):
+        head = HeadGeometry(*params, n_boundary=FUSION_BOUNDARY_SAMPLES)
+        delay_map = DelayMap(head, MAP_RADII, MAP_THETAS, refine=False)
+        left, right = _reference_delays(head, _grid_sources(MAP_RADII, MAP_THETAS))
+        np.testing.assert_array_equal(delay_map.t_left.ravel(), left)
+        np.testing.assert_array_equal(delay_map.t_right.ravel(), right)
+
+    @given(params=_box_heads)
+    @settings(max_examples=5, deadline=None)
+    def test_final_tables(self, params):
+        head = HeadGeometry(*params, n_boundary=DEFAULT_BOUNDARY_SAMPLES)
+        delay_map = DelayMap(head, FINAL_MAP_RADII, FINAL_MAP_THETAS)
+        left, right = _reference_delays(
+            head, _grid_sources(FINAL_MAP_RADII, FINAL_MAP_THETAS)
+        )
+        np.testing.assert_array_equal(delay_map.t_left.ravel(), left)
+        np.testing.assert_array_equal(delay_map.t_right.ravel(), right)
+
+    @pytest.mark.parametrize("n_boundary", [240, 720])
+    def test_external_and_inside_sources(self, n_boundary):
+        rng = np.random.default_rng(n_boundary + 1)
+        for _ in range(4):
+            a, b, c = (rng.uniform(lo, hi) for lo, hi in _BOUNDS.values())
+            head = HeadGeometry(a, b, c, n_boundary=n_boundary)
+            psi = rng.uniform(-180, 180, 200)
+            inside = head.boundary_point(psi) * rng.uniform(0.0, 0.999, 200)[:, None]
+            sources = np.vstack([_external_sources(head, rng, 1500), inside])
+            for got, expected in zip(
+                binaural_delays_batch(head, sources), _reference_delays(head, sources)
+            ):
+                assert np.array_equal(got, expected, equal_nan=True)
+
+
 class TestAgreementWithScalar:
     def test_matches_scalar_on_grid(self, average_head):
         rng = np.random.default_rng(3)
@@ -90,7 +206,7 @@ class TestAgreementWithScalar:
         else:
             source = polar_to_cartesian(size, angle)
         assert not head.contains(source)
-        (lengths,) = _path_lengths(head, source[None, :], (ear,))
+        lengths = _path_lengths(head, source[None, :])[_EARS.index(ear)]
         expected = propagation_path(head, source, ear).length
         assert lengths[0] == pytest.approx(expected, abs=1e-12)
 
@@ -98,19 +214,19 @@ class TestAgreementWithScalar:
 class TestBatchSemantics:
     def test_inside_points_are_nan(self, average_head):
         sources = np.array([[0.0, 0.0], [0.5, 0.5]])
-        (lengths,) = _path_lengths(average_head, sources, (Ear.LEFT,))
-        assert np.isnan(lengths[0])
-        assert np.isfinite(lengths[1])
+        lengths = _path_lengths(average_head, sources)
+        assert np.isnan(lengths[:, 0]).all()
+        assert np.isfinite(lengths[:, 1]).all()
 
     def test_wrong_shape_raises(self, average_head):
         with pytest.raises(GeometryError):
-            _path_lengths(average_head, np.zeros((3,)), (Ear.LEFT,))
+            _path_lengths(average_head, np.zeros((3,)))
         with pytest.raises(GeometryError):
             binaural_delays_batch(average_head, np.zeros((2, 3)))
 
     def test_empty_batch(self, average_head):
-        (lengths,) = _path_lengths(average_head, np.zeros((0, 2)), (Ear.LEFT,))
-        assert lengths.shape == (0,)
+        lengths = _path_lengths(average_head, np.zeros((0, 2)))
+        assert lengths.shape == (2, 0)
 
     def test_large_batch_consistent_between_ears(self, average_head):
         """On the nose axis, both ears are equidistant (symmetry check)."""
@@ -130,10 +246,10 @@ class TestHorizonSearch:
             head = HeadGeometry(a, b, c, n_boundary=n_boundary)
             sources = _external_sources(head, rng, 3000)
             visible, first_dense, last_dense = _dense_horizons(head, sources)
-            first, last = _horizon_indices(head, sources)
+            table = _vertex_table(head)
+            first, last = _horizon_indices(table, *sources.T)
             np.testing.assert_array_equal(first, first_dense)
             np.testing.assert_array_equal(last, last_dense)
-            table = _vertex_table(head)
             for ear in Ear:
                 index = head.ear_index(ear)
                 ear_visible = _faces(table[:, index], sources[:, 0], sources[:, 1])
