@@ -54,8 +54,8 @@ def main() -> None:
     # --- Unknown source: a wideband clap from around the room. -----------
     # (Speech is the hardest unknown source — its energy concentrates at low
     # frequencies, paper Fig. 22c — so a short demo uses a wideband burst;
-    # the full speech/music/noise comparison lives in
-    # benchmarks/bench_fig22_aoa_unknown.py.)
+    # the full speech/music/noise comparison is Fig. 22 in EXPERIMENTS.md,
+    # from repro.eval.fig22_aoa_unknown_source.)
     unknown_personal = UnknownSourceAoAEstimator(personal_table)
     unknown_template = UnknownSourceAoAEstimator(template)
     clap_directions = tuple(np.arange(12.0, 169.0, 18.0))

@@ -1,9 +1,11 @@
 """Experiment harnesses: one entry point per paper table/figure.
 
 Each ``fig*`` function runs the full experiment behind the corresponding
-figure of the paper and returns a structured result; the scripts under
-``benchmarks/`` are thin wrappers that time these harnesses and print the
-same rows/series the paper reports.  The cohort (5 virtual volunteers, their
+figure of the paper and returns a structured result.
+:mod:`repro.eval.report` runs them all once and renders ``EXPERIMENTS.md``,
+the one record of paper versus measured numbers;
+``tests/test_paper_claims.py`` checks that record and asserts each figure's
+shape claim over the same run.  The cohort (5 virtual volunteers, their
 measurement sessions, and their personalization results) is computed once
 per process and shared across experiments via :mod:`repro.eval.common`.
 """

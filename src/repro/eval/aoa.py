@@ -5,10 +5,13 @@ cohort member; the AoA estimators run twice per recording — once with the
 member's personalized table, once with the global template — reproducing the
 paper's comparison:
 
-- Figure 21 (known source): personalized median ~7.8 deg vs global ~45.3
-  deg, with 29% front-back confusion for the global template.
+- Figure 21 (known source): median error and front-back confusion of each
+  table.
 - Figure 22 (unknown sources): CDFs for white noise / music / speech plus
-  front-back accuracy (~82.8% personalized vs ~59.8% global on average).
+  front-back accuracy.
+
+The paper's values sit next to the measured ones in ``EXPERIMENTS.md``
+(:mod:`repro.eval.report`).
 """
 
 from __future__ import annotations

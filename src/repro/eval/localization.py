@@ -2,8 +2,8 @@
 
 Runs the diffraction-aware sensor fusion on each cohort member's session and
 compares the fused polar angles against the simulator's ground truth (the
-paper's overhead camera).  The paper reports a median angular error of
-4.8 degrees with a tail up to ~15 degrees from gesture deviations.
+paper's overhead camera).  The paper's single-digit median and bounded
+tail sit next to the measured ones in ``EXPERIMENTS.md``.
 """
 
 from __future__ import annotations

@@ -197,8 +197,8 @@ def euclidean_delay(
     """Straight-line delay ignoring diffraction (ablation baseline).
 
     This is the "through the head" model the paper's Section 2 experiment
-    rules out; localization built on it is benchmarked in
-    ``benchmarks/bench_ablation_diffraction.py``.
+    rules out; localization built on it is the diffraction ablation,
+    ``repro.eval.ablation_diffraction_model``.
     """
     source = np.asarray(source, dtype=float)
     return float(norm(source - head.ear_position(ear))) / speed_of_sound

@@ -110,3 +110,15 @@ def clean_session(subject):
 @pytest.fixture(scope="session")
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
+
+
+@pytest.fixture(scope="session")
+def experiment_results():
+    """One seeded run of every paper experiment: what EXPERIMENTS.md renders.
+
+    The 5-volunteer cohort and every harness on it cost about 15 s, so the
+    record check, the claim tests and the report tests share this run.
+    """
+    from repro.eval.report import run_experiments
+
+    return run_experiments()

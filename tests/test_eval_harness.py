@@ -1,7 +1,8 @@
 """Light-configuration smoke tests of the experiment harnesses.
 
-The benchmarks run the full paper-scale experiments; these tests run scaled-
-down configurations to validate harness structure and invariants quickly.
+tests/test_paper_claims.py runs the full paper-scale experiments; these tests
+run scaled-down configurations to validate harness structure and invariants
+quickly.
 """
 
 import numpy as np

@@ -1,28 +1,28 @@
 """Tests for the markdown report generator."""
 
-import pytest
-
-from repro.eval.report import generate_report, main
-
-
-@pytest.fixture(scope="module")
-def report_text():
-    return generate_report(cohort_size=2)
+from repro.eval import report
+from repro.eval.report import main, render
 
 
 class TestReport:
-    def test_contains_every_figure(self, report_text):
+    def test_contains_every_figure(self, experiment_results):
+        text = render(experiment_results)
         for figure in (2, 5, 9, 14, 16, 17, 18, 19, 20, 21, 22):
-            assert f"Figure {figure}" in report_text
+            assert f"### Figure {figure} — " in text
+        assert "## Ablations" in text
+        assert "## Extensions" in text
 
-    def test_reproducible_numbers(self, report_text):
-        """Everything except the timestamp is deterministic."""
-        again = generate_report(cohort_size=2)
-        strip = lambda text: "\n".join(text.splitlines()[3:])
-        assert strip(again) == strip(report_text)
+    def test_cli_writes_file(self, experiment_results, tmp_path, capsys,
+                             monkeypatch):
+        cohorts = []
 
-    def test_cli_writes_file(self, tmp_path, capsys):
+        def run(cohort_size):
+            cohorts.append(cohort_size)
+            return experiment_results
+
+        monkeypatch.setattr(report, "run_experiments", run)
         path = tmp_path / "report.md"
         assert main([str(path), "--quick"]) == 0
         assert "wrote" in capsys.readouterr().out
-        assert "Figure 22" in path.read_text()
+        assert cohorts == [2]
+        assert path.read_text(encoding="utf-8") == render(experiment_results)

@@ -44,7 +44,7 @@ class TestSignedAoA:
             left, right = right, left
         estimate = signed_aoa(estimator, left, right, FS)
         # This test verifies the side-resolution wrapper; magnitude accuracy
-        # (including the occasional front-back miss) is benchmarked in
-        # bench_fig22_aoa_unknown.py.
+        # (including the occasional front-back miss) is Fig. 22 of
+        # EXPERIMENTS.md, asserted in tests/test_paper_claims.py.
         assert np.sign(estimate) == np.sign(true_angle)
         assert abs(estimate) <= 180.0
