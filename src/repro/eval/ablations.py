@@ -23,7 +23,7 @@ from repro.simulation.session import SessionData
 from repro.core.fusion import DiffractionAwareSensorFusion
 from repro.core.localize import DelayMap
 from repro.geometry.head import HeadGeometry
-from repro.eval.common import get_cohort
+from repro.eval.common import DEFAULT_COHORT_SIZE, get_cohort
 
 
 def _session_truth_angles(session: SessionData) -> np.ndarray:
@@ -39,10 +39,14 @@ class FusionAblationResult:
     fused_deg: float
 
 
-def ablation_sensor_fusion(cohort_size: int = 2) -> FusionAblationResult:
-    """Why fuse?  Compare IMU-only, acoustic-only, and fused localization."""
-    cohort = get_cohort()
-    members = list(cohort)[:cohort_size]
+def ablation_sensor_fusion(
+    n_members: int = 2, cohort_size: int = DEFAULT_COHORT_SIZE
+) -> FusionAblationResult:
+    """Why fuse?  Compare IMU-only, acoustic-only, and fused localization.
+
+    Uses the first ``n_members`` volunteers of the ``cohort_size`` cohort.
+    """
+    members = list(get_cohort(cohort_size))[:n_members]
     fusion = DiffractionAwareSensorFusion()
     errors = {"imu": [], "acoustic": [], "fused": []}
     for member in members:
@@ -83,10 +87,14 @@ class DiffractionAblationResult:
     euclidean_residual_deg: float
 
 
-def ablation_diffraction_model(cohort_size: int = 2) -> DiffractionAblationResult:
-    """Why model diffraction?  Localize with straight-line delays instead."""
-    cohort = get_cohort()
-    members = list(cohort)[:cohort_size]
+def ablation_diffraction_model(
+    n_members: int = 2, cohort_size: int = DEFAULT_COHORT_SIZE
+) -> DiffractionAblationResult:
+    """Why model diffraction?  Localize with straight-line delays instead.
+
+    Uses the first ``n_members`` volunteers of the ``cohort_size`` cohort.
+    """
+    members = list(get_cohort(cohort_size))[:n_members]
     euclid_fusion = DiffractionAwareSensorFusion(delay_model="euclidean")
     diff_err, euc_err, diff_res, euc_res = [], [], [], []
     for member in members:
@@ -115,10 +123,14 @@ class NearFarAblationResult:
     near_as_far_itd_error_ms: float
 
 
-def ablation_near_far_conversion(cohort_size: int = 3) -> NearFarAblationResult:
-    """Why convert?  Compare near-used-as-far against the converted far field."""
-    cohort = get_cohort()
-    members = list(cohort)[:cohort_size]
+def ablation_near_far_conversion(
+    n_members: int = 3, cohort_size: int = DEFAULT_COHORT_SIZE
+) -> NearFarAblationResult:
+    """Why convert?  Compare near-used-as-far against the converted far field.
+
+    Uses the first ``n_members`` volunteers of the ``cohort_size`` cohort.
+    """
+    members = list(get_cohort(cohort_size))[:n_members]
     conv_corr, near_corr, conv_itd, near_itd = [], [], [], []
     for member in members:
         table = member.personalization.table
@@ -166,15 +178,16 @@ def _subsampled_session(session: SessionData, n_probes: int) -> SessionData:
 
 def ablation_measurement_density(
     probe_counts: tuple[int, ...] = (6, 12, 25, 50),
+    cohort_size: int = DEFAULT_COHORT_SIZE,
 ) -> DensityAblationResult:
     """"With larger N, E_opt converges better" — measure exactly that.
 
     Reports the head-parameter error, the per-probe localization error
     against ground truth, and the optimizer residual, each as a function of
-    how many probes the sweep contained.
+    how many probes the sweep contained, on the first volunteer of the
+    ``cohort_size`` cohort.
     """
-    cohort = get_cohort()
-    member = list(cohort)[0]
+    member = list(get_cohort(cohort_size))[0]
     true_params = np.asarray(member.subject.head.parameters)
     fusion = DiffractionAwareSensorFusion()
     errors = []

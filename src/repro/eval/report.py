@@ -127,8 +127,7 @@ class ExperimentResults:
 def run_experiments(cohort_size: int = DEFAULT_COHORT_SIZE) -> ExperimentResults:
     """Run every figure harness, ablation and the quality demo once.
 
-    The ablations draw their members from the default cohort whatever
-    ``cohort_size`` the figures use.
+    The figures and the ablations share one ``cohort_size`` cohort.
     """
     session, clean = personalize_capture(
         1, 0, probe_interval_s=0.6, angle_step_deg=15.0
@@ -150,10 +149,10 @@ def run_experiments(cohort_size: int = DEFAULT_COHORT_SIZE) -> ExperimentResults
         fig20=hrtf_quality.fig20_sample_hrirs(cohort_size),
         fig21=aoa.fig21_aoa_known_source(cohort_size),
         fig22=aoa.fig22_aoa_unknown_source(cohort_size),
-        fusion=ablations.ablation_sensor_fusion(),
-        diffraction=ablations.ablation_diffraction_model(),
-        near_far=ablations.ablation_near_far_conversion(),
-        density=ablations.ablation_measurement_density(),
+        fusion=ablations.ablation_sensor_fusion(cohort_size=cohort_size),
+        diffraction=ablations.ablation_diffraction_model(cohort_size=cohort_size),
+        near_far=ablations.ablation_near_far_conversion(cohort_size=cohort_size),
+        density=ablations.ablation_measurement_density(cohort_size=cohort_size),
         clean_quality=clean.quality,
         dropout_quality=dropout.quality,
     )

@@ -7,8 +7,11 @@ the wrap-around shortest-path logic of :mod:`repro.geometry.paths` as pure
 array operations over a whole batch of source points.  A path needs only
 three visibility facts per source: whether the ear vertex faces it, and the
 two endpoints of its contiguous visible arc.  The ear test is one dot
-product per source; the arc endpoints come from a bisection over the sampled
-boundary, vectorized across sources, in ``ceil(log2(n_boundary / 2))``
+product per source.  The arc endpoints are read off the closed-form tangent
+points from the source to the head's two half-ellipses, and five sign tests
+per source certify them; the few sources they cannot certify (inside the
+head, between two boundary samples, on a tangent) take a binary lifting
+over the sampled boundary, in ``ceil(log2(n_boundary / 2))`` vectorized
 steps.  No ``(m_sources, n_boundary)`` array is ever built.
 
 Each visibility test is the scalar solver's sign test, term for term, so
@@ -51,34 +54,112 @@ def _vertex_table(head: HeadGeometry) -> np.ndarray:
     return np.concatenate([boundary.normals.T, boundary.points.T])
 
 
-def _faces(vertex: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Whether gathered vertices ``(nx, ny, px, py)`` face sources ``(xs, ys)``.
+def _facing(vertex: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """``n·(s - p)`` of gathered vertices ``(nx, ny, px, py)`` and sources ``(xs, ys)``.
 
-    The sign test ``n·(s - p) > 0``, term for term as the scalar solver
-    computes it.
+    Term for term as the scalar solver computes it; a vertex faces a source
+    where this is positive.
     """
     nx, ny, px, py = vertex
-    return nx * (xs - px) + ny * (ys - py) > 0.0
+    return nx * (xs - px) + ny * (ys - py)
+
+
+def _faces(vertex: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Whether gathered vertices ``(nx, ny, px, py)`` face sources ``(xs, ys)``."""
+    return _facing(vertex, xs, ys) > 0.0
+
+
+#: How far the sign tests of a seeded horizon must clear zero.  One test
+#: rounds by about ``1e-17`` on sub-metre coordinates, so a margin this size
+#: leaves no doubt about any certified sign.
+_SEED_MARGIN = 1e-12
+
+#: Signs the seed's five certificate tests must have, in the order of
+#: :func:`_horizon_indices`'s probes ``(last, last + 1, first, first - 1,
+#: anchor)``: the ends and the anchor face the source, the vertices just
+#: past the ends do not.
+_SEED_SIGNS = np.array([[1.0], [-1.0], [1.0], [-1.0], [1.0]])
+
+#: ``±`` of the forward and backward tangent points in :func:`_seed_angles`.
+_TANGENT_SIGNS = np.array([[[1.0]], [[-1.0]]])
+
+
+def _seed_angles(head: HeadGeometry, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """``(3, m)`` polar angles: each source's forward and backward tangent point, itself.
+
+    Row 0 is the tangent point reached walking forward (increasing vertex
+    index) from the source's polar angle, row 1 the one reached walking
+    backward, row 2 the source's own angle; all in ``[-pi, pi]``.  On the
+    ellipse of depth ``d`` the source is ``(u, v) = (x / a, y / d)`` in the
+    frame where the ellipse is the unit circle, whose tangent points from it
+    are ``((u ± k v) / r2, (v ∓ k u) / r2)`` with ``r2 = u² + v²`` and
+    ``k = sqrt(r2 - 1)``; back in the head's frame, and scaled by ``r2``
+    (which no polar angle sees), they are ``(x ± k (a/d) y, y ∓ k (d/a) x)``.
+    The head's tangent point lies on the front half exactly when the front
+    ellipse's one does (the halves share their tangents at the ears).  A
+    source inside an ellipse gets NaN for its tangents.
+    """
+    a = head.a
+    depth = np.array([[head.b], [head.c]])  # front half, back half
+    xa = xs / a
+    yd = ys / depth
+    with np.errstate(invalid="ignore"):
+        k = np.sqrt(xa * xa + yd * yd - 1.0)
+    # (tangent, half, m): the forward tangent first, then the backward one.
+    along = xs + _TANGENT_SIGNS * (k * (a * yd))
+    up = ys - _TANGENT_SIGNS * (k * (depth * xa))
+    front = up[:, 0] >= 0.0
+    tangents = np.arctan2(
+        np.where(front, along[:, 0], along[:, 1]),
+        np.where(front, up[:, 0], up[:, 1]),
+    )
+    return np.concatenate([tangents, np.arctan2(xs, ys)[None]])
 
 
 def _horizon_indices(
-    table: np.ndarray, xs: np.ndarray, ys: np.ndarray
+    head: HeadGeometry, table: np.ndarray, xs: np.ndarray, ys: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-source visibility horizons over the sampled boundary.
 
     ``table`` is the head's :func:`_vertex_table`.  Returns
     ``(first_visible, last_visible)``, the vertex indices at the two ends of
-    each source's contiguous visible arc.  Computed once and shared between
-    both ears.
+    each source's contiguous visible arc, exactly as :func:`_arc_ends`
+    finds them.  Computed once and shared between both ears.
 
-    The search starts from each source's *anchor*: the vertex at the
-    source's own polar angle, which every source that sees any vertex sees
-    (one that sees none sits within a sampling gap of the boundary, and the
-    scalar solver rejects it).  The vertex half a turn on never faces the
-    source, because the origin lies inside the head.  Sources inside the
-    head return arbitrary valid indices; callers mask them.
+    Each source's ends are seeded from its analytic tangent points
+    (:func:`_seed_angles`): the last visible vertex is the one at or before
+    the forward tangent, the first the one at or after the backward
+    tangent.  A seed is kept only when its certificate holds, each sign
+    test clearing zero by :data:`_SEED_MARGIN`: both ends face the source,
+    the vertices just past them do not, and the anchor :func:`_arc_ends`
+    starts from faces it.  By convexity the visible vertices then run from
+    one end to the other through the anchor, the arc :func:`_arc_ends`
+    walks.  Every other row (inside the head, in a sampling gap, near a
+    tangent) goes through :func:`_arc_ends`, whose rows for sources inside
+    the head are arbitrary valid indices that callers mask.
     """
-    return _arc_ends(table, np.arctan2(xs, ys), lambda vertex: _faces(vertex, xs, ys))
+    n = table.shape[1]
+    angles = _seed_angles(head, xs, ys)
+    positions = angles * (n / (2.0 * np.pi))
+    with np.errstate(invalid="ignore"):  # NaN tangents cast to any index
+        seeds = np.stack([
+            np.floor(positions[0]), np.ceil(positions[1]), np.rint(positions[2])
+        ]).astype(np.intp)
+    # Seeds lie in [-n/2, n/2], so they and the probes one vertex past the
+    # ends index a doubled table from offset n without wrapping; ``clip``
+    # keeps the arbitrary indices of NaN rows, which fail, in range.
+    probes = seeds[[0, 0, 1, 1, 2]] + np.array([[n], [n + 1], [n], [n - 1], [n]])
+    vertices = [row.take(probes, mode="clip") for row in np.tile(table, 2)]
+    seeded = (_facing(vertices, xs, ys) * _SEED_SIGNS > _SEED_MARGIN).all(axis=0)
+    ends = probes[[2, 0]]
+    first, last = np.where(ends >= n, ends - n, ends)
+    rest = np.flatnonzero(~seeded)
+    if rest.size:
+        rest_xs, rest_ys = xs[rest], ys[rest]
+        first[rest], last[rest] = _arc_ends(
+            table, angles[2, rest], lambda vertex: _faces(vertex, rest_xs, rest_ys)
+        )
+    return first, last
 
 
 def _arc_ends(
@@ -154,14 +235,14 @@ def _path_lengths(head: HeadGeometry, sources: np.ndarray) -> np.ndarray:
     sources = _as_sources(sources)
     xs, ys = np.ascontiguousarray(sources.T)
     table = _vertex_table(head)
-    first, last = _horizon_indices(table, xs, ys)
+    first, last = _horizon_indices(head, table, xs, ys)
     ear_index = [head.ear_index(ear) for ear in _EARS]
     ear_visible = _faces(table[:, ear_index, None], xs, ys)
     ear_x, ear_y = np.array([head.ear_position(ear) for ear in _EARS]).T[:, :, None]
     dx, dy = xs - ear_x, ys - ear_y
     direct = np.sqrt(dx * dx + dy * dy)
     tangent = np.stack([last, first])
-    dx, dy = xs - table[2, tangent], ys - table[3, tangent]
+    dx, dy = xs - table[2].take(tangent), ys - table[3].take(tangent)
     straight = np.sqrt(dx * dx + dy * dy)
     after_last, after_first = _wrap_arcs(head, last, first)
     wrapped = np.minimum(straight[0] + after_last, straight[1] + after_first)
@@ -211,13 +292,13 @@ def near_field_paths(
         raise GeometryError(f"source {sources[inside][0]} lies inside the head")
     xs, ys = np.ascontiguousarray(sources.T)
     table = _vertex_table(head)
-    first_visible, last_visible = _horizon_indices(table, xs, ys)
+    first_visible, last_visible = _horizon_indices(head, table, xs, ys)
     # A source that sees any vertex sees its arc's ends (see _arc_ends).
     blind = ~_faces(table[:, first_visible], xs, ys)
     if np.any(blind):
         raise GeometryError(f"no boundary point visible from {sources[blind][0]}")
     tangent = np.stack([last_visible, first_visible])
-    dx, dy = xs - table[2, tangent], ys - table[3, tangent]
+    dx, dy = xs - table[2].take(tangent), ys - table[3].take(tangent)
     straight = np.sqrt(dx * dx + dy * dy)
     after_last, after_first = _wrap_arcs(head, last_visible, first_visible)
     first = straight[0] + after_last

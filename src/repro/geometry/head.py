@@ -22,6 +22,7 @@ sensor-fusion stage estimates per user.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +37,23 @@ DEFAULT_BOUNDARY_SAMPLES = 720
 
 _MIN_AXIS_M = 0.02
 _MAX_AXIS_M = 0.30
+
+
+@functools.lru_cache(maxsize=16)
+def _vertex_trig(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only ``sin``/``cos`` of ``n`` uniform boundary angles, as :meth:`HeadGeometry.boundary_point` takes them.
+
+    Returns ``(sin, cos)`` of the angles that place the points, then
+    ``(sin, cos)`` of the ones :meth:`HeadGeometry.radius_at` sees after
+    the degree round trip.  No head axis enters them, so every head with
+    ``n`` boundary samples shares one copy.
+    """
+    psi = np.deg2rad(np.arange(n) * (360.0 / n))
+    radial = np.deg2rad(np.rad2deg(psi))
+    trig = (np.sin(psi), np.cos(psi), np.sin(radial), np.cos(radial))
+    for values in trig:
+        values.flags.writeable = False
+    return trig
 
 
 class Ear(enum.Enum):
@@ -152,7 +170,10 @@ class HeadGeometry:
     def radius_at(self, psi_deg: float | np.ndarray) -> np.ndarray:
         """Boundary radius at polar angle(s) ``psi`` (degrees, nose = 0)."""
         psi = np.deg2rad(np.asarray(psi_deg, dtype=float))
-        s, co = np.sin(psi), np.cos(psi)
+        return self._radius(np.sin(psi), np.cos(psi))
+
+    def _radius(self, s: np.ndarray, co: np.ndarray) -> np.ndarray:
+        """Boundary radius at the polar angle(s) with sine ``s`` and cosine ``co``."""
         depth = np.where(co >= 0.0, self.b, self.c)
         return 1.0 / np.sqrt((s / self.a) ** 2 + (co / depth) ** 2)
 
@@ -193,8 +214,10 @@ class HeadGeometry:
 
     def _build_boundary(self) -> _Boundary:
         n = self.n_boundary
-        psi_deg = np.arange(n) * (360.0 / n)
-        points = self.boundary_point(psi_deg)
+        # boundary_point at n uniform angles, its trig taken from the cache.
+        sin_psi, cos_psi, sin_radial, cos_radial = _vertex_trig(n)
+        r = self._radius(sin_radial, cos_radial)
+        points = np.stack([r * sin_psi, r * cos_psi], axis=-1)
         normals = self.outward_normal(points)
         closed = np.vstack([points, points[:1]])
         seglen = np.linalg.norm(np.diff(closed, axis=0), axis=1)

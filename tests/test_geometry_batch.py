@@ -1,5 +1,8 @@
 """Tests for the vectorized batch path solver (must match the scalar one)."""
 
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,8 +18,10 @@ from repro.core.fusion import (
 from repro.core.localize import DelayMap
 from repro.constants import SPEED_OF_SOUND
 from repro.errors import GeometryError
+from repro.geometry import batch
 from repro.geometry.batch import (
     _EARS,
+    _arc_ends,
     _faces,
     _horizon_indices,
     _path_lengths,
@@ -247,7 +252,7 @@ class TestHorizonSearch:
             sources = _external_sources(head, rng, 3000)
             visible, first_dense, last_dense = _dense_horizons(head, sources)
             table = _vertex_table(head)
-            first, last = _horizon_indices(table, *sources.T)
+            first, last = _horizon_indices(head, table, *sources.T)
             np.testing.assert_array_equal(first, first_dense)
             np.testing.assert_array_equal(last, last_dense)
             for ear in Ear:
@@ -256,14 +261,116 @@ class TestHorizonSearch:
                 np.testing.assert_array_equal(ear_visible, visible[:, index])
 
     def test_inside_points_are_nan_without_raising(self):
-        head = HeadGeometry(0.07, 0.14, 0.08, n_boundary=240)
         rng = np.random.default_rng(5)
-        psi = rng.uniform(-180, 180, 500)
-        inside = head.boundary_point(psi) * rng.uniform(0.0, 0.999, 500)[:, None]
-        inside = np.vstack([inside, [[0.0, 0.0]]])
-        assert head.contains(inside).all()
-        t_left, t_right = binaural_delays_batch(head, inside)
-        assert np.isnan(t_left).all() and np.isnan(t_right).all()
+        for b, c in [(0.14, 0.08), (0.08, 0.14)]:
+            head = HeadGeometry(0.07, b, c, n_boundary=240)
+            psi = rng.uniform(-180, 180, 500)
+            inside = head.boundary_point(psi) * rng.uniform(0.0, 0.999, 500)[:, None]
+            # Inside the deeper half, outside the other half's full ellipse:
+            # that ellipse has finite tangent points, which the seed must reject.
+            deep = np.array([[0.0, 0.11], [0.0, -0.11], [0.01, 0.12], [-0.01, -0.12]])
+            inside = np.vstack([inside, deep[head.contains(deep)], [[0.0, 0.0]]])
+            assert head.contains(inside).all()
+            with (
+                warnings.catch_warnings(),
+                mock.patch.object(batch, "_arc_ends", wraps=_arc_ends) as lifting,
+            ):
+                warnings.simplefilter("error")
+                t_left, t_right = binaural_delays_batch(head, inside)
+            assert np.isnan(t_left).all() and np.isnan(t_right).all()
+            # Every row inside the head goes to the lifting.
+            assert lifting.call_args.args[1].shape == (inside.shape[0],)
+
+
+def _lifted_horizons(table, xs, ys):
+    """``(first, last)`` by the binary lifting alone (the seed's oracle)."""
+    return _arc_ends(table, np.arctan2(xs, ys), lambda vertex: _faces(vertex, xs, ys))
+
+
+class TestSeededHorizons:
+    """Tangent-seeded horizons equal the lifting's exactly, and skip it on the maps."""
+
+    @given(head=_heads, seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_equals_lifting(self, head, seed):
+        rng = np.random.default_rng(seed)
+        ear_axis = polar_to_cartesian(
+            rng.uniform(0.11, 1.5, 300),
+            rng.choice([-1.0, 1.0], 300) * rng.uniform(88.0, 92.0, 300),
+        )
+        psi = rng.uniform(-180, 180, 300)
+        scale = 1.0 + 10.0 ** rng.uniform(-7, -2, 300)
+        just_outside = head.boundary_point(psi) * scale[:, None]
+        table = _vertex_table(head)
+        for sources in (
+            _grid_sources(MAP_RADII, MAP_THETAS),
+            _grid_sources(FINAL_MAP_RADII, FINAL_MAP_THETAS),
+            _external_sources(head, rng, 900),
+            ear_axis,
+            just_outside,
+        ):
+            sources = sources[~head.contains(sources)]
+            xs, ys = np.ascontiguousarray(sources.T)
+            first, last = _horizon_indices(head, table, xs, ys)
+            expected_first, expected_last = _lifted_horizons(table, xs, ys)
+            np.testing.assert_array_equal(first, expected_first)
+            np.testing.assert_array_equal(last, expected_last)
+
+    @given(params=_box_heads)
+    @settings(max_examples=10, deadline=None)
+    def test_map_grids_never_fall_back(self, params):
+        """A seed that stops certifying would cost time, not correctness."""
+        coarse = HeadGeometry(*params, n_boundary=FUSION_BOUNDARY_SAMPLES)
+        final = HeadGeometry(*params, n_boundary=DEFAULT_BOUNDARY_SAMPLES)
+        with mock.patch.object(batch, "_arc_ends", wraps=_arc_ends) as lifting:
+            DelayMap(coarse, MAP_RADII, MAP_THETAS, refine=False)
+            DelayMap(final, FINAL_MAP_RADII, FINAL_MAP_THETAS)
+        lifting.assert_not_called()
+
+    @pytest.mark.parametrize(
+        "axes, source",
+        [
+            (
+                (0.07279721067052418, 0.14456099070618794, 0.11588107648943165),
+                (-0.05929123018863392, 0.08389596082833803),
+            ),
+            (
+                (0.09779679231731919, 0.12035599591149079, 0.07604868322496224),
+                (0.020951617567974413, -0.07428725352814741),
+            ),
+            (
+                (0.11324219986166503, 0.12227673639898086, 0.07249507076784277),
+                (0.08296256316948523, -0.04935535582915868),
+            ),
+        ],
+    )
+    def test_blind_anchor_falls_back(self, axes, source):
+        """Microns off the boundary, the vertex at the source's polar angle
+        can miss a visible arc whose ends certify; the lifting walks from
+        that vertex, so such a row must take the lifting too."""
+        head = HeadGeometry(*axes, n_boundary=240)
+        xs, ys = np.array([source[0]]), np.array([source[1]])
+        table = _vertex_table(head)
+        first, last = _horizon_indices(head, table, xs, ys)
+        expected_first, expected_last = _lifted_horizons(table, xs, ys)
+        np.testing.assert_array_equal(first, expected_first)
+        np.testing.assert_array_equal(last, expected_last)
+
+    def test_sampling_gap_sources_fall_back(self):
+        """A source too close to see any vertex gets the lifting's answer."""
+        head = HeadGeometry(0.08, 0.11, 0.095, n_boundary=240)
+        # Midway between two vertices, a hair outside the boundary.
+        psi = (np.arange(0, 240, 7) + 0.5) * (360.0 / 240)
+        sources = head.boundary_point(psi) * (1.0 + 1e-9)
+        sources = sources[~head.contains(sources)]
+        xs, ys = np.ascontiguousarray(sources.T)
+        table = _vertex_table(head)
+        with mock.patch.object(batch, "_arc_ends", wraps=_arc_ends) as lifting:
+            first, last = _horizon_indices(head, table, xs, ys)
+        assert lifting.call_args.args[1].shape == (xs.shape[0],)
+        expected_first, expected_last = _lifted_horizons(table, xs, ys)
+        np.testing.assert_array_equal(first, expected_first)
+        np.testing.assert_array_equal(last, expected_last)
 
 
 #: Render's grid: 0-180 degrees in 0.25-degree steps.

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core.fusion import MAP_RADII, MAP_THETAS
+from repro.core.localize import DelayMap, _polar_grid
 from repro.errors import GeometryError
-from repro.geometry.head import Ear, HeadGeometry
+from repro.geometry.head import Ear, HeadGeometry, _vertex_trig
 
 head_axes = st.floats(0.06, 0.15)
 
@@ -118,3 +120,34 @@ class TestContains:
     def test_scaled_boundary_points_inside(self, psi, scale):
         head = HeadGeometry.average()
         assert head.contains(head.boundary_point(psi) * scale)
+
+
+class TestSharedBoundaryData:
+    """Head-independent arrays come from caches, and change nothing."""
+
+    @pytest.mark.parametrize("n", [16, 240, 720])
+    @pytest.mark.parametrize("axes", [(0.0875, 0.11, 0.095), (0.07, 0.08, 0.14)])
+    def test_boundary_equals_formula(self, n, axes):
+        head = HeadGeometry(*axes, n_boundary=n)
+        points = head.boundary_point(np.arange(n) * (360.0 / n))
+        closed = np.vstack([points, points[:1]])
+        seglen = np.linalg.norm(np.diff(closed, axis=0), axis=1)
+        boundary = head.boundary
+        np.testing.assert_array_equal(boundary.points, points)
+        np.testing.assert_array_equal(boundary.normals, head.outward_normal(points))
+        np.testing.assert_array_equal(
+            boundary.cumulative_arc, np.concatenate([[0.0], np.cumsum(seglen)])
+        )
+
+    def test_cached_arrays_are_read_only(self):
+        delay_map = DelayMap(HeadGeometry.average(240), MAP_RADII, MAP_THETAS)
+        shared = (
+            *_vertex_trig(240),
+            *_polar_grid(MAP_RADII, MAP_THETAS),
+            delay_map.radii,
+            delay_map.thetas_deg,
+        )
+        for values in shared:
+            assert not values.flags.writeable
+            with pytest.raises(ValueError):
+                values[0] = 0.0
