@@ -464,8 +464,9 @@ class Uniq:
         residual past :data:`_ESCALATE_RESIDUAL_DEG` — escalates to the
         next method in ``auto`` mode until the top rung; the best successful
         fusion (smallest residual) across rungs is the one kept, so a
-        climb can never make a capture worse.  Raises the last rung's
-        error when no rung produced a usable fusion.
+        climb can never make a capture worse.  The bank is left on the
+        kept fusion's rung.  Raises the last rung's error when no rung
+        produced a usable fusion.
         """
         method = bank.method
         rung_path = [method]
@@ -506,6 +507,9 @@ class Uniq:
             method = next_method
             rung_path.append(method)
         fusion, method = best
+        # HRIRs are windowed from the kept rung's channels, which the
+        # per-method cache keys still hold.
+        bank.set_method(method)
         return fusion, method, rung_path
 
     def _climb(

@@ -38,8 +38,8 @@ class ChannelResponseResult:
     first_tap_right: int
     true_delay_left_samples: float
     true_delay_right_samples: float
-    n_taps_left: int
-    n_taps_right: int
+    tap_count_left: int
+    tap_count_right: int
 
     @property
     def first_tap_error_samples(self) -> tuple[float, float]:
@@ -83,8 +83,8 @@ def fig9_channel_response(
         ).length
         / SPEED_OF_SOUND
         * fs,
-        n_taps_left=int(taps_left.shape[0]),
-        n_taps_right=int(taps_right.shape[0]),
+        tap_count_left=int(taps_left.shape[0]),
+        tap_count_right=int(taps_right.shape[0]),
     )
 
 

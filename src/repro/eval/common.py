@@ -141,12 +141,14 @@ def get_cohort(
     ]
     start = time.perf_counter()
     with obs_trace.span("eval.get_cohort", n=n, workers=n_workers):
-        # The serve-layer WorkerPool: fork context (children inherit this
-        # process's warm DelayMap cache), crash retry, and inline execution
-        # when n_workers == 1 — one pool implementation shared with
-        # repro.serve.BatchServer, one set of crash/retry semantics.
-        with WorkerPool(n_workers, inline=(n_workers == 1)) as pool:
-            members = pool.map(_build_member, jobs)
+        if n_workers == 1:
+            members = [_build_member(job) for job in jobs]
+        else:
+            # The serve-layer WorkerPool: fork context (children inherit
+            # this process's warm DelayMap cache) and crash retry — one pool
+            # implementation shared with repro.serve.BatchServer.
+            with WorkerPool(n_workers) as pool:
+                members = pool.map(_build_member, jobs)
     obs_metrics.counter("cohort.members_built").inc(len(members))
     obs_metrics.gauge("cohort.workers").set(float(n_workers))
     obs_metrics.gauge("cohort.build_s").set(time.perf_counter() - start)

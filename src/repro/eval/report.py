@@ -234,7 +234,7 @@ def _system(r: ExperimentResults) -> list[str]:
                  f"detected {fig9.first_tap_right} vs true "
                  f"{fig9.true_delay_right_samples:.1f} samples"),
                 ("taps per ear",
-                 f"left {fig9.n_taps_left}, right {fig9.n_taps_right}"),
+                 f"left {fig9.tap_count_left}, right {fig9.tap_count_right}"),
             ],
         ),
         *_figure(
@@ -431,8 +431,9 @@ def _ablations(r: ExperimentResults) -> list[str]:
         "`ablation_diffraction_model` (Section 2: why model diffraction), "
         "`ablation_near_far_conversion` (Section 4.3: why convert) and "
         "`ablation_measurement_density` (\"with larger N, E_opt converges "
-        "better\").  Each removes one ingredient of UNIQ from the default "
-        "cohort's first members and measures the damage.",
+        "better\").  Each removes one ingredient of UNIQ from the first "
+        f"members of this run's {r.cohort_size}-volunteer cohort and "
+        "measures the damage.",
         "",
         *_table(rows, {}),
         "",

@@ -20,11 +20,10 @@ managed workload needs and a bare executor lacks:
   ``timeout`` without blocking the caller, and is never retried;
 - **the worker pid of every attempt** that returned or raised, reported by
   the worker itself (:func:`_run_task`); a worker that died is named only
-  by its heartbeat;
-- **inline mode** (``workers <= 1`` by default) that runs tasks in the
-  calling process with no subprocess at all — the single-core opt-out
-  :func:`repro.eval.common.get_cohort` has always honored via
-  ``REPRO_COHORT_WORKERS=1``.
+  by its heartbeat.
+
+Every task runs in a worker process, even with one worker, so a
+single-worker service still survives job crashes.
 
 Everything is callback-based (:meth:`dispatch`), with :meth:`map` /
 :meth:`outcomes` as the blocking conveniences.  One pool implementation,
@@ -121,7 +120,7 @@ def _noop() -> None:
 
 
 def _run_task(payload) -> tuple[int, Any]:
-    """Worker-side shim of every process-mode task: ``(fn, arg, hb_path)``.
+    """Worker-side shim of every task: ``(fn, arg, hb_path)``.
 
     Returns ``(pid, fn(arg))``, and stamps the pid on any exception
     ``fn`` raises as ``worker_pid`` (instance attributes survive the
@@ -177,11 +176,6 @@ class WorkerPool:
     ----------
     workers:
         Worker process count; ``None`` uses the machine's cpu count.
-    inline:
-        ``True`` executes tasks synchronously in the calling process
-        (defaults to ``workers <= 1``).  Pass ``False`` to force a real
-        subprocess even for one worker — what the batch server does so a
-        single-worker service still survives job crashes.
     retry_policy:
         Full retry semantics (classification, backoff, per-task cap); defaults
         to a fresh ``RetryPolicy(**DEFAULT_RETRY)``.
@@ -193,30 +187,21 @@ class WorkerPool:
         :data:`repro.serve.heartbeat.HEARTBEAT_INTERVAL_S` wide.
     map_store:
         Head-search outcome store directory (:mod:`repro.core.mapstore`),
-        activated as ``REPRO_MAP_STORE`` in every worker process (and in
-        this process under inline mode) so cold workers replay pre-baked
-        head searches instead of running them.  ``None`` leaves the
-        inherited environment in charge.
+        activated as ``REPRO_MAP_STORE`` in every worker process so cold
+        workers replay pre-baked head searches instead of running them.
+        ``None`` leaves the inherited environment in charge.
     """
 
     def __init__(
         self,
         workers: int | None = None,
         *,
-        inline: bool | None = None,
         retry_policy: RetryPolicy | None = None,
         heartbeat_deadline_s: float | None = None,
         map_store: str | os.PathLike | None = None,
     ) -> None:
         self.workers = max(1, int(workers if workers is not None else os.cpu_count() or 1))
-        self.inline = (self.workers <= 1) if inline is None else bool(inline)
         self.map_store = os.fspath(map_store) if map_store else None
-        if self.map_store and self.inline:
-            # Inline mode runs tasks in this process; the store is activated
-            # the same way the workers would see it.
-            from repro.core.mapstore import MAP_STORE_ENV
-
-            os.environ[MAP_STORE_ENV] = self.map_store
         self.retry_policy = (
             retry_policy if retry_policy is not None
             else RetryPolicy(**DEFAULT_RETRY)
@@ -231,17 +216,16 @@ class WorkerPool:
         self._watchdog: threading.Thread | None = None
         self._watchdog_stop = threading.Event()
         obs_metrics.gauge("serve.pool.workers").set(float(self.workers))
-        if not self.inline:
-            with self._lock:
-                self._ensure_executor()
-            if self.heartbeat_deadline_s is not None:
-                self._hb_dir = tempfile.TemporaryDirectory(prefix="repro-hb-")
-                self._watchdog = threading.Thread(
-                    target=self._run_watchdog,
-                    name="repro-pool-watchdog",
-                    daemon=True,
-                )
-                self._watchdog.start()
+        with self._lock:
+            self._ensure_executor()
+        if self.heartbeat_deadline_s is not None:
+            self._hb_dir = tempfile.TemporaryDirectory(prefix="repro-hb-")
+            self._watchdog = threading.Thread(
+                target=self._run_watchdog,
+                name="repro-pool-watchdog",
+                daemon=True,
+            )
+            self._watchdog.start()
 
     # -- executor lifecycle -------------------------------------------------
 
@@ -310,13 +294,11 @@ class WorkerPool:
     ) -> None:
         """Run ``fn(arg)`` on the pool; deliver a :class:`TaskOutcome`.
 
-        ``on_done`` fires exactly once, from the calling thread in inline
-        mode and from an executor/timer thread otherwise.  The timeout
-        clock starts at dispatch and covers executor handoff plus
-        execution; inline mode cannot preempt, so timeouts are ignored
-        there.  ``retry_token`` seeds the deterministic backoff jitter
-        (the batch server passes the job's spec key).  The outcome's
-        ``attempt_log`` records every attempt.
+        ``on_done`` fires exactly once, from an executor or timer thread.
+        The timeout clock starts at dispatch and covers executor handoff
+        plus execution.  ``retry_token`` seeds the deterministic backoff
+        jitter (the batch server passes the job's spec key).  The
+        outcome's ``attempt_log`` records every attempt.
         """
         obs_metrics.counter("serve.pool.dispatched").inc()
         task = _Task(
@@ -324,34 +306,6 @@ class WorkerPool:
             retry_token if retry_token is not None else "",
             next(self._task_ids),
         )
-        if self.inline:
-            task.attempts = 1
-            task.dispatched_at = time.time()
-            started = time.perf_counter()
-            try:
-                value = fn(arg)
-            except Exception as error:  # noqa: BLE001 - outcome carries it
-                obs_metrics.counter("serve.pool.errors").inc()
-                self.retry_policy.classify("error", error)
-                outcome = TaskOutcome(
-                    status="error",
-                    error=f"{type(error).__name__}: {error}",
-                    exception=error,
-                    attempts=1,
-                    duration_s=time.perf_counter() - started,
-                    attempt_log=task.log,
-                )
-            else:
-                outcome = TaskOutcome(
-                    status="ok",
-                    value=value,
-                    attempts=1,
-                    duration_s=time.perf_counter() - started,
-                    attempt_log=task.log,
-                )
-            task.end_attempt(outcome.status, os.getpid())
-            on_done(outcome)
-            return
         self._submit(task)
 
     def _submit(self, task: _Task) -> None:

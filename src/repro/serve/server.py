@@ -59,7 +59,7 @@ from repro.serve.job import Job, JobResult
 from repro.serve.journal import Journal
 from repro.serve.pool import TaskOutcome, WorkerPool
 from repro.serve.retry import RetryPolicy
-from repro.serve.telemetry import ServeTelemetry, _percentile, build_job_trace
+from repro.serve.telemetry import ServeTelemetry, build_job_trace, slo_stats
 from repro.serve.worker import execute_job, run_with_telemetry
 
 __all__ = [
@@ -135,19 +135,18 @@ class BatchReport:
         return len(self.results) / self.wall_s if self.wall_s > 0 else float("inf")
 
     def latency_summary(self) -> dict[str, float]:
-        """p50/p95 of executed-job run time and queue wait (seconds)."""
-        runs = [
-            r.run_s for r in self.results
-            if r.ok and not r.coalesced and not r.replayed
-        ]
-        waits = [
-            r.queue_wait_s for r in self.results if r.status != "interrupted"
-        ]
+        """p50/p95 of executed-job run time and queue wait (seconds).
+
+        Read from :func:`repro.serve.telemetry.slo_stats`, so the report,
+        the CLI summary and ``--slo`` quote the same numbers over the same
+        executed jobs.
+        """
+        stats = slo_stats(self)
         return {
-            "run_p50_s": _percentile(runs, 0.50),
-            "run_p95_s": _percentile(runs, 0.95),
-            "queue_wait_p50_s": _percentile(waits, 0.50),
-            "queue_wait_p95_s": _percentile(waits, 0.95),
+            "run_p50_s": stats["job_p50_s"],
+            "run_p95_s": stats["job_p95_s"],
+            "queue_wait_p50_s": stats["queue_wait_p50_s"],
+            "queue_wait_p95_s": stats["queue_wait_p95_s"],
         }
 
     def quality_summary(self) -> dict[str, Any]:
@@ -343,7 +342,6 @@ class BatchServer:
         self.map_store = map_store
         self._pool = WorkerPool(
             workers if workers is not None else os.cpu_count(),
-            inline=False,
             retry_policy=retry_policy,
             heartbeat_deadline_s=heartbeat_deadline_s,
             map_store=map_store,

@@ -46,7 +46,7 @@ __all__ = [
 
 
 def _percentile(values: list[float], q: float) -> float:
-    """Exact percentile by linear interpolation (also the batch report's)."""
+    """Exact percentile by linear interpolation."""
     if not values:
         return float("nan")
     ordered = sorted(values)

@@ -184,8 +184,8 @@ def maybe_crash(spec: Mapping[str, Any]) -> None:
     later attempt finds the marker and runs normally, so a server with
     crash-retry enabled completes the job on its second try.
 
-    Refuses to kill the main process: if the runner is executing inline
-    (serial mode, no subprocess) the hook raises instead of exiting.
+    Refuses to kill the main process: if the runner is called directly
+    (no subprocess) the hook raises instead of exiting.
     """
     marker = spec.get("crash_marker")
     if not marker or os.path.exists(marker):

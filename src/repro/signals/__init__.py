@@ -30,14 +30,11 @@ from repro.signals.channel import (
     truncate_after,
 )
 from repro.signals.deconvolve import (
-    DECONVOLVERS,
     LADDER,
     estimate_noise_floor,
     ladder_next,
     noise_regularization,
     rung_of,
-    tdls_deconvolve,
-    wiener_deconvolve,
 )
 from repro.signals.correlation import (
     max_normalized_correlation,
@@ -62,14 +59,11 @@ __all__ = [
     "add_tap",
     "ProbeChannelBank",
     "estimate_channel",
-    "DECONVOLVERS",
     "LADDER",
     "estimate_noise_floor",
     "ladder_next",
     "noise_regularization",
     "rung_of",
-    "tdls_deconvolve",
-    "wiener_deconvolve",
     "first_tap_index",
     "refine_tap_position",
     "find_taps",

@@ -22,13 +22,12 @@ import numpy as np
 from repro.errors import SignalError
 from repro.obs import metrics as obs_metrics
 from repro.signals.deconvolve import (
-    _as_inputs,
+    _CLEAN_REGULARIZATION,
     _as_source,
-    _spectral_deconvolve,
+    _impulse,
     _window_impulse,
     estimate_channel,  # noqa: F401  (re-exported: callers import it from here)
     rung_of,
-    tdls_deconvolve,
 )
 
 
@@ -39,12 +38,12 @@ class ProbeChannelBank:
     stages — the preflight sentinels (sampled probes), sensor fusion
     (first-tap delays) and near-field interpolation (HRIR windows) — and
     every deconvolution re-transforms the *same* played source.  The bank
-    removes both redundancies while staying bit-identical to the one-shot
-    estimators in :data:`repro.signals.deconvolve.DECONVOLVERS`:
+    removes both redundancies, running every rung through the same
+    deconvolution kernel as :func:`estimate_channel`:
 
     - ``rfft(source)`` is computed once per FFT size and shared by every
       probe, ear and spectral rung;
-    - the full-length impulse estimate is computed once per cache ``key``
+    - the unwindowed impulse estimate is computed once per cache ``key``
       and served as a window of any requested ``length`` afterwards.
 
     The cache key is caller-chosen (the pipeline uses ``(probe_index,
@@ -63,11 +62,11 @@ class ProbeChannelBank:
     def __init__(self, source: np.ndarray) -> None:
         self._source = _as_source(source)
         self._method = "inverse"
-        self._regularization = 1e-3
+        self._regularization = _CLEAN_REGULARIZATION
         self._noise_floor: float | None = None
         #: n_fft -> (conj(rfft(source)), |S|^2)
         self._source_spectra: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        #: (method, regularization, key) -> full-length impulse estimate
+        #: (method, regularization, key) -> unwindowed impulse estimate
         self._impulses: dict[Hashable, np.ndarray] = {}
 
     @property
@@ -112,32 +111,22 @@ class ProbeChannelBank:
 
         The first call for a ``key`` (under the active method) deconvolves
         ``recording``; later calls ignore ``recording`` and reslice the
-        stored full-length estimate, so differing window lengths across
-        pipeline stages still share one deconvolution.  Results are
-        bit-identical to ``DECONVOLVERS[method]`` with the same inputs,
-        regularization and noise floor.
+        stored unwindowed estimate, so differing window lengths across
+        pipeline stages still share one deconvolution.  A window longer
+        than the estimate is zero-padded, as :func:`estimate_channel`
+        pads.
         """
         full_key = (self._method, self._regularization, key)
         impulse = self._impulses.get(full_key)
         if impulse is None:
-            recording, source = _as_inputs(recording, self._source)
-            if self._method == "tdls":
-                impulse = tdls_deconvolve(
-                    recording,
-                    source,
-                    length=recording.shape[0],
-                    regularization=self._regularization,
-                    noise_floor=self._noise_floor,
-                )
-            else:
-                impulse = _spectral_deconvolve(
-                    recording,
-                    source,
-                    self._method,
-                    self._regularization,
-                    self._noise_floor,
-                    self._source_spectra,
-                )
+            impulse = _impulse(
+                recording,
+                self._source,
+                self._method,
+                self._regularization,
+                self._noise_floor,
+                self._source_spectra,
+            )
             self._impulses[full_key] = impulse
             obs_metrics.counter("channel.bank_deconvolutions").inc()
         else:

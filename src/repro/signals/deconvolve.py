@@ -4,14 +4,13 @@ The paper's capture protocol assumes a quiet room, where the plain
 regularized inverse filter recovers the channel cleanly.  A fleet of home
 captures does not get that luxury: broadband noise floods the bands the
 chirp sweeps through quickly, and reverberant rooms smear energy far past
-the head/pinna window.  This module keeps one registry of deconvolution
-*strategies*, ordered as an escalation ladder from cheapest/most-exact to
-most robust:
+the head/pinna window.  This module orders the deconvolution *strategies*
+as an escalation ladder from cheapest/most-exact to most robust:
 
 ===== ========= ===================================================
 rung  method    estimator
 ===== ========= ===================================================
-0     inverse   regularized inverse filter :func:`estimate_channel`
+0     inverse   regularized inverse filter
                 ``H = Y conj(S) / (|S|^2 + reg * max|S|^2)`` —
                 the clean-capture default.
 1     wiener    Wiener deconvolution ``H = Syx / (Sxx + floor)``:
@@ -21,18 +20,18 @@ rung  method    estimator
                 noise-dominated bins are suppressed instead of
                 amplified.
 2     tdls      windowed time-domain least squares: solve the
-                Toeplitz normal equations for the first
-                ``n_taps`` taps only.  Energy arriving later than
-                the modeled window (late reverberation) falls
-                outside the cross-correlation lags used, so the
-                early-tap estimate is shielded from it.
+                Toeplitz normal equations for the first 768 taps
+                only.  Energy arriving later than the modeled
+                window (late reverberation) falls outside the
+                cross-correlation lags used, so the early-tap
+                estimate is shielded from it.
 ===== ========= ===================================================
 
-Rungs 0 and 1 differ only in the denominator floor, so both run through
-one spectral-division kernel; the session cache
-:class:`repro.signals.channel.ProbeChannelBank` serves every rung through
-the same code, bit-identical to the one-shot estimators registered in
-:data:`DECONVOLVERS`.
+One private kernel, ``_impulse``, picks the rung: rungs 0 and 1 differ
+only in the denominator floor and share one spectral-division kernel,
+rung 2 runs the Toeplitz solve.  Both entry points call it: the one-shot
+rung-0 :func:`estimate_channel` and the session cache
+:class:`repro.signals.channel.ProbeChannelBank`, which serves every rung.
 
 The ``wiener``/``tdls`` estimators follow the classic dereverberation
 toolkit shapes (cross-/auto-spectral division and Toeplitz LS channel
@@ -47,7 +46,6 @@ import numpy as np
 from repro.errors import SignalError
 
 __all__ = [
-    "DECONVOLVERS",
     "LADDER",
     "estimate_channel",
     "estimate_noise_floor",
@@ -55,8 +53,6 @@ __all__ = [
     "ladder_next",
     "noise_regularization",
     "rung_of",
-    "tdls_deconvolve",
-    "wiener_deconvolve",
 ]
 
 #: Robust sigma from the median absolute deviation of a zero-mean signal.
@@ -65,14 +61,18 @@ _MAD_SIGMA = 1.4826
 #: Rung order of the escalation ladder (index = rung number).
 LADDER: tuple[str, ...] = ("inverse", "wiener", "tdls")
 
-#: Default time-domain LS window: 16 ms at 48 kHz — comfortably covers the
-#: fusion delay window (12 ms) and the interpolator's HRIR window while
+#: Rung 2's time-domain LS window: 16 ms at 48 kHz — comfortably covers
+#: the fusion delay window (12 ms) and the interpolator's HRIR window while
 #: excluding late room reverberation from the modeled taps.
-_TDLS_DEFAULT_TAPS = 768
+_TDLS_TAPS = 768
 
-#: Relative Tikhonov floor bounds for :func:`noise_regularization`: never
-#: below the clean-capture default, never so high the channel is flattened.
-_REG_FLOOR = 1e-3
+#: The clean-capture relative Tikhonov floor: a new session bank's
+#: regularization, :func:`estimate_channel`'s default and the lower clamp
+#: of :func:`noise_regularization`.
+_CLEAN_REGULARIZATION = 1e-3
+
+#: Upper clamp of :func:`noise_regularization`: never so high the channel
+#: is flattened.
 _REG_CEILING = 0.5
 
 
@@ -157,7 +157,7 @@ def noise_regularization(
     source: np.ndarray,
     recording_length: int,
     noise_floor: float,
-    floor: float = _REG_FLOOR,
+    floor: float = _CLEAN_REGULARIZATION,
     ceiling: float = _REG_CEILING,
 ) -> float:
     """Relative Tikhonov floor matched to a measured noise level.
@@ -213,12 +213,72 @@ def _spectral_deconvolve(
     return np.fft.irfft(spectrum_y * conj_s / (power + floor), n_fft)
 
 
+def _impulse(
+    recording: np.ndarray,
+    source: np.ndarray,
+    method: str,
+    regularization: float,
+    noise_floor: float | None,
+    spectra: dict[int, tuple[np.ndarray, np.ndarray]] | None = None,
+) -> np.ndarray:
+    """The unwindowed channel estimate of ``recording`` on rung ``method``.
+
+    Rungs 0 and 1 return the full-length spectral estimate of
+    :func:`_spectral_deconvolve` (``spectra`` is its source-spectrum
+    cache).  Rung 2 solves ``min_h ||y - s * h||^2 + delta ||h||^2`` for
+    the first ``min(768, len(recording))`` taps via the Toeplitz normal
+    equations ``(R + delta I) h = g`` (``R`` = source autocorrelation,
+    ``g`` = recording/source cross-correlation) and returns those taps.
+    Restricting the modeled window is the robustness mechanism:
+    reverberant energy arriving after it only shows up at
+    cross-correlation lags beyond the taps and never biases the early-tap
+    estimate the way it does through a full-band spectral division.
+    """
+    recording, source = _as_inputs(recording, source)
+    if method != "tdls":
+        return _spectral_deconvolve(
+            recording, source, method, regularization, noise_floor, spectra
+        )
+
+    from scipy.linalg import solve_toeplitz
+    from scipy.signal import fftconvolve
+
+    taps = min(_TDLS_TAPS, recording.shape[0])
+    # First column of the Toeplitz matrix: source autocorrelation lags
+    # 0 .. taps-1; right-hand side: cross-correlation of the recording
+    # with the source at the same lags.
+    autocorr = fftconvolve(source, source[::-1])[
+        source.shape[0] - 1 : source.shape[0] - 1 + taps
+    ]
+    if autocorr.shape[0] < taps:
+        autocorr = np.pad(autocorr, (0, taps - autocorr.shape[0]))
+    if autocorr[0] <= 0.0:
+        raise SignalError("source signal is all zeros")
+    crosscorr = fftconvolve(recording, source[::-1])[
+        source.shape[0] - 1 : source.shape[0] - 1 + taps
+    ]
+    if crosscorr.shape[0] < taps:
+        crosscorr = np.pad(crosscorr, (0, taps - crosscorr.shape[0]))
+
+    # Tikhonov diagonal: the larger of the relative default and the
+    # measured noise energy over the modeled window keeps the Levinson
+    # recursion well-conditioned on noisy captures.
+    delta = float(regularization) * float(autocorr[0])
+    if noise_floor is not None and noise_floor > 0.0:
+        delta = max(delta, recording.shape[0] * float(noise_floor) ** 2)
+    column = autocorr.copy()
+    column[0] += delta
+    try:
+        return solve_toeplitz((column, column.copy()), crosscorr)
+    except np.linalg.LinAlgError:  # pragma: no cover - pathological inputs
+        return np.linalg.lstsq(_toeplitz_dense(column), crosscorr, rcond=None)[0]
+
+
 def estimate_channel(
     recording: np.ndarray,
     source: np.ndarray,
     length: int,
-    regularization: float = 1e-3,
-    noise_floor: float | None = None,
+    regularization: float = _CLEAN_REGULARIZATION,
 ) -> np.ndarray:
     """Rung 0: the impulse response mapping ``source`` to ``recording``.
 
@@ -236,102 +296,8 @@ def estimate_channel(
     regularization:
         Relative Tikhonov floor applied to the source spectrum; guards the
         bands where the probe carries no energy.
-    noise_floor:
-        Accepted and ignored, so every :data:`DECONVOLVERS` entry shares
-        one signature.
     """
-    recording, source = _as_inputs(recording, source)
-    impulse = _spectral_deconvolve(
-        recording, source, "inverse", regularization, noise_floor
-    )
-    return _window_impulse(impulse, length)
-
-
-def wiener_deconvolve(
-    recording: np.ndarray,
-    source: np.ndarray,
-    length: int,
-    regularization: float = 1e-3,
-    noise_floor: float | None = None,
-) -> np.ndarray:
-    """Rung 1: Wiener deconvolution ``H = Syx / (Sxx + floor)``.
-
-    ``Syx = Y conj(S)`` and ``Sxx = |S|^2`` are the cross- and auto-power
-    spectra of the capture; the floor is the measured white-noise power per
-    bin (``n_fft * sigma^2``), estimated from the recording itself when not
-    supplied.  Where the probe carries energy the estimate matches the
-    inverse filter; where noise dominates, the bin is attenuated toward
-    zero instead of amplified — which is exactly the failure mode of the
-    fixed-floor inverse filter on noisy captures.
-    """
-    recording, source = _as_inputs(recording, source)
-    impulse = _spectral_deconvolve(
-        recording, source, "wiener", regularization, noise_floor
-    )
-    return _window_impulse(impulse, length)
-
-
-def tdls_deconvolve(
-    recording: np.ndarray,
-    source: np.ndarray,
-    length: int,
-    regularization: float = 1e-2,
-    noise_floor: float | None = None,
-    n_taps: int | None = None,
-) -> np.ndarray:
-    """Rung 2: windowed time-domain least squares over the first taps.
-
-    Solves ``min_h ||y - s * h||^2 + delta ||h||^2`` for ``h`` restricted
-    to ``n_taps`` samples via the Toeplitz normal equations
-    ``(R + delta I) h = g`` (``R`` = source autocorrelation, ``g`` =
-    recording/source cross-correlation).  Restricting the modeled window is
-    the robustness mechanism: reverberant energy arriving after the window
-    only shows up at cross-correlation lags beyond ``n_taps`` and never
-    biases the early-tap estimate the way it does through a full-band
-    spectral division.
-    """
-    recording, source = _as_inputs(recording, source)
-    if length < 1:
-        raise SignalError(f"length must be >= 1, got {length}")
-    if n_taps is None:
-        n_taps = _TDLS_DEFAULT_TAPS
-    n_taps = int(min(n_taps, recording.shape[0]))
-    if n_taps < 1:
-        raise SignalError(f"n_taps must be >= 1, got {n_taps}")
-
-    from scipy.linalg import solve_toeplitz
-    from scipy.signal import fftconvolve
-
-    # First column of the Toeplitz matrix: source autocorrelation lags
-    # 0 .. n_taps-1; right-hand side: cross-correlation of the recording
-    # with the source at the same lags.
-    autocorr = fftconvolve(source, source[::-1])[
-        source.shape[0] - 1 : source.shape[0] - 1 + n_taps
-    ]
-    if autocorr.shape[0] < n_taps:
-        autocorr = np.pad(autocorr, (0, n_taps - autocorr.shape[0]))
-    if autocorr[0] <= 0.0:
-        raise SignalError("source signal is all zeros")
-    crosscorr = fftconvolve(recording, source[::-1])[
-        source.shape[0] - 1 : source.shape[0] - 1 + n_taps
-    ]
-    if crosscorr.shape[0] < n_taps:
-        crosscorr = np.pad(crosscorr, (0, n_taps - crosscorr.shape[0]))
-
-    # Tikhonov diagonal: the larger of the relative default and the
-    # measured noise energy over the modeled window keeps the Levinson
-    # recursion well-conditioned on noisy captures.
-    delta = float(regularization) * float(autocorr[0])
-    if noise_floor is not None and noise_floor > 0.0:
-        delta = max(delta, recording.shape[0] * float(noise_floor) ** 2)
-    column = autocorr.copy()
-    column[0] += delta
-    try:
-        impulse = solve_toeplitz((column, column.copy()), crosscorr)
-    except np.linalg.LinAlgError:  # pragma: no cover - pathological inputs
-        impulse = np.linalg.lstsq(
-            _toeplitz_dense(column), crosscorr, rcond=None
-        )[0]
+    impulse = _impulse(recording, source, "inverse", regularization, None)
     return _window_impulse(impulse, length)
 
 
@@ -340,12 +306,3 @@ def _toeplitz_dense(column: np.ndarray) -> np.ndarray:
     n = column.shape[0]
     idx = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
     return column[idx]
-
-
-#: Method name -> deconvolver registry.  All entries share the signature
-#: ``(recording, source, length, regularization=..., noise_floor=...)``.
-DECONVOLVERS = {
-    "inverse": estimate_channel,
-    "wiener": wiener_deconvolve,
-    "tdls": tdls_deconvolve,
-}

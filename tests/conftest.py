@@ -62,8 +62,8 @@ def _no_map_store(monkeypatch):
     """No test replays a head search from a store it did not set up itself.
 
     ``setenv`` (not ``delenv``) so that teardown restores the variable
-    even when code under test wrote it into ``os.environ`` directly, as an
-    inline ``WorkerPool`` does; an empty value means no store.
+    even when code under test wrote it into ``os.environ`` directly; an
+    empty value means no store.
     """
     monkeypatch.setenv(MAP_STORE_ENV, "")
 

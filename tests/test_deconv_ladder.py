@@ -2,24 +2,29 @@
 
 Three layers under test:
 
-- ``repro.signals.deconvolve`` — the strategy registry itself (rung order,
-  bit-identity of rung 0, robust-rung recovery on synthetic channels);
+- ``repro.signals.deconvolve`` — the ladder itself (rung order, the one
+  kernel behind the session bank and :func:`estimate_channel`, robust-rung
+  recovery on synthetic channels);
 - the adverse-capture sentinels in ``repro.quality.preflight`` (fire on
   faulted captures, stay silent on clean ones, recommend a starting rung);
 - the pipeline contract: a capture that *fails* with the deconvolution
   pinned to ``inverse`` completes under ``auto`` on a higher rung with
   flags and reduced confidence, while clean captures never leave rung 0
-  and stay bit-identical to the pre-ladder pipeline.
+  and stay bit-identical to the pre-ladder pipeline, and HRIRs come from
+  the rung the solve reports.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from repro.errors import CalibrationError, SignalError
 from repro.core.localize import clear_delay_map_cache
-from repro.core.pipeline import personalize_capture
+from repro.core.interpolation import NearFieldInterpolator
+from repro.core.pipeline import Uniq, UniqConfig, personalize_capture
 from repro.hrtf.io import table_digest
 from repro.obs import metrics as obs_metrics
 from repro.quality.preflight import preflight
@@ -29,14 +34,13 @@ from repro.signals.channel import (
     first_tap_index,
 )
 from repro.signals.deconvolve import (
-    DECONVOLVERS,
     LADDER,
+    _impulse,
+    _window_impulse,
     estimate_noise_floor,
     ladder_next,
     noise_regularization,
     rung_of,
-    tdls_deconvolve,
-    wiener_deconvolve,
 )
 from repro.signals.waveforms import probe_chirp
 from repro.testing.faults import apply_fault
@@ -71,10 +75,16 @@ def synthetic_capture():
     }
 
 
+def _bank_channel(source, recording, method, length=256, **settings):
+    """One channel from a fresh session bank moved to ``method``."""
+    bank = ProbeChannelBank(source)
+    bank.set_method(method, **settings)
+    return bank.channel((0, "left"), recording, length)
+
+
 class TestRegistry:
     def test_ladder_orders_the_registry(self):
         assert LADDER == ("inverse", "wiener", "tdls")
-        assert set(DECONVOLVERS) == set(LADDER)
 
     def test_rung_of_is_the_ladder_index(self):
         for rung, method in enumerate(LADDER):
@@ -96,17 +106,15 @@ class TestStrategies:
     def test_inverse_is_bit_identical_to_estimate_channel(self, synthetic_capture):
         recording = synthetic_capture["clean"]
         source = synthetic_capture["source"]
-        via_ladder = DECONVOLVERS["inverse"](
-            recording, source, 256, regularization=1e-3, noise_floor=0.5
-        )
+        via_bank = _bank_channel(source, recording, "inverse", noise_floor=0.5)
         direct = estimate_channel(recording, source, 256)
-        assert np.array_equal(via_ladder, direct)
+        assert np.array_equal(via_bank, direct)
 
     def test_every_rung_recovers_the_first_tap_when_clean(self, synthetic_capture):
         recording = synthetic_capture["clean"]
         source = synthetic_capture["source"]
         for method in LADDER:
-            impulse = DECONVOLVERS[method](recording, source, 256)
+            impulse = _bank_channel(source, recording, method)
             assert first_tap_index(impulse) == 40, method
 
     def test_wiener_recovers_the_first_tap_under_noise(self, synthetic_capture):
@@ -114,9 +122,7 @@ class TestStrategies:
         source = synthetic_capture["source"]
         sigma = estimate_noise_floor(recording)
         assert sigma > 0.0
-        impulse = wiener_deconvolve(
-            recording, source, 256, noise_floor=sigma
-        )
+        impulse = _bank_channel(source, recording, "wiener", noise_floor=sigma)
         assert abs(first_tap_index(impulse) - 40) <= 2
 
     def test_tdls_recovers_the_first_tap_under_reverberation(
@@ -124,7 +130,7 @@ class TestStrategies:
     ):
         recording = synthetic_capture["reverberant"]
         source = synthetic_capture["source"]
-        impulse = tdls_deconvolve(recording, source, 256, n_taps=512)
+        impulse = _bank_channel(source, recording, "tdls")
         assert abs(first_tap_index(impulse) - 40) <= 2
 
     def test_noise_regularization_is_clamped_and_monotone(self, synthetic_capture):
@@ -136,23 +142,31 @@ class TestStrategies:
         assert regs == sorted(regs)
 
 
+#: Window lengths on both sides of the 768 ``tdls`` taps and of the
+#: 6000-sample recording: the shorter ``tdls`` estimate is zero-padded.
+WINDOWS = (1, 256, 768, 769, 5999, 6000, 6050)
+
+
 class TestProbeChannelBank:
+    @pytest.mark.parametrize("length", WINDOWS)
     @pytest.mark.parametrize("noise", ["measured", None])
     @pytest.mark.parametrize("capture", ["clean", "noisy", "reverberant"])
     @pytest.mark.parametrize("method", LADDER)
     def test_bank_matches_the_one_shot_estimator(
-        self, synthetic_capture, method, capture, noise
+        self, synthetic_capture, method, capture, noise, length
     ):
-        """Every rung served by the bank equals its registry estimator."""
+        """Every rung served by the bank equals the windowed kernel."""
         source = synthetic_capture["source"]
         recording = synthetic_capture[capture]
         sigma = estimate_noise_floor(recording) if noise else None
-        bank = ProbeChannelBank(source)
-        bank.set_method(method, regularization=5e-3, noise_floor=sigma)
-        got = bank.channel((0, "left"), recording, 256)
-        one_shot = DECONVOLVERS[method](
-            recording, source, 256, regularization=5e-3, noise_floor=sigma
+        got = _bank_channel(
+            source, recording, method, length,
+            regularization=5e-3, noise_floor=sigma,
         )
+        one_shot = _window_impulse(
+            _impulse(recording, source, method, 5e-3, sigma), length
+        )
+        assert got.shape == (length,)
         assert np.array_equal(got, one_shot)
 
     def test_cache_keys_are_per_method(self, synthetic_capture):
@@ -249,6 +263,35 @@ class TestLadderRescue:
             deconv="wiener",
         )
         assert result.quality.salvage["deconv_method"] == "wiener"
+
+
+class TestKeptRung:
+    """HRIRs are windowed from the rung the solve reports, not the last one."""
+
+    def test_extraction_reads_the_kept_rung(self, monkeypatch, small_session):
+        real_solve = Uniq._solve
+        real_extract = NearFieldInterpolator.extract_measurements
+
+        def solve(self, session, bank, weights, collector):
+            # Rung 0 solves with a residual past the escalation limit; every
+            # higher rung raises, so the ladder tops out keeping rung 0.
+            if bank.method != "inverse":
+                raise CalibrationError(f"{bank.method} solve refused")
+            fusion = real_solve(self, session, bank, weights, collector)
+            return dataclasses.replace(fusion, residual_deg=25.0)
+
+        seen = []
+
+        def extract(self, session, fusion, bank=None, probe_weights=None):
+            seen.append(bank.method)
+            return real_extract(self, session, fusion, bank, probe_weights)
+
+        monkeypatch.setattr(Uniq, "_solve", solve)
+        monkeypatch.setattr(NearFieldInterpolator, "extract_measurements", extract)
+        salvage = Uniq(UniqConfig()).solve(small_session).salvage_record()
+        assert salvage["deconv_path"] == list(LADDER)
+        assert salvage["deconv_method"] == "inverse"
+        assert seen == [salvage["deconv_method"]]
 
 
 class TestCleanBitIdentity:

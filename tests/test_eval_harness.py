@@ -139,7 +139,7 @@ class TestChannelHarness:
         result = fig9_channel_response()
         err_left, err_right = result.first_tap_error_samples
         assert err_left < 3.0 and err_right < 3.0
-        assert result.n_taps_left >= 2
+        assert result.tap_count_left >= 2
 
     def test_fig14_multiple_peaks(self):
         result = fig14_relative_channel()

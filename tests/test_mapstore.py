@@ -386,15 +386,6 @@ class TestServedColdStart:
 
 
 class TestServePlumbing:
-    def test_inline_pool_activates_store(self, tmp_path, monkeypatch):
-        from repro.serve.pool import WorkerPool
-
-        monkeypatch.delenv(mapstore.MAP_STORE_ENV, raising=False)
-        path = str(tmp_path / "maps")
-        with WorkerPool(1, inline=True, map_store=path):
-            assert os.environ.get(mapstore.MAP_STORE_ENV) == path
-        monkeypatch.delenv(mapstore.MAP_STORE_ENV, raising=False)
-
     def test_server_rejects_unusable_store_leniently(self, tmp_path):
         from repro.serve import BatchServer
 

@@ -57,8 +57,8 @@ class TestSystem:
         err_left, err_right = fig9.first_tap_error_samples
         assert err_left < 3.0
         assert err_right < 3.0
-        assert fig9.n_taps_left >= 2
-        assert fig9.n_taps_right >= 2
+        assert fig9.tap_count_left >= 2
+        assert fig9.tap_count_right >= 2
         # The source is on the left, so the left tap is earlier.
         assert fig9.first_tap_left < fig9.first_tap_right
 

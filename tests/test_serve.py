@@ -117,29 +117,31 @@ class TestJobResult:
 
 
 class TestWorkerPool:
-    def test_inline_map_preserves_order(self):
-        with WorkerPool(1, inline=True) as pool:
-            specs = [{"job_id": f"j{i}", "subject_seed": i} for i in range(5)]
+    def test_map_preserves_order(self):
+        specs = [{"job_id": f"j{i}", "subject_seed": i} for i in range(5)]
+        with WorkerPool(1) as pool:
             values = pool.map(digest_runner, specs)
         assert [v["subject_seed"] for v in values] == list(range(5))
+        assert values == [digest_runner(spec) for spec in specs]
 
-    def test_inline_map_reraises_the_original_exception(self):
-        with WorkerPool(1, inline=True) as pool:
+    def test_map_reraises_the_original_exception(self):
+        spec = {"job_id": "bad", "fault": FAILING_FAULT}
+        with pytest.raises(ReproError, match="synthetic failure"):
+            digest_runner(spec)
+        with WorkerPool(1) as pool:
             with pytest.raises(ReproError, match="synthetic failure"):
-                pool.map(digest_runner, [{"job_id": "bad", "fault": FAILING_FAULT}])
+                pool.map(digest_runner, [spec])
 
-    def test_subprocess_matches_inline(self):
+    def test_subprocess_matches_serial_calls(self):
         specs = [{"job_id": f"j{i}", "subject_seed": i} for i in range(4)]
-        with WorkerPool(1, inline=True) as pool:
-            inline = pool.map(digest_runner, specs)
-        with WorkerPool(2, inline=False) as pool:
+        with WorkerPool(2) as pool:
             forked = pool.map(digest_runner, specs)
-        assert forked == inline
+        assert forked == [digest_runner(spec) for spec in specs]
 
     def test_crash_retry_recovers(self, tmp_path):
         marker = tmp_path / "boom"
         spec = {"job_id": "j", "subject_seed": 3, "crash_marker": str(marker)}
-        with WorkerPool(1, inline=False) as pool:
+        with WorkerPool(1) as pool:
             outcomes = pool.outcomes(digest_runner, [spec])
         assert marker.exists()
         assert outcomes[0].status == "ok"
@@ -152,7 +154,7 @@ class TestWorkerPool:
         spec = {"job_id": "j", "subject_seed": 3, "crash_marker": str(first)}
 
         policy = RetryPolicy(max_transient_retries=0)
-        with WorkerPool(1, inline=False, retry_policy=policy) as pool:
+        with WorkerPool(1, retry_policy=policy) as pool:
             outcomes = pool.outcomes(digest_runner, [spec])
         assert outcomes[0].status == "crashed"
         assert outcomes[0].attempts == 1
@@ -161,7 +163,7 @@ class TestWorkerPool:
         # Shutdown waits for the busy worker, so the sleep bounds the test.
         spec = {"job_id": "slow", "subject_seed": 1,
                 "fault_args": {"sleep_s": 1.5}}
-        with WorkerPool(1, inline=False) as pool:
+        with WorkerPool(1) as pool:
             outcomes = pool.outcomes(sleepy_runner, [spec], timeout_s=0.3)
         assert outcomes[0].status == "timeout"
         assert "0.300" in (outcomes[0].error or "")

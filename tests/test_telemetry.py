@@ -234,6 +234,26 @@ class TestSloStats:
         assert math.isnan(stats["job_p50_s"])
         assert math.isnan(stats["cold_start_fraction"])
 
+    def test_report_latency_is_the_slo_latency(self):
+        """The batch report and ``--slo`` quote one set of percentiles."""
+        jobs = [Job(job_id=f"j{i}", subject_seed=i % 3) for i in range(12)]
+        with BatchServer(workers=2, runner=digest_runner) as server:
+            report = server.run_batch(jobs)
+        # Synthetic followers whose waits only the leader's run explains.
+        report = dataclasses.replace(report, results=report.results + (
+            _result("follower", attempts=0, coalesced=True, queue_wait_s=9.0),
+            _result("replayed", attempts=0, replayed=True, queue_wait_s=7.0),
+        ))
+        assert sum(r.attempts == 0 for r in report.results) > 2
+        stats = slo_stats(report)
+        assert report.latency_summary() == {
+            "run_p50_s": stats["job_p50_s"],
+            "run_p95_s": stats["job_p95_s"],
+            "queue_wait_p50_s": stats["queue_wait_p50_s"],
+            "queue_wait_p95_s": stats["queue_wait_p95_s"],
+        }
+        assert report.to_dict()["latency"] == report.latency_summary()
+
 
 class TestSloPolicy:
     def test_violations_fire_in_both_directions(self):
